@@ -27,15 +27,26 @@ pub fn unit_sphere_scale(w: usize, r_max: f64) -> f64 {
 /// Returns `None` for windows with zero variance (the z-norm is
 /// undefined).
 pub fn z_norm(window: &[f64]) -> Option<Vec<f64>> {
+    let mut z = window.to_vec();
+    z_norm_in_place(&mut z).then_some(z)
+}
+
+/// [`z_norm`] overwriting the window, for callers that reuse one buffer
+/// across many windows. Returns `false` (leaving the values untouched)
+/// for windows with zero variance.
+pub fn z_norm_in_place(window: &mut [f64]) -> bool {
     assert!(!window.is_empty(), "cannot normalize an empty window");
     let w = window.len() as f64;
     let mu = window.iter().sum::<f64>() / w;
     let energy: f64 = window.iter().map(|x| (x - mu) * (x - mu)).sum();
     if energy <= 0.0 {
-        return None;
+        return false;
     }
     let s = 1.0 / energy.sqrt();
-    Some(window.iter().map(|x| (x - mu) * s).collect())
+    for x in window {
+        *x = (*x - mu) * s;
+    }
+    true
 }
 
 /// Width of the chunks [`l2_distance`] squares per iteration: one 256-bit

@@ -21,7 +21,7 @@
 //! `1/√(Σx² − w·μ²)`.
 
 use stardust_dsp::haar;
-use stardust_index::{bulk_load, Params, RStarTree, Rect};
+use stardust_index::PointTable;
 
 use crate::config::Config;
 use crate::normalize;
@@ -96,19 +96,15 @@ impl CorrelationStats {
 /// Streams must be appended round-robin (`0, 1, …, M−1, 0, 1, …`); each
 /// unordered correlated pair is reported exactly once, when the later of
 /// the two streams produces its feature for that time step. The feature
-/// index holds exactly the current round's features (it is reset when the
-/// first stream of a round emits), so maintenance is insert-only.
+/// table holds exactly the current round's features (it is cleared when
+/// the first stream of a round emits), so maintenance is append-only.
 pub struct CorrelationMonitor {
     summaries: Vec<StreamSummary>,
-    tree: RStarTree<(StreamId, Time)>,
+    /// The live features, banded on the first coefficient with a band
+    /// width of at least the radius. It is both the range index and —
+    /// read back in `(time, stream)` order — the snapshot's entry log.
+    table: PointTable<(StreamId, Time)>,
     round: Option<Time>,
-    /// Insertion-ordered mirror of the live tree entries. Snapshots
-    /// serialize this instead of the tree; restoring re-inserts in the
-    /// original order, reproducing the identical index structure in the
-    /// synchronized (insert-only) mode.
-    log: Vec<(Vec<f64>, StreamId, Time)>,
-    /// Per-stream indexed features, oldest first (used when `lag_periods > 1`).
-    entries: Vec<std::collections::VecDeque<(Vec<f64>, Time)>>,
     /// How many feature periods back a lagged partner may be (1 =
     /// synchronized only).
     lag_periods: usize,
@@ -126,10 +122,66 @@ pub struct CorrelationMonitor {
     verify: bool,
     stats: CorrelationStats,
     telemetry: crate::telemetry::ClassTelemetry,
-    index_telemetry: crate::telemetry::IndexTelemetry,
+    scratch: Scratch,
 }
 
-// Compact by hand: summaries and the feature tree carry full state.
+/// Narrowest band of the feature table. z-normed features lie in the
+/// unit ball, so this bounds the table at 2·64 + 1 bands however small
+/// the radius.
+const MIN_BAND_WIDTH: f64 = 1.0 / 64.0;
+
+/// Buffers reused from feature to feature; derived state, never
+/// serialized.
+#[derive(Default)]
+struct Scratch {
+    /// Ordered DWT of the current approximation vector.
+    dwt: Vec<f64>,
+    /// The current feature.
+    coords: Vec<f64>,
+    /// Range-query hits `(partner, partner time, feature distance)`.
+    reported: Vec<(StreamId, Time, f64)>,
+    /// One slot per stream, see [`ZWindow`].
+    znormed: Vec<ZWindow>,
+}
+
+impl Scratch {
+    fn for_streams(n_streams: usize) -> Self {
+        Scratch {
+            znormed: (0..n_streams).map(|_| ZWindow::default()).collect(),
+            ..Scratch::default()
+        }
+    }
+}
+
+/// A stream's z-normalized raw window, kept after its first verification:
+/// in a synchronized round every later stream that reports this one
+/// compares against the same window, so it is normalized once per round
+/// instead of once per candidate pair.
+#[derive(Default)]
+struct ZWindow {
+    /// End time of the cached window.
+    end: Option<Time>,
+    /// Empty when the window has zero variance (z-norm undefined).
+    z: Vec<f64>,
+}
+
+impl ZWindow {
+    /// Makes the slot hold `summary`'s window of `len` values ending at
+    /// `end`.
+    fn fill(&mut self, summary: &StreamSummary, end: Time, len: usize) {
+        if self.end == Some(end) {
+            return;
+        }
+        let ok = summary.history().copy_window(end, len, &mut self.z);
+        assert!(ok, "indexed feature implies full window");
+        if !normalize::z_norm_in_place(&mut self.z) {
+            self.z.clear();
+        }
+        self.end = Some(end);
+    }
+}
+
+// Compact by hand: summaries and the feature table carry full state.
 impl std::fmt::Debug for CorrelationMonitor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CorrelationMonitor")
@@ -174,10 +226,8 @@ impl CorrelationMonitor {
         let summaries = (0..n_streams).map(|_| StreamSummary::new(config.clone())).collect();
         CorrelationMonitor {
             summaries,
-            tree: RStarTree::with_params(f, Params::new(8)),
+            table: PointTable::new(f, radius.max(MIN_BAND_WIDTH)),
             round: None,
-            log: Vec::new(),
-            entries: (0..n_streams).map(|_| std::collections::VecDeque::new()).collect(),
             lag_periods: 1,
             sketches: (0..n_streams).map(|_| BlockSketch::new(window, base_window)).collect(),
             sketch_block: base_window,
@@ -188,25 +238,21 @@ impl CorrelationMonitor {
             verify: true,
             stats: CorrelationStats::default(),
             telemetry: crate::telemetry::ClassTelemetry::default(),
-            index_telemetry: crate::telemetry::IndexTelemetry::default(),
+            scratch: Scratch::for_streams(n_streams),
         }
     }
 
     /// Attaches metric handles from `registry` (class `correlation`):
-    /// per-append latency, probe/report/confirmation counters, summarizer
-    /// lifecycle counters, and the feature index's structural counters.
-    /// Telemetry is runtime state — snapshots never carry it, so call
-    /// this again after [`Self::restore`].
+    /// per-append latency, probe/report/confirmation counters and
+    /// summarizer lifecycle counters. Telemetry is runtime state —
+    /// snapshots never carry it, so call this again after
+    /// [`Self::restore`].
     pub fn attach_telemetry(&mut self, registry: &stardust_telemetry::Registry) {
         self.telemetry = crate::telemetry::ClassTelemetry::new(registry, "correlation");
-        self.index_telemetry = crate::telemetry::IndexTelemetry::new(registry);
         let summarizer = crate::telemetry::SummarizerTelemetry::new(registry);
         for summary in &mut self.summaries {
             summary.set_telemetry(summarizer.clone());
         }
-        // Absorb any inserts that predate the attachment (e.g. a restore
-        // rebuilding the tree) so the series starts consistent.
-        self.index_telemetry.record(self.tree.reset_counters());
     }
 
     /// Enables or disables inline raw-window verification (disable for
@@ -289,14 +335,13 @@ impl CorrelationMonitor {
     }
 
     /// Serializes the monitor: stream summaries, parameters, counters,
-    /// and the live feature-index entries in insertion order. The
-    /// R\*-tree itself is derived state; [`Self::restore`] rebuilds it
-    /// from the logged entries with one STR bulk load. The rebuilt tree
-    /// may differ structurally from the live one, but reported pairs are
-    /// bit-identical in both modes: a range query returns the same entry
-    /// set from any valid tree over the same entries, and reports are
-    /// canonically ordered by (partner stream, partner time) before
-    /// verification.
+    /// and the live feature-table entries in `(time, stream)` order —
+    /// the order round-robin appends produce them in. [`Self::restore`]
+    /// pushes them back; the bands may then hold their entries in a
+    /// different order than the live table's, but reported pairs are
+    /// bit-identical: a range query returns the same entry set, and
+    /// reports are canonically ordered by (partner stream, partner time)
+    /// before verification.
     pub fn snapshot(&self) -> Vec<u8> {
         let mut w = Writer::new();
         w.usize(self.summaries.len());
@@ -316,11 +361,14 @@ impl CorrelationMonitor {
         }
         w.u64(self.stats.reported);
         w.u64(self.stats.true_pairs);
-        w.usize(self.log.len());
-        for (coords, stream, t) in &self.log {
+        let mut log: Vec<(&[f64], StreamId, Time)> =
+            self.table.iter().map(|(coords, &(stream, t))| (coords, stream, t)).collect();
+        log.sort_unstable_by_key(|&(_, stream, t)| (t, stream));
+        w.usize(log.len());
+        for (coords, stream, t) in log {
             w.f64_slice(coords);
-            w.u64(*stream as u64);
-            w.u64(*t);
+            w.u64(stream as u64);
+            w.u64(t);
         }
         w.usize(self.sketch_block);
         for sketch in &self.sketches {
@@ -371,9 +419,7 @@ impl CorrelationMonitor {
         };
         let stats = CorrelationStats { reported: r.u64()?, true_pairs: r.u64()? };
         let n_entries = r.count(24)?;
-        let mut log = Vec::with_capacity(n_entries);
-        let mut entries: Vec<std::collections::VecDeque<(Vec<f64>, Time)>> =
-            (0..n_streams).map(|_| std::collections::VecDeque::new()).collect();
+        let mut table = PointTable::new(f, radius.max(MIN_BAND_WIDTH));
         for _ in 0..n_entries {
             let coords = r.f64_vec()?;
             if coords.len() != f {
@@ -384,11 +430,7 @@ impl CorrelationMonitor {
             if stream as usize >= n_streams {
                 return Err(SnapshotError::Corrupt("entry stream out of range"));
             }
-            let t = r.u64()?;
-            if lag_periods > 1 {
-                entries[stream as usize].push_back((coords.clone(), t));
-            }
-            log.push((coords, stream, t));
+            table.push(&coords, (stream, r.u64()?));
         }
         let level = config.levels - 1;
         let window = config.window_at(level);
@@ -405,19 +447,10 @@ impl CorrelationMonitor {
             sketches.push(sketch);
         }
         r.expect_end()?;
-        // One bottom-up STR build instead of N incremental inserts; query
-        // results over the same entry set are tree-shape independent.
-        let tree = bulk_load(
-            f,
-            Params::new(8),
-            log.iter().map(|(coords, stream, t)| (Rect::point(coords), (*stream, *t))).collect(),
-        );
         Ok(CorrelationMonitor {
             summaries,
-            tree,
+            table,
             round,
-            log,
-            entries,
             lag_periods,
             sketches,
             sketch_block,
@@ -428,7 +461,7 @@ impl CorrelationMonitor {
             verify,
             stats,
             telemetry: crate::telemetry::ClassTelemetry::default(),
-            index_telemetry: crate::telemetry::IndexTelemetry::default(),
+            scratch: Scratch::for_streams(n_streams),
         })
     }
 
@@ -462,30 +495,20 @@ impl CorrelationMonitor {
         let mean = mbr.sum.0 / w;
         let energy = (mbr.sumsq.0 - w * mean * mean).max(0.0);
         let period = self.summaries[s].config().base_window as u64;
+        let horizon = t.saturating_sub(self.lag_periods as u64 * period);
         if self.lag_periods == 1 {
             // Synchronized-only: the previous round's features are stale
-            // and would be filtered anyway, so reset the index at each
-            // round boundary (insert-only maintenance — measurably faster
-            // than per-feature deletion).
+            // and would be filtered anyway, so empty the table at each
+            // round boundary (append-only maintenance).
             if self.round != Some(t) {
                 self.round = Some(t);
-                self.tree = RStarTree::with_params(self.f, Params::new(8));
-                self.log.clear();
+                self.table.clear();
             }
         } else {
             // Lagged mode: retire this stream's entries that fell out of
             // the lag horizon (other streams retire on their own turns;
             // the query filters any stragglers by time).
-            let horizon = t.saturating_sub(self.lag_periods as u64 * period);
-            while self.entries[s].front().is_some_and(|&(_, ft)| ft <= horizon) {
-                let (coords, ft) = self.entries[s].pop_front().expect("just checked");
-                let removed = self.tree.remove(&Rect::point(&coords), &(stream, ft));
-                debug_assert!(removed);
-                if let Some(pos) = self.log.iter().position(|&(_, ls, lt)| ls == stream && lt == ft)
-                {
-                    self.log.remove(pos);
-                }
-            }
+            self.table.retain(|&(other, ot)| other != stream || ot > horizon);
         }
         if energy <= f64::EPSILON {
             // z-norm undefined for (near-)constant windows; the stream
@@ -493,45 +516,37 @@ impl CorrelationMonitor {
             return Vec::new();
         }
         let scale = 1.0 / energy.sqrt();
-        let ordered = haar::dwt(mbr.bounds.lo());
-        let coords: Vec<f64> = ordered[1..=self.f].iter().map(|c| c * scale).collect();
+        let Scratch { dwt, coords, reported, znormed } = &mut self.scratch;
+        haar::dwt_into(mbr.bounds.lo(), dwt);
+        coords.clear();
+        coords.extend(dwt[1..=self.f].iter().map(|c| c * scale));
 
-        // Range query before inserting ourselves; partners from other
+        // Range query before adding ourselves; partners from other
         // streams within the lag horizon are reports.
         self.telemetry.checks.inc();
-        let horizon = t.saturating_sub(self.lag_periods as u64 * period);
-        let mut reported: Vec<(StreamId, Time, f64)> = Vec::new();
-        self.tree.search_within(&coords, self.radius, |rect, &(other, ot)| {
-            // Point entries: min_dist to the rect is the exact feature
-            // distance.
+        reported.clear();
+        self.table.scan_within(coords, self.radius, |&(other, ot), feature_distance| {
             if other != stream && ot > horizon {
-                reported.push((other, ot, rect.min_dist_point(&coords)));
+                reported.push((other, ot, feature_distance));
             }
         });
-        // Canonical report order: tree traversal order depends on tree
-        // shape (incremental vs bulk-loaded), so sort by the integer keys
-        // to keep emitted pairs bit-identical across rebuild paths.
-        reported.sort_by_key(|&(other, ot, _)| (other, ot));
-        self.tree.insert(Rect::point(&coords), (stream, t));
-        self.log.push((coords.clone(), stream, t));
-        if self.lag_periods > 1 {
-            self.entries[s].push_back((coords, t));
-        }
+        // Canonical report order: scan order depends on how the bands
+        // were filled (live appends vs a restored log), so sort by the
+        // integer keys to keep emitted pairs bit-identical across both.
+        reported.sort_unstable_by_key(|&(other, ot, _)| (other, ot));
+        self.table.push(coords, (stream, t));
 
         let mut pairs = Vec::with_capacity(reported.len());
-        for (other, time_other, feature_distance) in reported {
+        for &(other, time_other, feature_distance) in reported.iter() {
             self.stats.reported += 1;
             self.telemetry.candidates.inc();
             let correlation = if self.verify {
-                let win_a = self.summaries[s]
-                    .history()
-                    .window(t, self.window)
-                    .expect("feature implies full window");
-                let win_b = self.summaries[other as usize]
-                    .history()
-                    .window(time_other, self.window)
-                    .expect("indexed feature implies full window");
-                let corr = normalize::correlation(&win_a, &win_b);
+                znormed[s].fill(&self.summaries[s], t, self.window);
+                let o = other as usize;
+                znormed[o].fill(&self.summaries[o], time_other, self.window);
+                let (za, zb) = (&znormed[s].z, &znormed[o].z);
+                let corr = (!za.is_empty() && !zb.is_empty())
+                    .then(|| normalize::correlation_of_znormed(za, zb));
                 if corr.is_some_and(|c| normalize::correlation_to_distance(c) <= self.radius) {
                     self.stats.true_pairs += 1;
                     self.telemetry.confirmed.inc();
@@ -548,9 +563,6 @@ impl CorrelationMonitor {
                 feature_distance,
                 correlation,
             });
-        }
-        if self.index_telemetry.node_visits.is_enabled() {
-            self.index_telemetry.record(self.tree.reset_counters());
         }
         drop(span);
         pairs

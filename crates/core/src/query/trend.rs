@@ -5,7 +5,7 @@
 //! continuous: "a pattern database is continuously monitored over dynamic
 //! data streams: identify all temperature sensors […] that **currently**
 //! exhibit an interesting trend". This module inverts the index: the
-//! registered patterns' features live in per-length R\*-trees, and each
+//! registered patterns' features live in per-length point tables, and each
 //! arriving value probes them with the stream's current multi-resolution
 //! summary — the same binary decomposition and hierarchical radius
 //! refinement as Algorithm 3, with the roles of query and data swapped.
@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 
 use stardust_dsp::haar;
-use stardust_index::{Params, RStarTree};
+use stardust_index::PointTable;
 
 use crate::config::Config;
 use crate::error::QueryError;
@@ -50,11 +50,13 @@ struct Registered {
     sub_feats: Vec<Vec<f64>>,
 }
 
-/// Patterns of one length share a decomposition and a feature index over
-/// their first (most recent) sub-window feature.
+/// Patterns of one length share a decomposition and a feature table over
+/// their first (most recent) sub-window feature. A group holds a handful
+/// of patterns, so the table is a single band: candidates come back in
+/// registration order.
 struct LengthGroup {
     levels: Vec<usize>,
-    tree: RStarTree<usize>, // payload: index into `patterns`
+    table: PointTable<usize>, // payload: index into `patterns`
     max_r_abs: f64,
 }
 
@@ -112,8 +114,6 @@ pub struct TrendMonitor {
     scratch: Vec<f64>,
     /// Detached (free) unless attached; never serialized.
     telemetry: crate::telemetry::ClassTelemetry,
-    /// R\*-tree counters drained from the per-length trees.
-    index_telemetry: crate::telemetry::IndexTelemetry,
 }
 
 // Compact by hand: summaries and length groups carry full index state.
@@ -148,24 +148,16 @@ impl TrendMonitor {
             stats: TrendStats::default(),
             scratch: Vec::new(),
             telemetry: crate::telemetry::ClassTelemetry::default(),
-            index_telemetry: crate::telemetry::IndexTelemetry::default(),
         }
     }
 
-    /// Attaches per-class, summarizer, and index telemetry from
-    /// `registry`. Runtime state only — re-attach after
-    /// [`Self::restore`].
+    /// Attaches per-class and summarizer telemetry from `registry`.
+    /// Runtime state only — re-attach after [`Self::restore`].
     pub fn attach_telemetry(&mut self, registry: &stardust_telemetry::Registry) {
         self.telemetry = crate::telemetry::ClassTelemetry::new(registry, "trend");
-        self.index_telemetry = crate::telemetry::IndexTelemetry::new(registry);
         let summarizer = crate::telemetry::SummarizerTelemetry::new(registry);
         for s in &mut self.summaries {
             s.set_telemetry(summarizer.clone());
-        }
-        // Fold in whatever the trees accumulated before attachment
-        // (pattern-registration inserts).
-        for group in self.groups.values() {
-            self.index_telemetry.record(group.tree.reset_counters());
         }
     }
 
@@ -211,12 +203,11 @@ impl TrendMonitor {
         self.patterns.push(Registered { id, sequence, r_abs, sub_feats });
         let group = self.groups.entry(len).or_insert_with(|| LengthGroup {
             levels,
-            tree: RStarTree::with_params(f, Params::default()),
+            table: PointTable::new(f, f64::INFINITY),
             max_r_abs: 0.0,
         });
         group.max_r_abs = group.max_r_abs.max(r_abs);
-        let first = &self.patterns[pattern_index].sub_feats[0];
-        group.tree.insert(stardust_index::Rect::point(first), pattern_index);
+        group.table.push(&self.patterns[pattern_index].sub_feats[0], pattern_index);
         Ok(id)
     }
 
@@ -237,10 +228,9 @@ impl TrendMonitor {
 
     /// Serializes the monitor: every stream summary, the registered
     /// patterns (raw sequence plus exact radius budget), and the
-    /// counters. The per-length R\*-trees are derived state: they are
+    /// counters. The per-length tables are derived state: they are
     /// rebuilt by [`Self::restore`] re-registering the patterns in id
-    /// order, which reproduces the identical insertion sequence and
-    /// therefore the identical index structure.
+    /// order, which reproduces the identical push sequence.
     pub fn snapshot(&self) -> Vec<u8> {
         let mut w = Writer::new();
         w.usize(self.summaries.len());
@@ -289,7 +279,6 @@ impl TrendMonitor {
             stats,
             scratch: Vec::new(),
             telemetry: crate::telemetry::ClassTelemetry::default(),
-            index_telemetry: crate::telemetry::IndexTelemetry::default(),
         };
         for _ in 0..n_patterns {
             let sequence = r.f64_vec()?;
@@ -326,11 +315,9 @@ impl TrendMonitor {
             // Candidate patterns: those whose first sub-feature is within
             // the group's largest radius of the stream's feature box.
             let mut cands: Vec<usize> = Vec::new();
-            let qrect = stardust_index::Rect::new(
-                mbr.bounds.lo().iter().map(|v| v - group.max_r_abs).collect(),
-                mbr.bounds.hi().iter().map(|v| v + group.max_r_abs).collect(),
-            );
-            group.tree.search_intersecting(&qrect, |_, &idx| cands.push(idx));
+            let qlo: Vec<f64> = mbr.bounds.lo().iter().map(|v| v - group.max_r_abs).collect();
+            let qhi: Vec<f64> = mbr.bounds.hi().iter().map(|v| v + group.max_r_abs).collect();
+            group.table.scan_in_box(&qlo, &qhi, |&idx| cands.push(idx));
 
             for idx in cands {
                 let pat = &self.patterns[idx];
@@ -391,11 +378,6 @@ impl TrendMonitor {
                         distance: d_raw * unit_sphere_scale(len, self.config.r_max),
                     });
                 }
-            }
-        }
-        if self.index_telemetry.node_visits.is_enabled() {
-            for group in self.groups.values() {
-                self.index_telemetry.record(group.tree.reset_counters());
             }
         }
         drop(span);

@@ -344,8 +344,18 @@ impl StreamSummary {
     /// Appends one value, updating every due level bottom-up (Algorithm 1).
     /// Sealed/retired MBRs are appended to `events`.
     pub fn push(&mut self, value: f64, events: &mut Vec<SummaryEvent>) {
+        self.push_inner(value, Some(events));
+    }
+
+    /// [`Self::push`] for callers that read the summary afterwards
+    /// instead of its change notifications: nothing is recorded, so no
+    /// sealed MBR is cloned.
+    pub fn push_quiet(&mut self, value: f64) {
+        self.push_inner(value, None);
+    }
+
+    fn push_inner(&mut self, value: f64, mut events: Option<&mut Vec<SummaryEvent>>) {
         self.telemetry.appends.inc();
-        let first_new = events.len();
         let w0 = self.config.base_window;
         let t = self.history.push(value);
         // Level-0 incremental state.
@@ -389,23 +399,9 @@ impl StreamSummary {
                 let sumsq = (left.sumsq.0 + right.sumsq.0, left.sumsq.1 + right.sumsq.1);
                 (merged, sum, sumsq)
             };
-            self.insert_feature(j, bounds, sum, sumsq, t, events);
+            self.insert_feature(j, bounds, sum, sumsq, t, events.as_deref_mut());
         }
         self.retire(t, events);
-        if self.telemetry.sealed.is_enabled() {
-            for e in &events[first_new..] {
-                match e {
-                    SummaryEvent::Sealed { .. } => self.telemetry.sealed.inc(),
-                    SummaryEvent::Retired { .. } => self.telemetry.retired.inc(),
-                }
-            }
-        }
-    }
-
-    /// Convenience wrapper discarding events.
-    pub fn push_quiet(&mut self, value: f64) {
-        let mut events = Vec::new();
-        self.push(value, &mut events);
     }
 
     /// Appends a batch of values; equivalent to calling [`Self::push`]
@@ -457,7 +453,7 @@ impl StreamSummary {
         sum: (f64, f64),
         sumsq: (f64, f64),
         t: Time,
-        events: &mut Vec<SummaryEvent>,
+        events: Option<&mut Vec<SummaryEvent>>,
     ) {
         let capacity = self.config.box_capacity;
         let st = &mut self.levels[level];
@@ -469,17 +465,23 @@ impl StreamSummary {
         }
         if st.open.as_ref().map(|m| m.count) == Some(capacity) {
             let mbr = st.open.take().expect("just checked");
-            events.push(SummaryEvent::Sealed { level, mbr: mbr.clone() });
+            self.telemetry.sealed.inc();
+            if let Some(events) = events {
+                events.push(SummaryEvent::Sealed { level, mbr: mbr.clone() });
+            }
             st.sealed.push_back(mbr);
         }
     }
 
-    fn retire(&mut self, t: Time, events: &mut Vec<SummaryEvent>) {
+    fn retire(&mut self, t: Time, mut events: Option<&mut Vec<SummaryEvent>>) {
         let horizon = t.saturating_sub(self.config.history as u64);
         for (level, st) in self.levels.iter_mut().enumerate() {
             while st.sealed.front().is_some_and(|m| m.last() < horizon) {
                 let mbr = st.sealed.pop_front().expect("just checked");
-                events.push(SummaryEvent::Retired { level, mbr });
+                self.telemetry.retired.inc();
+                if let Some(events) = events.as_deref_mut() {
+                    events.push(SummaryEvent::Retired { level, mbr });
+                }
             }
         }
     }

@@ -111,19 +111,41 @@ pub fn differencing_step(x: &[f64]) -> Vec<f64> {
 /// # Panics
 /// Panics if `x.len()` is not a power of two.
 pub fn dwt(x: &[f64]) -> Vec<f64> {
-    assert!(is_pow2(x.len()), "Haar DWT needs a power-of-two length, got {}", x.len());
-    let mut details: Vec<Vec<f64>> = Vec::new();
-    let mut approx = x.to_vec();
-    while approx.len() > 1 {
-        details.push(differencing_step(&approx));
-        approx = averaging_step(&approx);
-    }
-    let mut out = Vec::with_capacity(x.len());
-    out.extend_from_slice(&approx);
-    for d in details.iter().rev() {
-        out.extend_from_slice(d);
-    }
+    let mut out = Vec::new();
+    dwt_into(x, &mut out);
     out
+}
+
+/// [`dwt`] into a caller-provided buffer (cleared first), for per-feature
+/// hot paths that would otherwise allocate a vector per pyramid level.
+/// Steady state allocates nothing: `out` is grown to twice the signal
+/// length once and reused.
+///
+/// # Panics
+/// Panics if `x.len()` is not a power of two.
+pub fn dwt_into(x: &[f64], out: &mut Vec<f64>) {
+    let n = x.len();
+    assert!(is_pow2(n), "Haar DWT needs a power-of-two length, got {n}");
+    // `out[..n]` receives the ordered coefficients; `out[n..]` is the
+    // working approximation, halved in place level by level. The details
+    // of a length-`len` approximation land at `[len/2, len)` — their
+    // final position in the ordered layout.
+    out.clear();
+    out.resize(n, 0.0);
+    out.extend_from_slice(x);
+    let (coeffs, approx) = out.split_at_mut(n);
+    let mut len = n;
+    while len > 1 {
+        let half = len / 2;
+        pairwise_diff_into(&approx[..len], &mut coeffs[half..len]);
+        // Element `i` reads `2i` and `2i + 1`, both at or beyond `i`.
+        for i in 0..half {
+            approx[i] = (approx[2 * i] + approx[2 * i + 1]) * INV_SQRT2;
+        }
+        len = half;
+    }
+    coeffs[0] = approx[0];
+    out.truncate(n);
 }
 
 /// Inverse of [`dwt`]: reconstructs the signal from the ordered coefficient

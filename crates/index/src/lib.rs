@@ -14,6 +14,12 @@
 //! * STR bulk loading ([`bulk`]) used by the offline baselines,
 //! * best-first k-NN search ([`knn`], Roussopoulos et al. \[17\]).
 //!
+//! Beside the tree sits [`table::PointTable`], a flat point store banded
+//! on the first axis. The correlation and trend monitors index a few
+//! thousand *points* that turn over every round; there a scan of the
+//! bands a query reaches beats any rebalanced structure, with the same
+//! result set (see the module docs for the argument).
+//!
 //! The geometry scan primitives process bounds in fixed-width chunks the
 //! optimizer can vectorize; building with `--features simd` (nightly)
 //! swaps in explicit `std::simd` kernels with bit-identical results (see
@@ -23,9 +29,11 @@
 pub mod bulk;
 pub mod geometry;
 pub mod knn;
+pub mod table;
 pub mod tree;
 
 pub use bulk::bulk_load;
 pub use geometry::Rect;
 pub use knn::{nearest_k, Neighbor};
+pub use table::PointTable;
 pub use tree::{Params, RStarTree, TreeCounters};

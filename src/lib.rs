@@ -12,7 +12,7 @@
 //! | Module | Crate | Contents |
 //! |---|---|---|
 //! | [`core`] | `stardust-core` | summarizer (Alg. 1), engine, query algorithms (Alg. 2–4, §5.3) |
-//! | [`index`] | `stardust-index` | R\*-tree with forced reinsertion, deletion, STR bulk load |
+//! | [`index`] | `stardust-index` | R\*-tree with forced reinsertion, deletion, STR bulk load; banded `PointTable` |
 //! | [`dsp`] | `stardust-dsp` | Haar DWT + incremental merges (Lemmas A.1/A.2), sliding DFT |
 //! | [`baselines`] | `stardust-baselines` | SWT, StatStream, GeneralMatch, MR-Index, linear scan |
 //! | [`datagen`] | `stardust-datagen` | seeded workload generators for every §6 experiment |
