@@ -77,31 +77,8 @@ fn bench_index(c: &mut Criterion) {
             })
         });
 
-        // Frequent-update optimization (Lee et al. [12]): small-drift
-        // updates in place vs. the delete+insert fallback.
-        group.bench_function("update_small_drift", |b| {
-            b.iter_batched(
-                || {
-                    let mut t = RStarTree::with_params(dims, Params::default());
-                    for (r, v) in items.clone() {
-                        t.insert(r, v);
-                    }
-                    t
-                },
-                |mut t| {
-                    for (r, v) in &items {
-                        let moved = Rect::new(
-                            r.lo().iter().map(|x| x + 0.01).collect(),
-                            r.hi().iter().map(|x| x + 0.01).collect(),
-                        );
-                        t.update(r, v, moved);
-                    }
-                    t
-                },
-                BatchSize::SmallInput,
-            )
-        });
-
+        // Small-drift churn: every item deleted and reinserted slightly
+        // moved.
         group.bench_function("update_via_remove_insert", |b| {
             b.iter_batched(
                 || {

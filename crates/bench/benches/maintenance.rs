@@ -101,11 +101,9 @@ fn bench_rebuild(c: &mut Criterion) {
     let dims = engine.tree(0).dims();
     let items: Vec<(Rect, u64)> = (0..3)
         .flat_map(|level| {
-            engine
-                .tree(level)
-                .iter()
-                .enumerate()
-                .map(move |(i, (r, _))| (r.clone(), (level * VALUES + i) as u64))
+            engine.tree(level).iter().enumerate().map(move |(i, (r, _))| {
+                (Rect::new(r.lo().to_vec(), r.hi().to_vec()), (level * VALUES + i) as u64)
+            })
         })
         .collect();
     let snapshot = engine.snapshot();

@@ -44,7 +44,7 @@ fn bench_queries(c: &mut Criterion) {
             b.iter(|| pattern::query_batch(&batch, &q).expect("valid"))
         });
     }
-    group.bench_function("nearest_k10", |b| {
+    group.bench_function("nearest_online_k10", |b| {
         let seq = &data[1][N_ITEMS - 112..];
         b.iter(|| pattern::nearest_online(&online, seq, 10).expect("valid"))
     });

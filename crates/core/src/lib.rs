@@ -20,7 +20,6 @@
 //! | k-most-similar search | [`query::pattern::nearest_online`] | §1 finance scenario |
 //! | Continuous trend monitoring (standing patterns) | [`query::trend::TrendMonitor`] | §2.3 |
 //! | Correlation monitoring (incl. lagged pairs) | [`query::correlation::CorrelationMonitor`] | §5.3 |
-//! | Window-size estimation / forecasting | [`regression`] | §7 future work |
 //!
 //! All three share the same summarization substrate
 //! ([`summarizer::StreamSummary`], Algorithm 1) — that shared substrate is
@@ -57,7 +56,6 @@ pub mod error;
 pub mod mbr;
 pub mod normalize;
 pub mod query;
-pub mod regression;
 pub mod sketch;
 pub mod snapshot;
 pub mod stats;

@@ -13,7 +13,6 @@
 //! (`stardust_<subsystem>_<what>_<unit|total>`); the full catalogue
 //! with units lives in DESIGN.md §Observability.
 
-use stardust_index::TreeCounters;
 use stardust_telemetry::{Counter, Histogram, Registry};
 
 /// Summarizer (Algorithm 1) counters: raw appends and the MBR
@@ -45,52 +44,6 @@ impl SummarizerTelemetry {
                 "Feature MBRs retired past the history horizon, all levels",
             ),
         }
-    }
-}
-
-/// R\*-tree structural counters, aggregated across every tree a monitor
-/// owns (one per resolution level / pattern length group).
-#[derive(Clone, Debug, Default)]
-pub struct IndexTelemetry {
-    /// `stardust_index_inserts_total`.
-    pub inserts: Counter,
-    /// `stardust_index_removes_total`.
-    pub removes: Counter,
-    /// `stardust_index_splits_total`.
-    pub splits: Counter,
-    /// `stardust_index_reinserted_entries_total`.
-    pub reinserted_entries: Counter,
-    /// `stardust_index_node_visits_total`.
-    pub node_visits: Counter,
-}
-
-impl IndexTelemetry {
-    /// Registers (or re-resolves) the index series in `registry`.
-    pub fn new(registry: &Registry) -> Self {
-        IndexTelemetry {
-            inserts: registry
-                .counter("stardust_index_inserts_total", "R*-tree data-item insertions"),
-            removes: registry.counter("stardust_index_removes_total", "R*-tree data-item removals"),
-            splits: registry.counter("stardust_index_splits_total", "R*-tree node splits"),
-            reinserted_entries: registry.counter(
-                "stardust_index_reinserted_entries_total",
-                "Entries moved by forced reinsertion or deletion condensation",
-            ),
-            node_visits: registry.counter(
-                "stardust_index_node_visits_total",
-                "R*-tree nodes visited by range/intersection searches",
-            ),
-        }
-    }
-
-    /// Folds a [`TreeCounters`] delta (typically from
-    /// [`stardust_index::RStarTree::reset_counters`]) into the series.
-    pub fn record(&self, delta: TreeCounters) {
-        self.inserts.add(delta.inserts);
-        self.removes.add(delta.removes);
-        self.splits.add(delta.splits);
-        self.reinserted_entries.add(delta.reinserted_entries);
-        self.node_visits.add(delta.node_visits);
     }
 }
 
@@ -168,8 +121,6 @@ impl ClassTelemetry {
 pub struct CoreTelemetry {
     /// Summarizer lifecycle counters.
     pub summarizer: SummarizerTelemetry,
-    /// R\*-tree structural counters.
-    pub index: IndexTelemetry,
     /// Aggregate-monitor (Algorithm 2) series.
     pub aggregate: ClassTelemetry,
     /// Trend-monitor (Algorithms 3–4, standing patterns) series.
@@ -183,7 +134,6 @@ impl CoreTelemetry {
     pub fn new(registry: &Registry) -> Self {
         CoreTelemetry {
             summarizer: SummarizerTelemetry::new(registry),
-            index: IndexTelemetry::new(registry),
             aggregate: ClassTelemetry::new(registry, "aggregate"),
             trend: ClassTelemetry::new(registry, "trend"),
             correlation: ClassTelemetry::new(registry, "correlation"),

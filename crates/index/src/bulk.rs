@@ -61,8 +61,8 @@ pub fn bulk_load<T>(dims: usize, params: Params, items: Vec<(Rect, T)>) -> RStar
         let centers: Vec<f64> = level_nodes
             .iter()
             .flat_map(|&id| {
-                let r = tree.bulk_node_mbr(id);
-                (0..dims).map(|d| (r.lo()[d] + r.hi()[d]) * 0.5).collect::<Vec<_>>()
+                let mbr = tree.bulk_node_mbr(id);
+                (0..dims).map(|d| (mbr[d] + mbr[dims + d]) * 0.5).collect::<Vec<_>>()
             })
             .collect();
         let order = str_order(count, dims, capacity, &|i, d| centers[i * dims + d]);
@@ -181,27 +181,13 @@ mod tests {
 
     #[test]
     fn bulk_packs_leaves_near_full() {
-        use crate::tree::{ChildRef, NodeRef};
-
         // 1000 points at capacity 16: incremental R*-tree insertion lands
         // around 70% utilization; STR packing must hit ~100% — exactly
         // ceil(1000/16) = 63 leaves (one extra allowed for the rebalanced
         // tail) and minimal height.
         let tree = bulk_load(2, Params::new(16), grid_points(1000));
         assert!(tree.height() <= 3, "packed height {} too tall", tree.height());
-        fn count_leaves<T>(node: NodeRef<'_, T>, leaves: &mut usize) {
-            if node.level() == 0 {
-                *leaves += 1;
-                return;
-            }
-            for child in node.children() {
-                if let ChildRef::Node(_, n) = child {
-                    count_leaves(n, leaves);
-                }
-            }
-        }
-        let mut leaf_count = 0usize;
-        count_leaves(tree.root_ref(), &mut leaf_count);
+        let leaf_count = tree.leaf_count();
         let packed = 1000usize.div_ceil(16);
         assert!(leaf_count <= packed + 1, "expected ~{packed} packed leaves, found {leaf_count}");
         tree.validate().expect("valid");

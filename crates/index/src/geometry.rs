@@ -10,7 +10,9 @@
 //! [`Rect`], and the `coords_*` functions over raw `(lo, hi)` coordinate
 //! slices. The slice form is what the arena tree's flat SoA scans call —
 //! `tree.rs` and `bulk.rs` never reimplement a metric, so every scan loop
-//! computes bit-identical values to the `Rect` API.
+//! computes bit-identical values to the `Rect` API. [`RectRef`] is the
+//! borrowed form the tree hands out: a view of one entry's corners in its
+//! node's flat bounds block.
 //!
 //! # Vectorization and the determinism contract
 //!
@@ -22,10 +24,8 @@
 //! like the naive loop. That split is what makes the chunked code
 //! bit-identical to the reference implementations in [`scalar`]: per-element
 //! IEEE operations are deterministic, and the reduction order is never
-//! reassociated. The `simd` cargo feature (nightly, `std::simd`) swaps the
-//! element-wise part for explicit `f64x4` operations with the same
-//! structure; the property suite in `tests/geometry_equivalence.rs` pins
-//! all three paths together on random and adversarial boxes.
+//! reassociated. The property suite in `tests/geometry_equivalence.rs` pins
+//! both paths together on random and adversarial boxes.
 //!
 //! Inputs are assumed NaN-free with no negative zeros (the [`Rect`]
 //! constructor enforces ordered, non-NaN corners); outside that domain the
@@ -41,9 +41,9 @@ pub const LANE_WIDTH: usize = 4;
 
 /// Naive scalar reference implementations of the `coords_*` primitives.
 ///
-/// These are the semantics the chunked (and `simd`-feature) fast paths
-/// must reproduce **bit-for-bit** on NaN-free inputs; the equivalence
-/// property suite compares against them directly. They are also the
+/// These are the semantics the chunked fast paths must reproduce
+/// **bit-for-bit** on NaN-free inputs; the equivalence property suite
+/// compares against them directly. They are also the
 /// clearest statement of what each metric computes, so they double as
 /// documentation.
 pub mod scalar {
@@ -137,10 +137,9 @@ pub mod scalar {
     }
 }
 
-/// Chunked element-wise implementations (default build): plain std code
-/// shaped so the optimizer vectorizes each [`LANE_WIDTH`]-wide block, with
-/// in-order horizontal reductions for bit-identity with [`scalar`].
-#[cfg(not(feature = "simd"))]
+/// Chunked element-wise implementations: plain std code shaped so the
+/// optimizer vectorizes each [`LANE_WIDTH`]-wide block, with in-order
+/// horizontal reductions for bit-identity with [`scalar`].
 mod lanes {
     use super::LANE_WIDTH as W;
 
@@ -320,174 +319,6 @@ mod lanes {
     }
 }
 
-/// Explicit `std::simd` implementations (nightly, `--features simd`):
-/// identical chunk structure to the default build — element-wise `f64x4`
-/// operations, in-order horizontal reductions — so results stay
-/// bit-identical to [`scalar`].
-#[cfg(feature = "simd")]
-mod lanes {
-    use super::LANE_WIDTH as W;
-    use std::simd::cmp::SimdPartialOrd;
-    use std::simd::f64x4;
-    use std::simd::num::SimdFloat;
-
-    #[inline]
-    fn load(c: &[f64; W]) -> f64x4 {
-        f64x4::from_array(*c)
-    }
-
-    #[inline]
-    pub fn area(lo: &[f64], hi: &[f64]) -> f64 {
-        let (lc, lt) = lo.as_chunks::<W>();
-        let (hc, ht) = hi.as_chunks::<W>();
-        let mut acc = 1.0;
-        for (l, h) in lc.iter().zip(hc) {
-            let e = (load(h) - load(l)).to_array();
-            for &x in &e {
-                acc *= x;
-            }
-        }
-        for (l, h) in lt.iter().zip(ht) {
-            acc *= h - l;
-        }
-        acc
-    }
-
-    #[inline]
-    pub fn margin(lo: &[f64], hi: &[f64]) -> f64 {
-        let (lc, lt) = lo.as_chunks::<W>();
-        let (hc, ht) = hi.as_chunks::<W>();
-        let mut acc = 0.0;
-        for (l, h) in lc.iter().zip(hc) {
-            let e = (load(h) - load(l)).to_array();
-            for &x in &e {
-                acc += x;
-            }
-        }
-        for (l, h) in lt.iter().zip(ht) {
-            acc += h - l;
-        }
-        acc
-    }
-
-    #[inline]
-    pub fn intersect(alo: &[f64], ahi: &[f64], blo: &[f64], bhi: &[f64]) -> bool {
-        let (alc, alt) = alo.as_chunks::<W>();
-        let (ahc, aht) = ahi.as_chunks::<W>();
-        let (blc, blt) = blo.as_chunks::<W>();
-        let (bhc, bht) = bhi.as_chunks::<W>();
-        // Chunks short-circuit, as in the default build: early exit
-        // cannot change an order-free boolean reduction.
-        for (((al, ah), bl), bh) in alc.iter().zip(ahc).zip(blc).zip(bhc) {
-            let sep = load(al).simd_gt(load(bh)) | load(bl).simd_gt(load(ah));
-            if sep.any() {
-                return false;
-            }
-        }
-        for i in 0..alt.len() {
-            if alt[i] > bht[i] || blt[i] > aht[i] {
-                return false;
-            }
-        }
-        true
-    }
-
-    #[inline]
-    pub fn contain(alo: &[f64], ahi: &[f64], blo: &[f64], bhi: &[f64]) -> bool {
-        let (alc, alt) = alo.as_chunks::<W>();
-        let (ahc, aht) = ahi.as_chunks::<W>();
-        let (blc, blt) = blo.as_chunks::<W>();
-        let (bhc, bht) = bhi.as_chunks::<W>();
-        for (((al, ah), bl), bh) in alc.iter().zip(ahc).zip(blc).zip(bhc) {
-            let out = load(al).simd_gt(load(bl)) | load(bh).simd_gt(load(ah));
-            if out.any() {
-                return false;
-            }
-        }
-        for i in 0..alt.len() {
-            if alt[i] > blt[i] || bht[i] > aht[i] {
-                return false;
-            }
-        }
-        true
-    }
-
-    #[inline]
-    pub fn overlap_area(alo: &[f64], ahi: &[f64], blo: &[f64], bhi: &[f64]) -> f64 {
-        let (alc, alt) = alo.as_chunks::<W>();
-        let (ahc, aht) = ahi.as_chunks::<W>();
-        let (blc, blt) = blo.as_chunks::<W>();
-        let (bhc, bht) = bhi.as_chunks::<W>();
-        let mut acc = 1.0;
-        let mut empty = false;
-        for (((al, ah), bl), bh) in alc.iter().zip(ahc).zip(blc).zip(bhc) {
-            let glo = load(al).simd_max(load(bl));
-            let ghi = load(ah).simd_min(load(bh));
-            empty |= ghi.simd_le(glo).any();
-            let e = (ghi - glo).to_array();
-            for &x in &e {
-                acc *= x;
-            }
-        }
-        for i in 0..alt.len() {
-            let lo = alt[i].max(blt[i]);
-            let hi = aht[i].min(bht[i]);
-            empty |= hi <= lo;
-            acc *= hi - lo;
-        }
-        if empty {
-            0.0
-        } else {
-            acc
-        }
-    }
-
-    #[inline]
-    pub fn union_area(alo: &[f64], ahi: &[f64], blo: &[f64], bhi: &[f64]) -> f64 {
-        let (alc, alt) = alo.as_chunks::<W>();
-        let (ahc, aht) = ahi.as_chunks::<W>();
-        let (blc, blt) = blo.as_chunks::<W>();
-        let (bhc, bht) = bhi.as_chunks::<W>();
-        let mut acc = 1.0;
-        for (((al, ah), bl), bh) in alc.iter().zip(ahc).zip(blc).zip(bhc) {
-            let e = (load(ah).simd_max(load(bh)) - load(al).simd_min(load(bl))).to_array();
-            for &x in &e {
-                acc *= x;
-            }
-        }
-        for i in 0..alt.len() {
-            acc *= aht[i].max(bht[i]) - alt[i].min(blt[i]);
-        }
-        acc
-    }
-
-    #[inline]
-    pub fn min_dist_point_sqr(lo: &[f64], hi: &[f64], p: &[f64]) -> f64 {
-        let (lc, lt) = lo.as_chunks::<W>();
-        let (hc, ht) = hi.as_chunks::<W>();
-        let (pc, pt) = p.as_chunks::<W>();
-        let zero = f64x4::splat(0.0);
-        let mut acc = 0.0;
-        for ((l, h), q) in lc.iter().zip(hc).zip(pc) {
-            let lv = load(l);
-            let hv = load(h);
-            let qv = load(q);
-            let d = (lv - qv).simd_max(zero) + (qv - hv).simd_max(zero);
-            let e = (d * d).to_array();
-            for &x in &e {
-                acc += x;
-            }
-        }
-        for i in 0..lt.len() {
-            let below = (lt[i] - pt[i]).max(0.0);
-            let above = (pt[i] - ht[i]).max(0.0);
-            let d = below + above;
-            acc += d * d;
-        }
-        acc
-    }
-}
-
 /// Volume (product of extents) of the box `[lo, hi]`. Zero for degenerate
 /// boxes.
 #[inline]
@@ -540,6 +371,20 @@ pub fn coords_union_area(alo: &[f64], ahi: &[f64], blo: &[f64], bhi: &[f64]) -> 
 pub fn coords_min_dist_point_sqr(lo: &[f64], hi: &[f64], p: &[f64]) -> f64 {
     debug_assert_eq!(lo.len(), p.len());
     lanes::min_dist_point_sqr(lo, hi, p)
+}
+
+/// Squared distance between the centers of the boxes `[alo, ahi]` and
+/// `[blo, bhi]`; the R\*-tree reinsertion heuristic sorts by this.
+#[inline]
+pub(crate) fn coords_center_dist_sqr(alo: &[f64], ahi: &[f64], blo: &[f64], bhi: &[f64]) -> f64 {
+    debug_assert_eq!(alo.len(), blo.len());
+    let mut acc = 0.0;
+    for i in 0..alo.len() {
+        let c1 = (alo[i] + ahi[i]) * 0.5;
+        let c2 = (blo[i] + bhi[i]) * 0.5;
+        acc += (c1 - c2) * (c1 - c2);
+    }
+    acc
 }
 
 /// Batched node scan: tests every entry of a node's interleaved SoA
@@ -602,8 +447,8 @@ fn scan_intersecting_fixed<const D: usize, F: FnMut(usize)>(
 }
 
 /// Runtime-dimensionality fallback of [`coords_scan_intersecting`]:
-/// defers to the per-entry primitive (chunked or `std::simd`, per the
-/// build) so uncommon dimensionalities keep the lane-width fast path.
+/// defers to the chunked per-entry primitive so uncommon dimensionalities
+/// keep the lane-width fast path.
 fn scan_intersecting_generic<F: FnMut(usize)>(
     coords: &[f64],
     dims: usize,
@@ -840,15 +685,46 @@ impl Rect {
 
     /// Squared distance between the centers of two rectangles; the R\*-tree
     /// reinsertion heuristic sorts by this.
+    #[inline]
     pub fn center_dist_sqr(&self, other: &Rect) -> f64 {
-        debug_assert_eq!(self.dims(), other.dims());
-        let mut acc = 0.0;
-        for i in 0..self.lo.len() {
-            let c1 = (self.lo[i] + self.hi[i]) * 0.5;
-            let c2 = (other.lo[i] + other.hi[i]) * 0.5;
-            acc += (c1 - c2) * (c1 - c2);
-        }
-        acc
+        coords_center_dist_sqr(&self.lo, &self.hi, &other.lo, &other.hi)
+    }
+}
+
+/// A borrowed rectangle: the corners of one R\*-tree entry, sliced from
+/// its node's flat bounds block. Search visitors and the tree iterator
+/// hand these out instead of `&Rect`, so the tree keeps each entry's
+/// bounds exactly once.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RectRef<'a> {
+    lo: &'a [f64],
+    hi: &'a [f64],
+}
+
+impl<'a> RectRef<'a> {
+    #[inline]
+    pub(crate) fn new(lo: &'a [f64], hi: &'a [f64]) -> Self {
+        debug_assert_eq!(lo.len(), hi.len());
+        RectRef { lo, hi }
+    }
+
+    /// Low corner.
+    #[inline]
+    pub fn lo(&self) -> &'a [f64] {
+        self.lo
+    }
+
+    /// High corner.
+    #[inline]
+    pub fn hi(&self) -> &'a [f64] {
+        self.hi
+    }
+
+    /// Minimum Euclidean distance from `p` to the rectangle, bit-identical
+    /// to [`Rect::min_dist_point`] on the same corners.
+    #[inline]
+    pub fn min_dist_point(&self, p: &[f64]) -> f64 {
+        coords_min_dist_point_sqr(self.lo, self.hi, p).sqrt()
     }
 }
 

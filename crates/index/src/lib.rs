@@ -11,8 +11,7 @@
 //!   history (features older than `N` are retired),
 //! * rectangle-intersection and point/radius range queries, the primitives
 //!   behind Algorithms 2–4,
-//! * STR bulk loading ([`bulk`]) used by the offline baselines,
-//! * best-first k-NN search ([`knn`], Roussopoulos et al. \[17\]).
+//! * STR bulk loading ([`bulk`]), used by engine restore.
 //!
 //! Beside the tree sits [`table::PointTable`], a flat point store banded
 //! on the first axis. The correlation and trend monitors index a few
@@ -21,19 +20,15 @@
 //! result set (see the module docs for the argument).
 //!
 //! The geometry scan primitives process bounds in fixed-width chunks the
-//! optimizer can vectorize; building with `--features simd` (nightly)
-//! swaps in explicit `std::simd` kernels with bit-identical results (see
+//! optimizer can vectorize, bit-identical to the scalar reference (see
 //! [`geometry`] for the determinism contract).
-#![cfg_attr(feature = "simd", feature(portable_simd))]
 
 pub mod bulk;
 pub mod geometry;
-pub mod knn;
 pub mod table;
 pub mod tree;
 
 pub use bulk::bulk_load;
-pub use geometry::Rect;
-pub use knn::{nearest_k, Neighbor};
+pub use geometry::{Rect, RectRef};
 pub use table::PointTable;
 pub use tree::{Params, RStarTree, TreeCounters};

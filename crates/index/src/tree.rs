@@ -27,32 +27,30 @@
 //! intact, so steady-state insert/delete churn performs no node
 //! allocation. Edges are ids, not `Box` pointers — a descent follows
 //! indexes into one contiguous allocation instead of chasing heap
-//! pointers. Each node additionally mirrors its children's bounds in a
-//! flat SoA-style `f64` array (entry `i` occupies `[2·d·i, 2·d·(i+1))` as
-//! `lo` then `hi`), which turns the hot ChooseSubtree / `search_*` /
-//! radius scans into tight branch-light loops over `f64` slices (the
-//! `coords_*` primitives of [`crate::geometry`]). The materialized
-//! [`Rect`]s are kept alongside — they back the reference-returning
-//! public API (`search_*` visitors, [`NodeRef`], [`Iter`]) and exact
-//! `PartialEq` matching in `remove`/`update`.
+//! pointers. Each node keeps its children's bounds in one flat SoA-style
+//! `f64` array (entry `i` occupies `[2·d·i, 2·d·(i+1))` as `lo` then
+//! `hi`), and that array is the only copy: ChooseSubtree, split, the
+//! `search_*` / radius scans (the `coords_*` primitives of
+//! [`crate::geometry`]) all loop over `f64` slices, visitors and [`Iter`]
+//! receive [`RectRef`] views sliced from it, and `remove` matches entries
+//! against it coordinate by coordinate. Entries moved between nodes
+//! (split, forced reinsertion, condensation) carry their bounds as flat
+//! slices too, so no `Rect` is ever rebuilt.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::geometry::{
-    coords_area, coords_margin, coords_overlap_area, coords_scan_intersecting, coords_scan_within,
-    coords_union_area, Rect,
+    coords_area, coords_center_dist_sqr, coords_contain, coords_margin, coords_overlap_area,
+    coords_scan_intersecting, coords_scan_within, coords_union_area, Rect, RectRef,
 };
 
 /// Cumulative structural-operation counters for one [`RStarTree`].
 ///
 /// Maintained in relaxed atomics so read paths (`search_*`, which take
-/// `&self`) can record node visits without locks or `&mut`, and so the
-/// parallel range queries ([`RStarTree::par_collect_intersecting`]) can
-/// share the tree across scoped worker threads — the tree is `Sync`
-/// whenever its payload is. Uncontended relaxed increments cost about as
-/// much as the plain register increment they replaced. Read with
-/// [`RStarTree::counters`], or [`RStarTree::reset_counters`] for
-/// per-query deltas.
+/// `&self`) can record node visits without locks or `&mut`, keeping the
+/// tree `Sync` whenever its payload is. Uncontended relaxed increments
+/// cost about as much as a plain register increment. Read with
+/// [`RStarTree::counters`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct TreeCounters {
     /// Data items inserted via [`RStarTree::insert`] (bulk-loaded items
@@ -65,23 +63,8 @@ pub struct TreeCounters {
     /// Entries moved by forced reinsertion (the R\*-tree's
     /// OverflowTreatment) and deletion condensation.
     pub reinserted_entries: u64,
-    /// Nodes visited by intersection / within-radius / nearest-neighbour
-    /// searches.
+    /// Nodes visited by intersection / within-radius searches.
     pub node_visits: u64,
-}
-
-impl TreeCounters {
-    /// Field-wise sum, for aggregating across the per-level trees of a
-    /// monitor.
-    pub fn merged(self, other: TreeCounters) -> TreeCounters {
-        TreeCounters {
-            inserts: self.inserts + other.inserts,
-            removes: self.removes + other.removes,
-            splits: self.splits + other.splits,
-            reinserted_entries: self.reinserted_entries + other.reinserted_entries,
-            node_visits: self.node_visits + other.node_visits,
-        }
-    }
 }
 
 /// Interior-mutable backing store for [`TreeCounters`]: one relaxed
@@ -105,16 +88,6 @@ impl CounterCell {
             splits: self.splits.load(Ordering::Relaxed),
             reinserted_entries: self.reinserted_entries.load(Ordering::Relaxed),
             node_visits: self.node_visits.load(Ordering::Relaxed),
-        }
-    }
-
-    fn reset(&self) -> TreeCounters {
-        TreeCounters {
-            inserts: self.inserts.swap(0, Ordering::Relaxed),
-            removes: self.removes.swap(0, Ordering::Relaxed),
-            splits: self.splits.swap(0, Ordering::Relaxed),
-            reinserted_entries: self.reinserted_entries.swap(0, Ordering::Relaxed),
-            node_visits: self.node_visits.swap(0, Ordering::Relaxed),
         }
     }
 }
@@ -159,35 +132,49 @@ impl Default for Params {
     }
 }
 
-/// An entry moved between nodes by the insertion/deletion machinery: a
-/// data item, or an edge to an arena node.
-enum Entry<T> {
-    /// A data item; only at level 0.
-    Item(Rect, T),
-    /// A subtree; the rect is the MBR of the child node.
-    Child(Rect, u32),
+/// What an entry points at: a data item (leaves) or a child node
+/// (internal levels). Its bounds live beside it in a flat `lo|hi` block.
+enum Payload<T> {
+    Item(T),
+    Child(u32),
 }
 
-impl<T> Entry<T> {
-    fn rect(&self) -> &Rect {
-        match self {
-            Entry::Item(rect, _) | Entry::Child(rect, _) => rect,
-        }
+/// Entries waiting to be (re)inserted at their home level: the public
+/// insert's item, forced-reinsertion victims, and the orphans of
+/// dissolved nodes. A LIFO stack; bounds stay flat (`2·dims` values per
+/// entry) beside the payloads, so moving an entry never allocates.
+struct Pending<T> {
+    coords: Vec<f64>,
+    entries: Vec<(Payload<T>, usize)>,
+}
+
+impl<T> Pending<T> {
+    fn new() -> Self {
+        Pending { coords: Vec::new(), entries: Vec::new() }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Pops the newest entry, copying its bounds into `bounds`.
+    fn pop(&mut self, bounds: &mut [f64]) -> Option<(Payload<T>, usize)> {
+        let entry = self.entries.pop()?;
+        let start = self.coords.len() - bounds.len();
+        bounds.copy_from_slice(&self.coords[start..]);
+        self.coords.truncate(start);
+        Some(entry)
     }
 }
 
-/// One arena node. Parallel arrays: entry `i` is described by `rects[i]`,
-/// its bounds mirrored flat in `coords`, and its payload in `values[i]`
-/// (leaves) or `children[i]` (internal nodes).
+/// One arena node. Parallel arrays: entry `i` has its bounds at block
+/// `i` of `coords` and its payload in `values[i]` (leaves) or
+/// `children[i]` (internal nodes).
 struct Node<T> {
     /// 0 for leaves, increasing towards the root.
     level: usize,
-    /// Flat SoA mirror of the entry bounds, `2·dims` values per entry
-    /// (`lo` then `hi`); the hot scan loops read only this.
+    /// Entry bounds, `2·dims` values per entry (`lo` then `hi`).
     coords: Vec<f64>,
-    /// Materialized per-entry rectangles (same bounds as `coords`); the
-    /// reference-returning public API borrows these.
-    rects: Vec<Rect>,
     /// Leaf payloads; empty on internal nodes.
     values: Vec<T>,
     /// Child node ids; empty on leaves.
@@ -196,103 +183,93 @@ struct Node<T> {
 
 impl<T> Node<T> {
     fn new(level: usize) -> Self {
-        Node {
-            level,
-            coords: Vec::new(),
-            rects: Vec::new(),
-            values: Vec::new(),
-            children: Vec::new(),
-        }
+        Node { level, coords: Vec::new(), values: Vec::new(), children: Vec::new() }
     }
 
     #[inline]
     fn count(&self) -> usize {
-        self.rects.len()
+        if self.level == 0 {
+            self.values.len()
+        } else {
+            self.children.len()
+        }
     }
 
-    /// `(lo, hi)` bound slices of entry `i` from the flat mirror.
+    /// The flat `lo|hi` bounds block of entry `i`.
+    #[inline]
+    fn entry(&self, dims: usize, i: usize) -> &[f64] {
+        let w = 2 * dims;
+        &self.coords[i * w..(i + 1) * w]
+    }
+
+    /// `(lo, hi)` bound slices of entry `i`.
     #[inline]
     fn bounds(&self, dims: usize, i: usize) -> (&[f64], &[f64]) {
-        let w = 2 * dims;
-        self.coords[i * w..(i + 1) * w].split_at(dims)
+        self.entry(dims, i).split_at(dims)
     }
 
-    fn push_entry(&mut self, entry: Entry<T>) {
-        let rect = match entry {
-            Entry::Item(rect, value) => {
+    fn push_entry(&mut self, bounds: &[f64], payload: Payload<T>) {
+        match payload {
+            Payload::Item(value) => {
                 debug_assert_eq!(self.level, 0, "item entry above leaf level");
                 self.values.push(value);
-                rect
             }
-            Entry::Child(rect, id) => {
+            Payload::Child(id) => {
                 debug_assert!(self.level > 0, "child entry at leaf level");
                 self.children.push(id);
-                rect
             }
-        };
-        self.coords.extend_from_slice(rect.lo());
-        self.coords.extend_from_slice(rect.hi());
-        self.rects.push(rect);
+        }
+        self.coords.extend_from_slice(bounds);
     }
 
-    fn swap_remove_entry(&mut self, dims: usize, i: usize) -> Entry<T> {
+    fn swap_remove_entry(&mut self, dims: usize, i: usize) -> Payload<T> {
         let w = 2 * dims;
         let last = self.count() - 1;
         if i != last {
             self.coords.copy_within(last * w..(last + 1) * w, i * w);
         }
         self.coords.truncate(last * w);
-        let rect = self.rects.swap_remove(i);
         if self.level == 0 {
-            Entry::Item(rect, self.values.swap_remove(i))
+            Payload::Item(self.values.swap_remove(i))
         } else {
-            Entry::Child(rect, self.children.swap_remove(i))
+            Payload::Child(self.children.swap_remove(i))
         }
     }
 
-    /// Replaces the bounds of entry `i` in both the mirror and the
-    /// materialized rectangle.
-    fn set_rect(&mut self, dims: usize, i: usize, rect: Rect) {
+    /// Replaces the bounds of entry `i`.
+    fn set_bounds(&mut self, dims: usize, i: usize, bounds: &[f64]) {
         let w = 2 * dims;
-        self.coords[i * w..i * w + dims].copy_from_slice(rect.lo());
-        self.coords[i * w + dims..(i + 1) * w].copy_from_slice(rect.hi());
-        self.rects[i] = rect;
+        self.coords[i * w..(i + 1) * w].copy_from_slice(bounds);
     }
 
-    /// Drains every entry, leaving the node empty (capacities retained).
-    fn take_entries(&mut self) -> Vec<Entry<T>> {
+    /// Moves every entry onto `pending` with home level `level`, in entry
+    /// order, leaving the node empty (capacities retained).
+    fn drain_into(&mut self, pending: &mut Pending<T>, level: usize) {
+        pending.coords.extend_from_slice(&self.coords);
         self.coords.clear();
-        let n = self.rects.len();
-        let mut out = Vec::with_capacity(n);
         if self.level == 0 {
-            for (rect, value) in self.rects.drain(..).zip(self.values.drain(..)) {
-                out.push(Entry::Item(rect, value));
-            }
+            pending.entries.extend(self.values.drain(..).map(|v| (Payload::Item(v), level)));
         } else {
-            for (rect, id) in self.rects.drain(..).zip(self.children.drain(..)) {
-                out.push(Entry::Child(rect, id));
+            pending.entries.extend(self.children.drain(..).map(|id| (Payload::Child(id), level)));
+        }
+    }
+
+    /// MBR of all entries as one flat `lo|hi` block.
+    fn mbr(&self, dims: usize) -> Vec<f64> {
+        debug_assert!(self.count() > 0, "mbr of empty node");
+        let w = 2 * dims;
+        let mut out = self.coords[..w].to_vec();
+        for chunk in self.coords.chunks_exact(w).skip(1) {
+            for d in 0..dims {
+                if chunk[d] < out[d] {
+                    out[d] = chunk[d];
+                }
+                if chunk[dims + d] > out[dims + d] {
+                    out[dims + d] = chunk[dims + d];
+                }
             }
         }
         out
-    }
-
-    /// MBR of all entries, computed from the flat mirror.
-    fn mbr(&self, dims: usize) -> Rect {
-        debug_assert!(self.count() > 0, "mbr of empty node");
-        let w = 2 * dims;
-        let mut lo = self.coords[..dims].to_vec();
-        let mut hi = self.coords[dims..w].to_vec();
-        for chunk in self.coords.chunks_exact(w).skip(1) {
-            for d in 0..dims {
-                if chunk[d] < lo[d] {
-                    lo[d] = chunk[d];
-                }
-                if chunk[dims + d] > hi[d] {
-                    hi[d] = chunk[dims + d];
-                }
-            }
-        }
-        Rect::new(lo, hi)
     }
 }
 
@@ -378,7 +355,7 @@ impl<T> RStarTree<T> {
     fn alloc(&mut self, level: usize) -> u32 {
         if let Some(id) = self.free.pop() {
             let node = &mut self.nodes[id as usize];
-            debug_assert!(node.rects.is_empty(), "free-listed node not empty");
+            debug_assert!(node.coords.is_empty(), "free-listed node not empty");
             node.level = level;
             id
         } else {
@@ -392,28 +369,14 @@ impl<T> RStarTree<T> {
     fn release(&mut self, id: u32) {
         let node = &mut self.nodes[id as usize];
         node.coords.clear();
-        node.rects.clear();
         node.values.clear();
         node.children.clear();
         self.free.push(id);
     }
 
-    /// Cumulative structural-operation counters since construction (or
-    /// the last [`RStarTree::reset_counters`]).
+    /// Cumulative structural-operation counters since construction.
     pub fn counters(&self) -> TreeCounters {
         self.counters.snapshot()
-    }
-
-    /// Returns the current counters and resets them to zero; callers
-    /// use this to attribute node visits to a single query.
-    pub fn reset_counters(&self) -> TreeCounters {
-        self.counters.reset()
-    }
-
-    /// Records one node visit; crate-internal hook for traversals that
-    /// walk the tree through [`NodeRef`] (best-first k-NN).
-    pub(crate) fn note_node_visit(&self) {
-        bump(&self.counters.node_visits, 1);
     }
 
     /// Number of data items stored.
@@ -442,7 +405,9 @@ impl<T> RStarTree<T> {
         if root.count() == 0 {
             None
         } else {
-            Some(root.mbr(self.dims))
+            let mut lo = root.mbr(self.dims);
+            let hi = lo.split_off(self.dims);
+            Some(Rect::new(lo, hi))
         }
     }
 
@@ -454,59 +419,78 @@ impl<T> RStarTree<T> {
         assert_eq!(rect.dims(), self.dims, "rectangle dimensionality mismatch");
         self.len += 1;
         bump(&self.counters.inserts, 1);
-        self.insert_queue(vec![(Entry::Item(rect, value), 0)]);
+        let mut pending = Pending::new();
+        pending.coords.extend_from_slice(rect.lo());
+        pending.coords.extend_from_slice(rect.hi());
+        pending.entries.push((Payload::Item(value), 0));
+        self.insert_pending(pending);
     }
 
-    /// Runs the insertion machinery over a queue of (entry, home level)
-    /// pairs; shared by public insert, forced reinsertion and deletion
-    /// condensation.
-    fn insert_queue(&mut self, mut queue: Vec<(Entry<T>, usize)>) {
+    /// Runs the insertion machinery until `pending` is empty; shared by
+    /// public insert, forced reinsertion and deletion condensation.
+    fn insert_pending(&mut self, mut pending: Pending<T>) {
+        let dims = self.dims;
         let mut reinserted = vec![false; self.node(self.root).level + 1];
-        while let Some((entry, level)) = queue.pop() {
+        let mut bounds = vec![0.0; 2 * dims];
+        while let Some((payload, level)) = pending.pop(&mut bounds) {
             let root_level = self.node(self.root).level;
             if reinserted.len() <= root_level {
                 reinserted.resize(root_level + 1, false);
             }
-            let split = self.insert_rec(self.root, entry, level, true, &mut reinserted, &mut queue);
+            let split = self.insert_rec(
+                self.root,
+                &bounds,
+                payload,
+                level,
+                true,
+                &mut reinserted,
+                &mut pending,
+            );
             if let Some(sibling) = split {
                 let old_root = self.root;
-                let old_rect = self.node(old_root).mbr(self.dims);
+                let old_mbr = self.node(old_root).mbr(dims);
+                let sibling_mbr = self.node(sibling).mbr(dims);
                 let new_root = self.alloc(root_level + 1);
-                self.node_mut(new_root).push_entry(Entry::Child(old_rect, old_root));
-                self.node_mut(new_root).push_entry(sibling);
+                self.node_mut(new_root).push_entry(&old_mbr, Payload::Child(old_root));
+                self.node_mut(new_root).push_entry(&sibling_mbr, Payload::Child(sibling));
                 self.root = new_root;
             }
         }
     }
 
-    /// Inserts `entry` (whose home level is `target_level`) into the
-    /// subtree rooted at `id`. Returns a sibling entry if the node split.
+    /// Inserts the entry `(bounds, payload)` (whose home level is
+    /// `target_level`) into the subtree rooted at `id`. Returns the id of
+    /// a new sibling if the node split.
+    #[allow(clippy::too_many_arguments)]
     fn insert_rec(
         &mut self,
         id: u32,
-        entry: Entry<T>,
+        bounds: &[f64],
+        payload: Payload<T>,
         target_level: usize,
         is_root: bool,
         reinserted: &mut [bool],
-        queue: &mut Vec<(Entry<T>, usize)>,
-    ) -> Option<Entry<T>> {
+        pending: &mut Pending<T>,
+    ) -> Option<u32> {
+        let dims = self.dims;
         if self.node(id).level == target_level {
-            self.node_mut(id).push_entry(entry);
+            self.node_mut(id).push_entry(bounds, payload);
         } else {
-            let idx = self.choose_subtree(id, entry.rect());
+            let idx = self.choose_subtree(id, bounds);
             let child = self.node(id).children[idx];
-            let split = self.insert_rec(child, entry, target_level, false, reinserted, queue);
+            let split =
+                self.insert_rec(child, bounds, payload, target_level, false, reinserted, pending);
             // The child may have grown (insert) or shrunk (reinsertion
             // removed entries), so recompute its MBR either way.
-            let dims = self.dims;
-            let crect = self.node(child).mbr(dims);
-            self.node_mut(id).set_rect(dims, idx, crect);
+            let child_mbr = self.node(child).mbr(dims);
+            self.node_mut(id).set_bounds(dims, idx, &child_mbr);
             if let Some(sibling) = split {
-                self.node_mut(id).push_entry(sibling);
+                let sibling_mbr = self.node(sibling).mbr(dims);
+                self.node_mut(id).push_entry(&sibling_mbr, Payload::Child(sibling));
             }
         }
         if self.node(id).count() > self.params.max_entries {
-            self.overflow_treatment(id, is_root, reinserted, queue)
+            self.overflow_treatment(id, is_root, reinserted, pending)
         } else {
             None
         }
@@ -519,33 +503,38 @@ impl<T> RStarTree<T> {
         id: u32,
         is_root: bool,
         reinserted: &mut [bool],
-        queue: &mut Vec<(Entry<T>, usize)>,
-    ) -> Option<Entry<T>> {
+        pending: &mut Pending<T>,
+    ) -> Option<u32> {
+        let dims = self.dims;
         let level = self.node(id).level;
         if !is_root && !reinserted[level] {
             reinserted[level] = true;
-            let center = self.node(id).mbr(self.dims);
             // Sort by distance of entry center to node center, take the p
             // farthest for reinsertion ("far reinsert"); keeping the
             // closest entries compacts the node.
             let node = self.node(id);
+            let center = node.mbr(dims);
+            let (clo, chi) = center.split_at(dims);
             let mut order: Vec<usize> = (0..node.count()).collect();
             order.sort_by(|&a, &b| {
-                let da = node.rects[a].center_dist_sqr(&center);
-                let db = node.rects[b].center_dist_sqr(&center);
+                let (alo, ahi) = node.bounds(dims, a);
+                let (blo, bhi) = node.bounds(dims, b);
+                let da = coords_center_dist_sqr(alo, ahi, clo, chi);
+                let db = coords_center_dist_sqr(blo, bhi, clo, chi);
                 da.partial_cmp(&db).expect("finite distances")
             });
-            let cut = node.count() - self.params.reinsert_count;
-            let far: Vec<usize> = order[cut..].to_vec();
-            let mut removed = self.extract_indices(id, &far);
-            // Reinsert closest-first: the last popped from the LIFO queue
-            // is the closest, matching the paper's "close reinsert"
-            // ordering.
-            removed.reverse();
-            bump(&self.counters.reinserted_entries, removed.len() as u64);
-            for e in removed {
-                queue.push((e, level));
+            let mut far = order[node.count() - self.params.reinsert_count..].to_vec();
+            far.sort_unstable();
+            // Removing in descending index order leaves every lower index
+            // in place. The farthest-indexed entry is queued first, so the
+            // LIFO queue pops the lowest-indexed one first.
+            let node = self.node_mut(id);
+            for &i in far.iter().rev() {
+                pending.coords.extend_from_slice(node.entry(dims, i));
+                let payload = node.swap_remove_entry(dims, i);
+                pending.entries.push((payload, level));
             }
+            bump(&self.counters.reinserted_entries, far.len() as u64);
             None
         } else {
             bump(&self.counters.splits, 1);
@@ -553,28 +542,13 @@ impl<T> RStarTree<T> {
         }
     }
 
-    /// Removes the entries at `indices` (any order) and returns them in
-    /// ascending index order.
-    fn extract_indices(&mut self, id: u32, indices: &[usize]) -> Vec<Entry<T>> {
-        let dims = self.dims;
-        let mut sorted = indices.to_vec();
-        sorted.sort_unstable();
-        let node = self.node_mut(id);
-        let mut out = Vec::with_capacity(sorted.len());
-        for &i in sorted.iter().rev() {
-            out.push(node.swap_remove_entry(dims, i));
-        }
-        out.reverse();
-        out
-    }
-
-    /// R\*-tree ChooseSubtree, scanning the flat bound mirror.
-    fn choose_subtree(&self, id: u32, rect: &Rect) -> usize {
+    /// R\*-tree ChooseSubtree, scanning the flat bounds block.
+    fn choose_subtree(&self, id: u32, bounds: &[f64]) -> usize {
         let dims = self.dims;
         let node = self.node(id);
         debug_assert!(node.level > 0);
         let n = node.count();
-        let (qlo, qhi) = (rect.lo(), rect.hi());
+        let (qlo, qhi) = bounds.split_at(dims);
         let mut best = 0usize;
         if node.level == 1 {
             // Children are leaves: minimize overlap enlargement. The grown
@@ -635,14 +609,21 @@ impl<T> RStarTree<T> {
         best
     }
 
-    /// R\*-tree Split: returns the new sibling as a child entry; the node
-    /// keeps the first group.
-    fn split_node(&mut self, id: u32) -> Entry<T> {
+    /// R\*-tree Split: moves the second group into a new sibling and
+    /// returns its id; the node keeps the first group.
+    fn split_node(&mut self, id: u32) -> u32 {
         let dims = self.dims;
         let min = self.params.min_entries;
         let level = self.node(id).level;
-        let entries = self.node_mut(id).take_entries();
-        let total = entries.len();
+        let node = self.node_mut(id);
+        let coords = node.coords.clone();
+        node.coords.clear();
+        let mut payloads: Vec<Option<Payload<T>>> = if level == 0 {
+            node.values.drain(..).map(|v| Some(Payload::Item(v))).collect()
+        } else {
+            node.children.drain(..).map(|c| Some(Payload::Child(c))).collect()
+        };
+        let total = payloads.len();
         debug_assert!(total > self.params.max_entries);
         let w = 2 * dims;
 
@@ -653,8 +634,8 @@ impl<T> RStarTree<T> {
         for axis in 0..dims {
             let mut margin_sum = 0.0;
             for sort_by_hi in [false, true] {
-                let order = sorted_order(&entries, axis, sort_by_hi);
-                let (prefix, suffix) = prefix_suffix_bounds(&entries, &order, dims);
+                let order = sorted_order(&coords, dims, axis, sort_by_hi);
+                let (prefix, suffix) = prefix_suffix_bounds(&coords, &order, dims);
                 for k in min..=total - min {
                     let p = &prefix[(k - 1) * w..k * w];
                     let s = &suffix[k * w..(k + 1) * w];
@@ -673,8 +654,8 @@ impl<T> RStarTree<T> {
         let mut best_overlap = f64::INFINITY;
         let mut best_area = f64::INFINITY;
         for sort_by_hi in [false, true] {
-            let order = sorted_order(&entries, best_axis, sort_by_hi);
-            let (prefix, suffix) = prefix_suffix_bounds(&entries, &order, dims);
+            let order = sorted_order(&coords, dims, best_axis, sort_by_hi);
+            let (prefix, suffix) = prefix_suffix_bounds(&coords, &order, dims);
             for k in min..=total - min {
                 let p = &prefix[(k - 1) * w..k * w];
                 let s = &suffix[k * w..(k + 1) * w];
@@ -693,14 +674,12 @@ impl<T> RStarTree<T> {
         // Partition the entries according to the chosen distribution: the
         // first group refills this node, the second a recycled sibling.
         let sibling = self.alloc(level);
-        let mut slots: Vec<Option<Entry<T>>> = entries.into_iter().map(Some).collect();
         for (pos, &idx) in order.iter().enumerate() {
-            let e = slots[idx].take().expect("each entry used once");
+            let payload = payloads[idx].take().expect("each entry used once");
             let target = if pos < k { id } else { sibling };
-            self.node_mut(target).push_entry(e);
+            self.node_mut(target).push_entry(&coords[idx * w..(idx + 1) * w], payload);
         }
-        let rect = self.node(sibling).mbr(dims);
-        Entry::Child(rect, sibling)
+        sibling
     }
 
     /// Removes one item equal to `(rect, value)`. Returns `true` if found.
@@ -715,6 +694,8 @@ impl<T> RStarTree<T> {
     }
 
     /// Removes one item equal to `(rect, value)` and returns its value.
+    /// Bounds match coordinate by coordinate with `f64` `==`, as
+    /// `Rect`'s `PartialEq` does.
     ///
     /// # Panics
     /// Panics if the rectangle has the wrong dimensionality.
@@ -723,15 +704,15 @@ impl<T> RStarTree<T> {
         T: PartialEq,
     {
         assert_eq!(rect.dims(), self.dims, "rectangle dimensionality mismatch");
-        let mut orphans = Vec::new();
-        let removed = self.remove_rec(self.root, rect, value, &mut orphans);
+        let mut orphans = Pending::new();
+        let removed = self.remove_rec(self.root, rect.lo(), rect.hi(), value, &mut orphans);
         if removed.is_none() {
             debug_assert!(orphans.is_empty());
             return None;
         }
         self.len -= 1;
         bump(&self.counters.removes, 1);
-        bump(&self.counters.reinserted_entries, orphans.len() as u64);
+        bump(&self.counters.reinserted_entries, orphans.entries.len() as u64);
         // Shrink the root while it is an internal node with a single child.
         while self.node(self.root).level > 0 && self.node(self.root).count() == 1 {
             let old = self.root;
@@ -739,20 +720,21 @@ impl<T> RStarTree<T> {
             self.release(old);
         }
         if !orphans.is_empty() {
-            self.insert_queue(orphans);
+            self.insert_pending(orphans);
         }
         removed
     }
 
-    /// Removes one matching item, returning its value; collects orphaned
-    /// entries from dissolved underfull nodes into `orphans` as (entry,
-    /// home level) pairs.
+    /// Removes one matching item, returning its value; queues orphaned
+    /// entries from dissolved underfull nodes onto `orphans` at their
+    /// home level.
     fn remove_rec(
         &mut self,
         id: u32,
-        rect: &Rect,
+        lo: &[f64],
+        hi: &[f64],
         value: &T,
-        orphans: &mut Vec<(Entry<T>, usize)>,
+        orphans: &mut Pending<T>,
     ) -> Option<T>
     where
         T: PartialEq,
@@ -760,20 +742,21 @@ impl<T> RStarTree<T> {
         let dims = self.dims;
         if self.node(id).level == 0 {
             let node = self.node(id);
-            let pos =
-                (0..node.count()).find(|&i| &node.rects[i] == rect && &node.values[i] == value);
+            let pos = (0..node.count())
+                .find(|&i| node.bounds(dims, i) == (lo, hi) && &node.values[i] == value);
             pos.map(|i| match self.node_mut(id).swap_remove_entry(dims, i) {
-                Entry::Item(_, v) => v,
-                Entry::Child(..) => unreachable!("leaf holds items"),
+                Payload::Item(v) => v,
+                Payload::Child(_) => unreachable!("leaf holds items"),
             })
         } else {
             let mut found = None;
             for i in 0..self.node(id).count() {
-                if !self.node(id).rects[i].contains_rect(rect) {
+                let (ilo, ihi) = self.node(id).bounds(dims, i);
+                if !coords_contain(ilo, ihi, lo, hi) {
                     continue;
                 }
                 let child = self.node(id).children[i];
-                if let Some(v) = self.remove_rec(child, rect, value, orphans) {
+                if let Some(v) = self.remove_rec(child, lo, hi, value, orphans) {
                     found = Some((i, v));
                     break;
                 }
@@ -785,91 +768,20 @@ impl<T> RStarTree<T> {
                 // entries at their home level, and recycle the node.
                 self.node_mut(id).swap_remove_entry(dims, i);
                 let level = self.node(child).level;
-                let entries = self.node_mut(child).take_entries();
+                self.node_mut(child).drain_into(orphans, level);
                 self.release(child);
-                for e in entries {
-                    orphans.push((e, level));
-                }
             } else {
-                let crect = self.node(child).mbr(dims);
-                self.node_mut(id).set_rect(dims, i, crect);
+                let child_mbr = self.node(child).mbr(dims);
+                self.node_mut(id).set_bounds(dims, i, &child_mbr);
             }
             Some(taken)
-        }
-    }
-
-    /// Replaces the rectangle of the item `(old_rect, value)` with
-    /// `new_rect` — the frequent-update optimization of Lee et al. (VLDB
-    /// 2003), which §4 cites for accelerating streaming workloads where
-    /// consecutive feature boxes barely move.
-    ///
-    /// When the new rectangle stays inside the hosting leaf's MBR, the
-    /// entry is patched **in place** (ancestor MBRs are tightened on the
-    /// way back up, no structural change); otherwise it falls back to
-    /// `remove` + `insert`. Returns `false` if the item was not found.
-    ///
-    /// # Panics
-    /// Panics on a dimensionality mismatch.
-    pub fn update(&mut self, old_rect: &Rect, value: &T, new_rect: Rect) -> bool
-    where
-        T: PartialEq,
-    {
-        assert_eq!(old_rect.dims(), self.dims, "rectangle dimensionality mismatch");
-        assert_eq!(new_rect.dims(), self.dims, "rectangle dimensionality mismatch");
-        match self.update_rec(self.root, old_rect, value, &new_rect) {
-            UpdateOutcome::NotFound => false,
-            UpdateOutcome::Patched => true,
-            UpdateOutcome::NeedsReinsert => {
-                let owned = self.take(old_rect, value).expect("entry was just located");
-                self.insert(new_rect, owned);
-                true
-            }
-        }
-    }
-
-    /// Descends guided by `old_rect`; patches the entry in place if
-    /// `new_rect` stays within the hosting leaf's MBR.
-    fn update_rec(&mut self, id: u32, old_rect: &Rect, value: &T, new_rect: &Rect) -> UpdateOutcome
-    where
-        T: PartialEq,
-    {
-        let dims = self.dims;
-        if self.node(id).level == 0 {
-            let node = self.node(id);
-            let pos =
-                (0..node.count()).find(|&i| &node.rects[i] == old_rect && &node.values[i] == value);
-            let Some(i) = pos else { return UpdateOutcome::NotFound };
-            if !node.mbr(dims).contains_rect(new_rect) {
-                return UpdateOutcome::NeedsReinsert;
-            }
-            self.node_mut(id).set_rect(dims, i, new_rect.clone());
-            UpdateOutcome::Patched
-        } else {
-            for i in 0..self.node(id).count() {
-                if !self.node(id).rects[i].contains_rect(old_rect) {
-                    continue;
-                }
-                let child = self.node(id).children[i];
-                match self.update_rec(child, old_rect, value, new_rect) {
-                    UpdateOutcome::NotFound => continue,
-                    UpdateOutcome::Patched => {
-                        // The leaf may have shrunk if the old rectangle was
-                        // on its boundary; tighten MBRs on the way up.
-                        let crect = self.node(child).mbr(dims);
-                        self.node_mut(id).set_rect(dims, i, crect);
-                        return UpdateOutcome::Patched;
-                    }
-                    UpdateOutcome::NeedsReinsert => return UpdateOutcome::NeedsReinsert,
-                }
-            }
-            UpdateOutcome::NotFound
         }
     }
 
     /// Visits every item whose rectangle intersects `query`.
     pub fn search_intersecting<'a, F>(&'a self, query: &Rect, mut visit: F)
     where
-        F: FnMut(&'a Rect, &'a T),
+        F: FnMut(RectRef<'a>, &'a T),
     {
         assert_eq!(query.dims(), self.dims, "query dimensionality mismatch");
         let mut visits = 0;
@@ -878,8 +790,7 @@ impl<T> RStarTree<T> {
     }
 
     /// `visits` batches the node-visit count for one atomic add per query
-    /// instead of one per node — the counter is shared (the tree is
-    /// queryable from several threads), but the hot path must not pay a
+    /// instead of one per node: the hot path must not pay a
     /// read-modify-write per visited node.
     fn search_rec<'a, F>(
         &'a self,
@@ -889,13 +800,14 @@ impl<T> RStarTree<T> {
         visits: &mut u64,
         visit: &mut F,
     ) where
-        F: FnMut(&'a Rect, &'a T),
+        F: FnMut(RectRef<'a>, &'a T),
     {
         *visits += 1;
         let node = &self.nodes[id as usize];
         if node.level == 0 {
             coords_scan_intersecting(&node.coords, self.dims, qlo, qhi, |i| {
-                visit(&node.rects[i], &node.values[i]);
+                let (lo, hi) = node.bounds(self.dims, i);
+                visit(RectRef::new(lo, hi), &node.values[i]);
             });
         } else {
             coords_scan_intersecting(&node.coords, self.dims, qlo, qhi, |i| {
@@ -905,7 +817,7 @@ impl<T> RStarTree<T> {
     }
 
     /// Collects every item whose rectangle intersects `query`.
-    pub fn collect_intersecting(&self, query: &Rect) -> Vec<(&Rect, &T)> {
+    pub fn collect_intersecting(&self, query: &Rect) -> Vec<(RectRef<'_>, &T)> {
         let mut out = Vec::new();
         self.search_intersecting(query, |r, v| out.push((r, v)));
         out
@@ -913,10 +825,10 @@ impl<T> RStarTree<T> {
 
     /// Visits every item whose rectangle lies within Euclidean distance `r`
     /// of `point` (`d_min(point, rect) ≤ r`) — the range query of the
-    /// pattern and correlation monitors.
+    /// pattern monitors.
     pub fn search_within<'a, F>(&'a self, point: &[f64], r: f64, mut visit: F)
     where
-        F: FnMut(&'a Rect, &'a T),
+        F: FnMut(RectRef<'a>, &'a T),
     {
         assert_eq!(point.len(), self.dims, "query dimensionality mismatch");
         assert!(r >= 0.0, "radius must be nonnegative");
@@ -927,13 +839,14 @@ impl<T> RStarTree<T> {
 
     fn within_rec<'a, F>(&'a self, id: u32, point: &[f64], r: f64, visits: &mut u64, visit: &mut F)
     where
-        F: FnMut(&'a Rect, &'a T),
+        F: FnMut(RectRef<'a>, &'a T),
     {
         *visits += 1;
         let node = &self.nodes[id as usize];
         if node.level == 0 {
             coords_scan_within(&node.coords, self.dims, point, r, |i| {
-                visit(&node.rects[i], &node.values[i]);
+                let (lo, hi) = node.bounds(self.dims, i);
+                visit(RectRef::new(lo, hi), &node.values[i]);
             });
         } else {
             coords_scan_within(&node.coords, self.dims, point, r, |i| {
@@ -943,108 +856,10 @@ impl<T> RStarTree<T> {
     }
 
     /// Collects every item within distance `r` of `point`.
-    pub fn collect_within(&self, point: &[f64], r: f64) -> Vec<(&Rect, &T)> {
+    pub fn collect_within(&self, point: &[f64], r: f64) -> Vec<(RectRef<'_>, &T)> {
         let mut out = Vec::new();
         self.search_within(point, r, |rect, v| out.push((rect, v)));
         out
-    }
-
-    /// [`Self::collect_intersecting`] split across up to `threads` scoped
-    /// worker threads — intra-query parallelism for range queries that
-    /// touch many nodes.
-    ///
-    /// The root's intersecting subtrees are partitioned into contiguous
-    /// runs, each run is walked serially by one worker, and the per-run
-    /// results are concatenated in run order. Serial depth-first search
-    /// visits those same subtrees in the same order, so the result is
-    /// **identical — contents and order — to the serial path at every
-    /// thread count** (pinned by `par_queries_match_serial` and the
-    /// runtime's chaos equivalence suite). With `threads <= 1`, a
-    /// single-level tree, or fewer than two intersecting subtrees, no
-    /// threads are spawned and the serial path runs directly.
-    pub fn par_collect_intersecting(&self, query: &Rect, threads: usize) -> Vec<(&Rect, &T)>
-    where
-        T: Sync,
-    {
-        assert_eq!(query.dims(), self.dims, "query dimensionality mismatch");
-        let root = self.node(self.root);
-        if threads <= 1 || root.level == 0 {
-            return self.collect_intersecting(query);
-        }
-        let (qlo, qhi) = (query.lo(), query.hi());
-        bump(&self.counters.node_visits, 1);
-        let mut subtrees: Vec<u32> = Vec::new();
-        coords_scan_intersecting(&root.coords, self.dims, qlo, qhi, |i| {
-            subtrees.push(root.children[i]);
-        });
-        self.fan_out(&subtrees, threads, |id, out| {
-            let mut visits = 0;
-            self.search_rec(id, qlo, qhi, &mut visits, &mut |r, v| out.push((r, v)));
-            bump(&self.counters.node_visits, visits);
-        })
-    }
-
-    /// [`Self::collect_within`] split across up to `threads` scoped worker
-    /// threads; same partitioning and determinism contract as
-    /// [`Self::par_collect_intersecting`].
-    pub fn par_collect_within(&self, point: &[f64], r: f64, threads: usize) -> Vec<(&Rect, &T)>
-    where
-        T: Sync,
-    {
-        assert_eq!(point.len(), self.dims, "query dimensionality mismatch");
-        assert!(r >= 0.0, "radius must be nonnegative");
-        let root = self.node(self.root);
-        if threads <= 1 || root.level == 0 {
-            return self.collect_within(point, r);
-        }
-        bump(&self.counters.node_visits, 1);
-        let mut subtrees: Vec<u32> = Vec::new();
-        coords_scan_within(&root.coords, self.dims, point, r, |i| {
-            subtrees.push(root.children[i]);
-        });
-        self.fan_out(&subtrees, threads, |id, out| {
-            let mut visits = 0;
-            self.within_rec(id, point, r, &mut visits, &mut |rect, v| out.push((rect, v)));
-            bump(&self.counters.node_visits, visits);
-        })
-    }
-
-    /// Walks each subtree id in `subtrees` with `walk`, spreading
-    /// contiguous runs across scoped threads, and concatenates the per-run
-    /// outputs in run order — exactly the serial visit order.
-    fn fan_out<'a, F>(&'a self, subtrees: &[u32], threads: usize, walk: F) -> Vec<(&'a Rect, &'a T)>
-    where
-        T: Sync,
-        F: Fn(u32, &mut Vec<(&'a Rect, &'a T)>) + Sync,
-    {
-        if subtrees.len() < 2 {
-            let mut out = Vec::new();
-            for &id in subtrees {
-                walk(id, &mut out);
-            }
-            return out;
-        }
-        let run = subtrees.len().div_ceil(threads.min(subtrees.len()));
-        let mut parts: Vec<Vec<(&Rect, &T)>> = Vec::with_capacity(subtrees.len().div_ceil(run));
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = subtrees
-                .chunks(run)
-                .map(|ids| {
-                    let walk = &walk;
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        for &id in ids {
-                            walk(id, &mut out);
-                        }
-                        out
-                    })
-                })
-                .collect();
-            for h in handles {
-                parts.push(h.join().expect("parallel query worker panicked"));
-            }
-        });
-        parts.concat()
     }
 
     /// Iterates over all items in unspecified order.
@@ -1101,11 +916,7 @@ impl<T> RStarTree<T> {
             return Err("root exceeds capacity".into());
         }
         if node.coords.len() != node.count() * 2 * dims {
-            return Err(format!("flat mirror length mismatch at level {}", node.level));
-        }
-        let payloads = if node.level == 0 { node.values.len() } else { node.children.len() };
-        if payloads != node.count() {
-            return Err(format!("payload arity mismatch at level {}", node.level));
+            return Err(format!("bounds block length mismatch at level {}", node.level));
         }
         if node.level == 0 && !node.children.is_empty() {
             return Err("child entry at leaf level".into());
@@ -1114,14 +925,6 @@ impl<T> RStarTree<T> {
             return Err("item entry above leaf level".into());
         }
         for i in 0..node.count() {
-            let rect = &node.rects[i];
-            if rect.dims() != dims {
-                return Err("entry with wrong dimensionality".into());
-            }
-            let (lo, hi) = node.bounds(dims, i);
-            if lo != rect.lo() || hi != rect.hi() {
-                return Err(format!("flat mirror out of sync at level {}", node.level));
-            }
             if node.level == 0 {
                 *count += 1;
             } else {
@@ -1136,11 +939,12 @@ impl<T> RStarTree<T> {
                 if child.count() == 0 {
                     return Err("empty child node".into());
                 }
+                let stored = node.entry(dims, i);
                 let actual = child.mbr(dims);
-                if &actual != rect {
+                if actual != stored {
                     return Err(format!(
                         "stale child MBR at level {}: stored {:?}, actual {:?}",
-                        node.level, rect, actual
+                        node.level, stored, actual
                     ));
                 }
                 self.validate_rec(child_id, false, count, visited)?;
@@ -1156,8 +960,11 @@ impl<T> RStarTree<T> {
     /// A full leaf node from pre-grouped items; returns its id.
     pub(crate) fn bulk_new_leaf(&mut self, items: impl IntoIterator<Item = (Rect, T)>) -> u32 {
         let id = self.alloc(0);
+        let node = self.node_mut(id);
         for (rect, value) in items {
-            self.node_mut(id).push_entry(Entry::Item(rect, value));
+            node.coords.extend_from_slice(rect.lo());
+            node.coords.extend_from_slice(rect.hi());
+            node.values.push(value);
         }
         id
     }
@@ -1167,14 +974,15 @@ impl<T> RStarTree<T> {
         let id = self.alloc(level);
         for &child in children {
             debug_assert_eq!(self.node(child).level + 1, level);
-            let rect = self.node(child).mbr(self.dims);
-            self.node_mut(id).push_entry(Entry::Child(rect, child));
+            let mbr = self.node(child).mbr(self.dims);
+            self.node_mut(id).push_entry(&mbr, Payload::Child(child));
         }
         id
     }
 
-    /// MBR of an arena node (for STR ordering of upper levels).
-    pub(crate) fn bulk_node_mbr(&self, id: u32) -> Rect {
+    /// MBR of an arena node as a flat `lo|hi` block (for STR ordering of
+    /// upper levels).
+    pub(crate) fn bulk_node_mbr(&self, id: u32) -> Vec<f64> {
         self.node(id).mbr(self.dims)
     }
 
@@ -1189,6 +997,23 @@ impl<T> RStarTree<T> {
         self.len = n_items;
         bump(&self.counters.inserts, n_items as u64);
     }
+
+    /// Number of reachable leaf nodes (test support for the packing
+    /// density check).
+    #[cfg(test)]
+    pub(crate) fn leaf_count(&self) -> usize {
+        let mut stack = vec![self.root];
+        let mut leaves = 0;
+        while let Some(id) = stack.pop() {
+            let node = self.node(id);
+            if node.level == 0 {
+                leaves += 1;
+            } else {
+                stack.extend_from_slice(&node.children);
+            }
+        }
+        leaves
+    }
 }
 
 impl<T> std::fmt::Debug for RStarTree<T> {
@@ -1201,26 +1026,14 @@ impl<T> std::fmt::Debug for RStarTree<T> {
     }
 }
 
-/// Outcome of the in-place update descent.
-enum UpdateOutcome {
-    /// No matching item in this subtree.
-    NotFound,
-    /// The entry was patched in place; ancestor MBRs were refreshed.
-    Patched,
-    /// The entry exists, but the new rectangle escapes its leaf's MBR —
-    /// delete + reinsert is required for tree quality (Lee et al.).
-    NeedsReinsert,
-}
-
-fn sorted_order<T>(entries: &[Entry<T>], axis: usize, by_hi: bool) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..entries.len()).collect();
+/// Entry indices `0..n` of a flat bounds block sorted by the low (or
+/// high) coordinate on `axis`.
+fn sorted_order(coords: &[f64], dims: usize, axis: usize, by_hi: bool) -> Vec<usize> {
+    let w = 2 * dims;
+    let key = if by_hi { dims + axis } else { axis };
+    let mut order: Vec<usize> = (0..coords.len() / w).collect();
     order.sort_by(|&a, &b| {
-        let (ka, kb) = if by_hi {
-            (entries[a].rect().hi()[axis], entries[b].rect().hi()[axis])
-        } else {
-            (entries[a].rect().lo()[axis], entries[b].rect().lo()[axis])
-        };
-        ka.partial_cmp(&kb).expect("finite coordinates")
+        coords[a * w + key].partial_cmp(&coords[b * w + key]).expect("finite coordinates")
     });
     order
 }
@@ -1228,92 +1041,37 @@ fn sorted_order<T>(entries: &[Entry<T>], axis: usize, by_hi: bool) -> Vec<usize>
 /// Flat running unions over a candidate split order: chunk `i` of the
 /// prefix buffer (width `2·dims`, `lo` then `hi`) bounds `order[0..=i]`,
 /// chunk `i` of the suffix buffer bounds `order[i..]`.
-fn prefix_suffix_bounds<T>(
-    entries: &[Entry<T>],
-    order: &[usize],
-    dims: usize,
-) -> (Vec<f64>, Vec<f64>) {
+fn prefix_suffix_bounds(coords: &[f64], order: &[usize], dims: usize) -> (Vec<f64>, Vec<f64>) {
     let n = order.len();
     let w = 2 * dims;
+    let entry = |i: usize| &coords[i * w..(i + 1) * w];
     let mut prefix = vec![0.0; n * w];
-    let mut acc_lo = entries[order[0]].rect().lo().to_vec();
-    let mut acc_hi = entries[order[0]].rect().hi().to_vec();
-    prefix[..dims].copy_from_slice(&acc_lo);
-    prefix[dims..w].copy_from_slice(&acc_hi);
+    let mut acc = entry(order[0]).to_vec();
+    prefix[..w].copy_from_slice(&acc);
     for (pos, &i) in order.iter().enumerate().skip(1) {
-        let r = entries[i].rect();
-        for d in 0..dims {
-            if r.lo()[d] < acc_lo[d] {
-                acc_lo[d] = r.lo()[d];
-            }
-            if r.hi()[d] > acc_hi[d] {
-                acc_hi[d] = r.hi()[d];
-            }
-        }
-        prefix[pos * w..pos * w + dims].copy_from_slice(&acc_lo);
-        prefix[pos * w + dims..(pos + 1) * w].copy_from_slice(&acc_hi);
+        grow(&mut acc, entry(i), dims);
+        prefix[pos * w..(pos + 1) * w].copy_from_slice(&acc);
     }
     let mut suffix = vec![0.0; n * w];
-    acc_lo.copy_from_slice(entries[order[n - 1]].rect().lo());
-    acc_hi.copy_from_slice(entries[order[n - 1]].rect().hi());
-    suffix[(n - 1) * w..(n - 1) * w + dims].copy_from_slice(&acc_lo);
-    suffix[(n - 1) * w + dims..n * w].copy_from_slice(&acc_hi);
+    acc.copy_from_slice(entry(order[n - 1]));
+    suffix[(n - 1) * w..].copy_from_slice(&acc);
     for pos in (0..n - 1).rev() {
-        let r = entries[order[pos]].rect();
-        for d in 0..dims {
-            if r.lo()[d] < acc_lo[d] {
-                acc_lo[d] = r.lo()[d];
-            }
-            if r.hi()[d] > acc_hi[d] {
-                acc_hi[d] = r.hi()[d];
-            }
-        }
-        suffix[pos * w..pos * w + dims].copy_from_slice(&acc_lo);
-        suffix[pos * w + dims..(pos + 1) * w].copy_from_slice(&acc_hi);
+        grow(&mut acc, entry(order[pos]), dims);
+        suffix[pos * w..(pos + 1) * w].copy_from_slice(&acc);
     }
     (prefix, suffix)
 }
 
-/// Read-only handle to a tree node, used by traversal-based algorithms
-/// (best-first k-NN in [`crate::knn`]).
-pub struct NodeRef<'a, T> {
-    tree: &'a RStarTree<T>,
-    id: u32,
-}
-
-/// One child of a [`NodeRef`]: either a stored item or a subtree with its
-/// bounding rectangle.
-pub enum ChildRef<'a, T> {
-    /// A data item at the leaf level.
-    Item(&'a Rect, &'a T),
-    /// An internal child with its MBR.
-    Node(&'a Rect, NodeRef<'a, T>),
-}
-
-impl<'a, T> NodeRef<'a, T> {
-    /// Iterates the node's children.
-    pub fn children(&self) -> impl Iterator<Item = ChildRef<'a, T>> + 'a {
-        let tree = self.tree;
-        let node = &tree.nodes[self.id as usize];
-        node.rects.iter().enumerate().map(move |(i, rect)| {
-            if node.level == 0 {
-                ChildRef::Item(rect, &node.values[i])
-            } else {
-                ChildRef::Node(rect, NodeRef { tree, id: node.children[i] })
-            }
-        })
-    }
-
-    /// Level of this node (0 = leaf).
-    pub fn level(&self) -> usize {
-        self.tree.nodes[self.id as usize].level
-    }
-}
-
-impl<T> RStarTree<T> {
-    /// Read-only handle to the root node.
-    pub fn root_ref(&self) -> NodeRef<'_, T> {
-        NodeRef { tree: self, id: self.root }
+/// Grows the flat `lo|hi` box `acc` to cover `entry`.
+#[inline]
+fn grow(acc: &mut [f64], entry: &[f64], dims: usize) {
+    for d in 0..dims {
+        if entry[d] < acc[d] {
+            acc[d] = entry[d];
+        }
+        if entry[dims + d] > acc[dims + d] {
+            acc[dims + d] = entry[dims + d];
+        }
     }
 }
 
@@ -1325,7 +1083,7 @@ pub struct Iter<'a, T> {
 }
 
 impl<'a, T> Iterator for Iter<'a, T> {
-    type Item = (&'a Rect, &'a T);
+    type Item = (RectRef<'a>, &'a T);
 
     fn next(&mut self) -> Option<Self::Item> {
         let tree = self.tree;
@@ -1339,7 +1097,8 @@ impl<'a, T> Iterator for Iter<'a, T> {
             let i = *idx;
             *idx += 1;
             if node.level == 0 {
-                return Some((&node.rects[i], &node.values[i]));
+                let (lo, hi) = node.bounds(tree.dims, i);
+                return Some((RectRef::new(lo, hi), &node.values[i]));
             }
             self.stack.push((node.children[i], 0));
         }
@@ -1604,60 +1363,6 @@ mod tests {
     }
 
     #[test]
-    fn update_in_place_small_move() {
-        let mut tree = RStarTree::with_params(2, Params::new(8));
-        let mut seed = 42;
-        let mut rects = Vec::new();
-        for i in 0..120 {
-            let r = random_rect(&mut seed, 2);
-            rects.push(r.clone());
-            tree.insert(r, i);
-        }
-        // Nudge every item slightly (typical streaming feature drift).
-        for (i, r) in rects.iter_mut().enumerate() {
-            let lo: Vec<f64> = r.lo().iter().map(|v| v + 0.01).collect();
-            let hi: Vec<f64> = r.hi().iter().map(|v| v + 0.01).collect();
-            let moved = Rect::new(lo, hi);
-            assert!(tree.update(r, &(i as i32), moved.clone()), "item {i}");
-            *r = moved;
-        }
-        assert_eq!(tree.len(), 120);
-        tree.validate().expect("valid after in-place updates");
-        for (i, r) in rects.iter().enumerate() {
-            assert!(
-                tree.collect_intersecting(r).iter().any(|&(_, v)| *v == i as i32),
-                "item {i} findable at its new position"
-            );
-        }
-    }
-
-    #[test]
-    fn update_falls_back_to_reinsert_on_big_move() {
-        let mut tree = RStarTree::with_params(2, Params::new(6));
-        let mut seed = 3;
-        for i in 0..80 {
-            tree.insert(random_rect(&mut seed, 2), i);
-        }
-        let target = Rect::point(&[5.0, 5.0]);
-        tree.insert(target.clone(), 999);
-        let far = Rect::point(&[1e4, 1e4]);
-        assert!(tree.update(&target, &999, far.clone()));
-        tree.validate().expect("valid after relocating update");
-        assert!(tree.collect_intersecting(&far).iter().any(|&(_, v)| *v == 999));
-        assert!(!tree.collect_intersecting(&target).iter().any(|&(_, v)| *v == 999));
-        assert_eq!(tree.len(), 81);
-    }
-
-    #[test]
-    fn update_missing_item_is_false() {
-        let mut tree = RStarTree::new(2);
-        tree.insert(Rect::point(&[0.0, 0.0]), 1);
-        assert!(!tree.update(&Rect::point(&[1.0, 1.0]), &1, Rect::point(&[2.0, 2.0])));
-        assert!(!tree.update(&Rect::point(&[0.0, 0.0]), &2, Rect::point(&[2.0, 2.0])));
-        assert_eq!(tree.len(), 1);
-    }
-
-    #[test]
     fn params_defaults_follow_paper() {
         let p = Params::new(32);
         assert_eq!(p.min_entries, 12); // 40%
@@ -1694,39 +1399,6 @@ mod tests {
             assert!(tree.remove(r, v));
         }
         assert_eq!(tree.counters().removes, 200);
-
-        let drained = tree.reset_counters();
-        assert_eq!(drained.removes, 200);
-        assert_eq!(tree.counters(), TreeCounters::default());
-    }
-
-    #[test]
-    fn counters_merge_fieldwise() {
-        let a = TreeCounters {
-            inserts: 1,
-            removes: 2,
-            splits: 3,
-            reinserted_entries: 4,
-            node_visits: 5,
-        };
-        let b = TreeCounters {
-            inserts: 10,
-            removes: 20,
-            splits: 30,
-            reinserted_entries: 40,
-            node_visits: 50,
-        };
-        let m = a.merged(b);
-        assert_eq!(
-            m,
-            TreeCounters {
-                inserts: 11,
-                removes: 22,
-                splits: 33,
-                reinserted_entries: 44,
-                node_visits: 55,
-            }
-        );
     }
 
     #[test]
@@ -1734,37 +1406,5 @@ mod tests {
     fn wrong_dims_rejected() {
         let mut tree = RStarTree::new(2);
         tree.insert(Rect::point(&[1.0, 2.0, 3.0]), 0);
-    }
-
-    /// The parallel range queries must return the serial result exactly —
-    /// same items, same order — at every thread count, including counts
-    /// exceeding the number of intersecting subtrees.
-    #[test]
-    fn par_queries_match_serial() {
-        let mut seed = 7u64;
-        let mut rng = move || {
-            seed = seed.wrapping_add(0x9E3779B97F4A7C15);
-            let mut z = seed;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-            (z >> 11) as f64 / (1u64 << 53) as f64
-        };
-        for dims in [2usize, 8] {
-            let mut tree = RStarTree::new(dims);
-            for i in 0..600u64 {
-                let lo: Vec<f64> = (0..dims).map(|_| rng() * 100.0).collect();
-                let hi: Vec<f64> = lo.iter().map(|l| l + rng() * 3.0).collect();
-                tree.insert(Rect::new(lo, hi), i);
-            }
-            let q = Rect::new(vec![20.0; dims], vec![70.0; dims]);
-            let serial = tree.collect_intersecting(&q);
-            let point = vec![50.0; dims];
-            let serial_within = tree.collect_within(&point, 25.0);
-            assert!(!serial.is_empty(), "query should hit something");
-            for threads in [1usize, 2, 3, 4, 64] {
-                assert_eq!(tree.par_collect_intersecting(&q, threads), serial, "t={threads}");
-                assert_eq!(tree.par_collect_within(&point, 25.0, threads), serial_within);
-            }
-        }
     }
 }

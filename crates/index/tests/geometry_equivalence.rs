@@ -1,5 +1,5 @@
-//! Bit-identity of the chunked (and, under `--features simd`, the
-//! `std::simd`) geometry primitives against the naive scalar reference.
+//! Bit-identity of the chunked geometry primitives against the naive
+//! scalar reference.
 //!
 //! The `coords_*` scan primitives process bounds in fixed-width chunks;
 //! the contract (see `geometry`'s module docs) is that on NaN-free,
@@ -9,9 +9,6 @@
 //! whole-chunk, remainder-only, and mixed chunk/remainder paths), plus a
 //! deterministic adversarial fixture set: denormal extents, huge extents,
 //! touching boundaries, degenerate points, and deeply nested boxes.
-//!
-//! The same file compiles against both feature legs, so CI's
-//! feature-matrix job proves the scalar and vector paths cannot drift.
 
 use proptest::prelude::*;
 use stardust_index::geometry::{

@@ -12,7 +12,6 @@ use stardust_core::query::aggregate::{AggregateMonitor, WindowSpec};
 use stardust_core::query::correlation::CorrelationMonitor;
 use stardust_core::query::pattern::{self, PatternQuery};
 use stardust_core::query::trend::TrendMonitor;
-use stardust_core::regression::recommend_windows;
 use stardust_core::stats::train_threshold;
 use stardust_core::transform::TransformKind;
 
@@ -78,8 +77,6 @@ COMMANDS:
               --lambda L (6.0: thresholds μ+Lσ)  --train N (1000)
               --capacity c (5)
   volatility  same as burst but for MAX−MIN spread
-  recommend   rank candidate window sizes by anomaly separability
-              --candidates 20,40,80,... (required)  --agg sum|spread
   pattern     search all streams for a query subsequence
               --query FILE (required, single column)  --radius r (0.05)
               --base W (16)  --levels L (5)
@@ -235,7 +232,6 @@ pub fn run(cmd: &str, args: &Args, input: &str) -> Result<String, String> {
     match cmd {
         "burst" => run_aggregate(args, input, TransformKind::Sum),
         "volatility" => run_aggregate(args, input, TransformKind::Spread),
-        "recommend" => run_recommend(args, input),
         "pattern" => run_pattern(args, input),
         "correlate" => run_correlate(args, input),
         "trend" => run_trend(args, input),
@@ -320,26 +316,6 @@ fn run_aggregate(args: &Args, input: &str, kind: TransformKind) -> Result<String
         st.true_alarms,
         st.precision()
     ));
-    Ok(out)
-}
-
-fn run_recommend(args: &Args, input: &str) -> Result<String, String> {
-    let data = single_column(input)?;
-    let candidates =
-        parse_usize_list(args.get("candidates").ok_or("recommend needs --candidates w1,w2,...")?)?;
-    let kind = match args.get("agg").unwrap_or("sum") {
-        "sum" => TransformKind::Sum,
-        "spread" => TransformKind::Spread,
-        other => return Err(format!("unknown aggregate '{other}' (sum|spread)")),
-    };
-    let ranked = recommend_windows(&data, &candidates, kind);
-    if ranked.is_empty() {
-        return Err("no usable candidate windows (too long or degenerate)".into());
-    }
-    let mut out = String::from("window,separability\n");
-    for w in ranked {
-        out.push_str(&format!("{},{:.3}\n", w.window, w.score));
-    }
     Ok(out)
 }
 
@@ -2078,15 +2054,6 @@ mod tests {
     }
 
     #[test]
-    fn recommend_subcommand() {
-        let (cmd, args) = Args::parse(&argv("recommend --candidates 10,50,100,400")).unwrap();
-        let out = run(&cmd, &args, &bursty_csv()).expect("runs");
-        let top = out.lines().nth(1).expect("ranked row");
-        let w: usize = top.split(',').next().unwrap().parse().unwrap();
-        assert_eq!(w, 100, "burst length 100 should rank first:\n{out}");
-    }
-
-    #[test]
     fn correlate_subcommand() {
         let mut csv = String::new();
         let mut a = 50.0f64;
@@ -2199,7 +2166,8 @@ mod tests {
     fn errors_are_reported_not_panicked() {
         let (cmd, args) = Args::parse(&argv("burst --base 10")).unwrap();
         assert!(run(&cmd, &args, "1\n2\n3\n").is_err(), "too-short input must error");
-        let (cmd, args) = Args::parse(&argv("recommend")).unwrap();
-        assert!(run(&cmd, &args, &bursty_csv()).is_err(), "missing --candidates");
+        let (cmd, args) = Args::parse(&argv("pattern")).unwrap();
+        let err = run(&cmd, &args, &bursty_csv()).unwrap_err();
+        assert!(err.contains("--query"), "missing --query: {err}");
     }
 }

@@ -11,11 +11,6 @@ enum Op {
         extent: Vec<f64>,
     },
     RemoveOldest,
-    /// Move the oldest item by a small or large offset (exercises both
-    /// the in-place and the reinsert path of `update`).
-    UpdateOldest {
-        shift: f64,
-    },
     /// Replace the tree with an STR bulk build over the live items (the
     /// crash-recovery path), then keep mutating it.
     BulkRebuild,
@@ -41,7 +36,6 @@ fn op_strategy(dims: usize) -> impl Strategy<Value = Op> {
         )
             .prop_map(|(lo, extent)| Op::Insert { lo, extent }),
         1 => Just(Op::RemoveOldest),
-        2 => (-60.0f64..60.0).prop_map(|shift| Op::UpdateOldest { shift }),
         1 => Just(Op::BulkRebuild),
         2 => (
             proptest::collection::vec(coord(), dims),
@@ -57,11 +51,27 @@ fn rect(lo: &[f64], extent: &[f64]) -> Rect {
     Rect::new(lo.to_vec(), lo.iter().zip(extent).map(|(l, e)| l + e).collect())
 }
 
+/// An entry keyed by its exact bounds (`to_bits` of every corner
+/// coordinate) and its value, so hit lists compare bounds as well as
+/// payloads.
+type Keyed<V> = (Vec<u64>, Vec<u64>, V);
+
+fn keyed<V>(lo: &[f64], hi: &[f64], value: V) -> Keyed<V> {
+    let bits = |c: &[f64]| c.iter().map(|x| x.to_bits()).collect();
+    (bits(lo), bits(hi), value)
+}
+
+fn sorted<V: Ord>(mut entries: Vec<Keyed<V>>) -> Vec<Keyed<V>> {
+    entries.sort_unstable();
+    entries
+}
+
 /// Applies `ops` to the tree and the linear-scan shadow in lockstep,
-/// checking search-result equivalence on every query and the full set of
-/// structural invariants ([`RStarTree::validate`]: fill factors, MBR
-/// containment, level uniformity, flat-mirror sync, arena accounting)
-/// after every op.
+/// checking on every query that the hits carry the shadow's exact bounds
+/// and values, and after every op the full set of structural invariants
+/// ([`RStarTree::validate`]: fill factors, exact child MBRs, level
+/// uniformity, arena accounting) and that the tree's entries are exactly
+/// the shadow's.
 fn apply_ops(
     tree: &mut RStarTree<u32>,
     shadow: &mut Vec<(Rect, u32)>,
@@ -83,44 +93,42 @@ fn apply_ops(
                     shadow.remove(0);
                 }
             }
-            Op::UpdateOldest { shift } => {
-                if let Some((r, v)) = shadow.first().cloned() {
-                    let moved = Rect::new(
-                        r.lo().iter().map(|x| x + shift).collect(),
-                        r.hi().iter().map(|x| x + shift).collect(),
-                    );
-                    prop_assert!(tree.update(&r, &v, moved.clone()));
-                    shadow[0] = (moved, v);
-                }
-            }
             Op::BulkRebuild => {
                 *tree = bulk_load(tree.dims(), Params::new(cap), shadow.clone());
             }
             Op::Query { lo, extent } => {
                 let q = rect(lo, extent);
-                let mut got: Vec<u32> =
-                    tree.collect_intersecting(&q).iter().map(|&(_, v)| *v).collect();
-                got.sort_unstable();
-                let mut want: Vec<u32> =
-                    shadow.iter().filter(|(r, _)| r.intersects(&q)).map(|&(_, v)| v).collect();
-                want.sort_unstable();
-                prop_assert_eq!(got, want);
+                let got = tree
+                    .collect_intersecting(&q)
+                    .iter()
+                    .map(|(r, &v)| keyed(r.lo(), r.hi(), v))
+                    .collect();
+                let want = shadow
+                    .iter()
+                    .filter(|(r, _)| r.intersects(&q))
+                    .map(|(r, v)| keyed(r.lo(), r.hi(), *v))
+                    .collect();
+                prop_assert_eq!(sorted(got), sorted(want));
             }
             Op::Within { point, radius } => {
-                let mut got: Vec<u32> =
-                    tree.collect_within(point, *radius).iter().map(|&(_, v)| *v).collect();
-                got.sort_unstable();
-                let mut want: Vec<u32> = shadow
+                let got = tree
+                    .collect_within(point, *radius)
+                    .iter()
+                    .map(|(r, &v)| keyed(r.lo(), r.hi(), v))
+                    .collect();
+                let want = shadow
                     .iter()
                     .filter(|(r, _)| r.min_dist_point(point) <= *radius)
-                    .map(|&(_, v)| v)
+                    .map(|(r, v)| keyed(r.lo(), r.hi(), *v))
                     .collect();
-                want.sort_unstable();
-                prop_assert_eq!(got, want);
+                prop_assert_eq!(sorted(got), sorted(want));
             }
         }
         tree.validate().map_err(TestCaseError::fail)?;
         prop_assert_eq!(tree.len(), shadow.len());
+        let held = tree.iter().map(|(r, &v)| keyed(r.lo(), r.hi(), v)).collect();
+        let want = shadow.iter().map(|(r, v)| keyed(r.lo(), r.hi(), *v)).collect();
+        prop_assert_eq!(sorted(held), sorted(want));
     }
     Ok(())
 }
@@ -178,11 +186,12 @@ proptest! {
         bulk.validate().map_err(TestCaseError::fail)?;
         prop_assert_eq!(bulk.len(), rects.len());
         let q = Rect::new(vec![-20.0, -20.0], vec![20.0, 20.0]);
-        let mut got: Vec<usize> = bulk.collect_intersecting(&q).iter().map(|&(_, v)| *v).collect();
-        got.sort_unstable();
-        let mut want: Vec<usize> =
-            rects.iter().filter(|(r, _)| r.intersects(&q)).map(|&(_, v)| v).collect();
-        want.sort_unstable();
-        prop_assert_eq!(got, want);
+        let got = bulk.collect_intersecting(&q).iter().map(|(r, &v)| keyed(r.lo(), r.hi(), v)).collect();
+        let want = rects
+            .iter()
+            .filter(|(r, _)| r.intersects(&q))
+            .map(|(r, v)| keyed(r.lo(), r.hi(), *v))
+            .collect();
+        prop_assert_eq!(sorted(got), sorted(want));
     }
 }

@@ -1,14 +1,13 @@
 //! Intra-query parallelism is invisible in query results.
 //!
 //! The determinism contract of the fan-out machinery (`stardust::runtime`'s
-//! pool and the R\*-tree's parallel range queries): at **every** worker
-//! count the result is bit-for-bit the serial result — same values, same
-//! float bits, same order. Parallelism may only change wall-clock time.
+//! pool): at **every** worker count the result is bit-for-bit the serial
+//! result — same values, same float bits, same order. Parallelism may only
+//! change wall-clock time.
 //! The chaos variant kills a shard worker mid-run and requires the same
 //! identity from the restored runtime.
 
 use stardust::core::stream::StreamId;
-use stardust::index::{RStarTree, Rect};
 use stardust::runtime::{
     Batch, CorrelationSpec, FaultPlan, MonitorSpec, RuntimeConfig, ShardedRuntime,
 };
@@ -122,43 +121,5 @@ fn parallel_query_survives_worker_kills_bit_identically() {
                 "kills + intra_query_threads={threads} diverged at {shards} shard(s)"
             );
         }
-    }
-}
-
-/// The R\*-tree side of the same contract: `par_collect_intersecting` and
-/// `par_collect_within` return the serial DFS result — order and all — at
-/// every thread count, on a tree big enough to have multi-level fan-out.
-#[test]
-fn index_parallel_range_queries_match_serial_order() {
-    let mut tree: RStarTree<usize> = RStarTree::new(2);
-    let mut seed = 7u64;
-    let mut rng = move || {
-        seed ^= seed << 13;
-        seed ^= seed >> 7;
-        seed ^= seed << 17;
-        (seed >> 11) as f64 / (1u64 << 53) as f64
-    };
-    for i in 0..2000 {
-        let lo = [rng() * 100.0, rng() * 100.0];
-        let hi = vec![lo[0] + rng() * 3.0, lo[1] + rng() * 3.0];
-        tree.insert(Rect::new(lo.to_vec(), hi), i);
-    }
-    let queries = [
-        Rect::new(vec![10.0, 10.0], vec![45.0, 60.0]),
-        Rect::new(vec![0.0, 0.0], vec![100.0, 100.0]),
-    ];
-    for query in &queries {
-        let serial: Vec<(&Rect, &usize)> = tree.collect_intersecting(query);
-        assert!(!serial.is_empty(), "vacuous query");
-        for threads in [1usize, 2, 3, 7, 64] {
-            let parallel = tree.par_collect_intersecting(query, threads);
-            assert_eq!(parallel, serial, "intersecting diverged at {threads} thread(s)");
-        }
-    }
-    let serial_within = tree.collect_within(&[50.0, 50.0], 25.0);
-    assert!(!serial_within.is_empty(), "vacuous within-query");
-    for threads in [2usize, 5, 64] {
-        let parallel = tree.par_collect_within(&[50.0, 50.0], 25.0, threads);
-        assert_eq!(parallel, serial_within, "within diverged at {threads} thread(s)");
     }
 }
