@@ -8,7 +8,7 @@
 //!   `127.0.0.1:0`, runs the fleet, then replays the identical workload
 //!   through a direct [`ShardedRuntime`] and requires *bit-identical*
 //!   event sets (the equality audit from the persistence tests, applied
-//!   across the socket). This is what CI and `--emit-bench` run.
+//!   across the socket). This is what CI's `load_driver` step runs.
 //! * **remote** — points the same fleet at an externally started
 //!   `stardust serve` (no audit: the remote event set is not
 //!   observable).

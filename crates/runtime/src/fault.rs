@@ -187,7 +187,7 @@ impl FaultPlan {
 
     /// One seeded kill per shard, each at a pseudo-random append ordinal
     /// in `[lo, hi)` — the reproducible "crash every shard somewhere
-    /// mid-ingest" plan the chaos tests and `stardust chaos` use.
+    /// mid-ingest" plan the chaos tests use.
     ///
     /// # Panics
     /// Panics if `lo >= hi`.

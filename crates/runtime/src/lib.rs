@@ -74,7 +74,6 @@ use stardust_core::stream::StreamId;
 
 mod fault;
 mod persist;
-pub mod pool;
 mod queue;
 mod routing;
 mod runtime;

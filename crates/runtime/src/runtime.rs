@@ -17,7 +17,6 @@ use stardust_core::unified::{Event, UnifiedMonitor};
 
 use crate::fault::FaultPlan;
 use crate::persist::{self, PersistConfig, RecoveryError, RecoveryReport, ShardRecoveryReport};
-use crate::pool;
 use crate::queue::{AdmitError, BoundedQueue, TryAdmitError};
 use crate::routing::{GroupRoute, Routing};
 use crate::shard::{
@@ -183,7 +182,7 @@ pub struct RuntimeConfig {
     /// delivery. `None` disables all of it: a crashed shard is terminal
     /// and its producers see [`RuntimeError::Disconnected`].
     pub recovery: Option<RecoveryPolicy>,
-    /// Deterministic fault injection (tests, chaos drills). `None` — the
+    /// Deterministic fault injection (tests). `None` — the
     /// default — costs one pointer check per append.
     pub fault_plan: Option<Arc<FaultPlan>>,
     /// Metrics registry. `Some` wires every shard's monitor, the batch
@@ -200,13 +199,6 @@ pub struct RuntimeConfig {
     /// exchange — [`ShardedRuntime::correlated_pairs`] stays exact but
     /// verifies every cross-shard pair without sketch pruning.
     pub sketch_cadence: u64,
-    /// Collector-side workers for the pruning and verification phases of
-    /// [`ShardedRuntime::correlated_pairs`]. `1` — the default — runs them
-    /// on the querying thread; `0` means one per available CPU. Results
-    /// are bit-identical at every setting (see [`crate::pool`]): the work
-    /// is split into contiguous runs merged positionally, so only
-    /// wall-clock time changes.
-    pub intra_query_threads: usize,
 }
 
 impl Default for RuntimeConfig {
@@ -222,7 +214,6 @@ impl Default for RuntimeConfig {
             fault_plan: None,
             telemetry: None,
             sketch_cadence: 1,
-            intra_query_threads: 1,
         }
     }
 }
@@ -285,8 +276,6 @@ struct Shared {
     sketches: Arc<SketchBoard>,
     /// Sketch-exchange cadence in sealed blocks (`0` = disabled).
     sketch_cadence: u64,
-    /// Resolved collector-side worker count for query fan-out (≥ 1).
-    intra_query_threads: usize,
     /// Per-**group** recovery journals (a group's journal travels with
     /// it across slots); `None` when recovery is disabled.
     recovery: Option<Vec<Arc<ShardRecovery>>>,
@@ -912,7 +901,6 @@ impl ShardedRuntime {
             restart_window: config.restart_window,
             sketches: Arc::new(SketchBoard::new(n_streams)),
             sketch_cadence: config.sketch_cadence,
-            intra_query_threads: pool::resolve_threads(config.intra_query_threads),
             recovery,
             board: Arc::new(Board::new(n_workers)),
             handles: Mutex::new((0..n_workers).map(|_| None).collect()),
@@ -1398,10 +1386,7 @@ impl ShardedRuntime {
         // is pruned only when both mirrors are complete windows ending
         // exactly at t* — anything stale goes to exact verification.
         // Each mirror is projected once (Θ(m), amortizing the moment
-        // normalization out of the O(n²) pair loop), and the pair rows
-        // fan out across the intra-query pool; rows merge in row order,
-        // so the candidate list is identical to the serial nested loop
-        // at every thread count.
+        // normalization out of the O(n²) pair loop).
         let mirrors = self.shared.sketches.mirrors();
         let s = self.shared.n_groups;
         let radius = corr_spec.radius;
@@ -1409,10 +1394,9 @@ impl ShardedRuntime {
             .iter()
             .map(|m| m.as_ref().and_then(|sk| sk.projection()).filter(|p| p.end_time() == t))
             .collect();
-        let rows: Vec<usize> = (0..self.n_streams).collect();
-        let row_results = pool::parallel_map(&rows, self.shared.intra_query_threads, |&a| {
-            let mut row_candidates: Vec<(StreamId, StreamId)> = Vec::new();
-            let mut row_pruned = 0u64;
+        let mut candidates: Vec<(StreamId, StreamId)> = Vec::new();
+        let mut pruned = 0u64;
+        for a in 0..self.n_streams {
             for b in (a + 1)..self.n_streams {
                 if a % s == b % s {
                     continue; // same shard: covered by the exact scan below
@@ -1422,18 +1406,11 @@ impl ShardedRuntime {
                     _ => None,
                 };
                 if bound.is_some_and(|lb| lb > radius + PRUNE_SLACK) {
-                    row_pruned += 1;
+                    pruned += 1;
                 } else {
-                    row_candidates.push((a as StreamId, b as StreamId));
+                    candidates.push((a as StreamId, b as StreamId));
                 }
             }
-            (row_candidates, row_pruned)
-        });
-        let mut candidates: Vec<(StreamId, StreamId)> = Vec::new();
-        let mut pruned = 0u64;
-        for (row_candidates, row_pruned) in row_results {
-            candidates.extend(row_candidates);
-            pruned += row_pruned;
         }
         self.shared.sketches.pruned.fetch_add(pruned, Ordering::Relaxed);
         self.shared.sketches.candidates.fetch_add(candidates.len() as u64, Ordering::Relaxed);
@@ -1470,28 +1447,26 @@ impl ShardedRuntime {
                 windows.extend(w);
             }
         }
-        // Verify candidates on the pool: each fetched window is
-        // z-normalized once, and every pair is evaluated on the
-        // normalized vectors in candidate order — bit-identical to
-        // serially correlating the raw windows pair by pair, because
-        // `z_norm` is deterministic and the fan-out merges positionally.
+        // Verify candidates: each fetched window is z-normalized once,
+        // and every pair is evaluated on the normalized vectors in
+        // candidate order — bit-identical to correlating the raw windows
+        // pair by pair, because `z_norm` is deterministic.
         let znormed: std::collections::HashMap<StreamId, Vec<f64>> = windows
             .iter()
             .filter_map(|(&g, w)| Some((g, normalize::z_norm(w.as_deref()?)?)))
             .collect();
-        let verdicts =
-            pool::parallel_map(&candidates, self.shared.intra_query_threads, |&(a, b)| {
-                // A missing window (expired) or undefined z-norm
-                // (constant window) skips the pair, as the reference
-                // linear scan does.
-                let (za, zb) = (znormed.get(&a)?, znormed.get(&b)?);
-                let corr = normalize::correlation_of_znormed(za, zb);
-                (normalize::correlation_to_distance(corr) <= radius).then_some((a, b, corr))
-            });
         let mut confirmed = 0u64;
-        for (a, b, corr) in verdicts.into_iter().flatten() {
-            merged.push((a, b, corr));
-            confirmed += 1;
+        for &(a, b) in &candidates {
+            // A missing window (expired) or undefined z-norm (constant
+            // window) skips the pair, as the reference linear scan does.
+            let (Some(za), Some(zb)) = (znormed.get(&a), znormed.get(&b)) else {
+                continue;
+            };
+            let corr = normalize::correlation_of_znormed(za, zb);
+            if normalize::correlation_to_distance(corr) <= radius {
+                merged.push((a, b, corr));
+                confirmed += 1;
+            }
         }
         self.shared.sketches.confirmed.fetch_add(confirmed, Ordering::Relaxed);
         self.shared.runtime_telemetry.cross_confirmed.add(confirmed);
@@ -1584,9 +1559,8 @@ impl ShardedRuntime {
     ///   completely cold over the interval (no appends since the last
     ///   call, empty queue): its groups drain into the busiest slot.
     ///
-    /// Call it on a cadence (the `stardust rebalance` drill does); each
-    /// call observes the append deltas since the previous one, so the
-    /// first call only primes the baseline.
+    /// Call it on a cadence; each call observes the append deltas since
+    /// the previous one, so the first call only primes the baseline.
     ///
     /// # Errors
     /// Same surface as [`Self::split_shard`].
@@ -1672,7 +1646,7 @@ impl ShardedRuntime {
         ShutdownReport { stats: self.stats(), events }
     }
 
-    /// Abrupt teardown for crash drills: queues are closed instead of
+    /// Abrupt teardown for crash tests: queues are closed instead of
     /// receiving `Shutdown` markers, so producers racing this call see
     /// [`RuntimeError::Disconnected`] rather than parking. Already
     /// queued batches still drain (they were accepted), wedged shards

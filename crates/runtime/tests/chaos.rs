@@ -227,51 +227,61 @@ fn sketch_exchange_survives_mid_cadence_kills() {
     let r_max = observed_r_max(&streams);
     let spec = MonitorSpec::new(BASE_WINDOW, LEVELS, r_max)
         .with_correlations(CorrelationSpec { coeffs: 4, radius: 0.25 });
-    let shards = 2;
-
-    let drive = |config: RuntimeConfig| {
-        let rt = ShardedRuntime::launch(&spec, N_STREAMS, config).unwrap();
-        for t in 0..N_VALUES {
-            let batch: Batch =
-                streams.iter().enumerate().map(|(s, x)| (s as StreamId, x[t])).collect();
-            rt.submit_blocking(&batch).unwrap();
-        }
-        let pairs = rt.correlated_pairs().unwrap();
-        let stats = rt.cross_corr_stats();
-        (pairs, stats, rt.shutdown())
+    // Pairs compared through `to_bits`: a single reassociated float
+    // operation on the query path fails here instead of passing `==`.
+    let bits = |pairs: &[(StreamId, StreamId, f64)]| -> Vec<(StreamId, StreamId, u64)> {
+        pairs.iter().map(|&(a, b, c)| (a, b, c.to_bits())).collect()
     };
 
-    let (want, clean, _) =
-        drive(RuntimeConfig { shards, queue_capacity: 32, ..RuntimeConfig::default() });
-    assert!(want.iter().any(|&(a, b, _)| (a, b) == (0, 1)), "planted twin missing: {want:?}");
-    assert!(clean.exchanges > 0, "sketches were never exchanged in the clean run");
+    for shards in [2usize, 3] {
+        let drive = |config: RuntimeConfig| {
+            let rt = ShardedRuntime::launch(&spec, N_STREAMS, config).unwrap();
+            for t in 0..N_VALUES {
+                let batch: Batch =
+                    streams.iter().enumerate().map(|(s, x)| (s as StreamId, x[t])).collect();
+                rt.submit_blocking(&batch).unwrap();
+            }
+            let pairs = rt.correlated_pairs().unwrap();
+            let stats = rt.cross_corr_stats();
+            (pairs, stats, rt.shutdown())
+        };
 
-    // Each shard sees 1536 appends; killing inside [150, 800) lands
-    // strictly between cadence boundaries (one block = 16 appends per
-    // stream), past at least one snapshot.
-    let plan = Arc::new(FaultPlan::seeded_kills(0xD1CE, shards, 150, 800));
-    let (got, faulted, report) = drive(RuntimeConfig {
-        shards,
-        queue_capacity: 32,
-        recovery: Some(RecoveryPolicy { snapshot_every: 64 }),
-        fault_plan: Some(Arc::clone(&plan)),
-        ..RuntimeConfig::default()
-    });
-    assert_eq!(plan.fired_count(), shards, "every scheduled kill must fire");
-    assert_eq!(report.stats.total_restarts(), shards as u64);
-    assert_eq!(got, want, "cross-shard pair set diverged after mid-cadence kills");
-    // Respawned workers re-shipped from a reset frontier (strictly more
-    // publications than the clean run), yet the prune accounting still
-    // covers every cross-shard pair exactly once.
-    assert!(
-        faulted.exchanges >= clean.exchanges,
-        "recovered workers must re-publish sketches: {faulted:?} vs {clean:?}"
-    );
-    assert_eq!(
-        faulted.candidates + faulted.pruned,
-        clean.candidates + clean.pruned,
-        "exchange double-counted into prune accounting: {faulted:?} vs {clean:?}"
-    );
+        let (want, clean, _) =
+            drive(RuntimeConfig { shards, queue_capacity: 32, ..RuntimeConfig::default() });
+        assert!(want.iter().any(|&(a, b, _)| (a, b) == (0, 1)), "planted twin missing: {want:?}");
+        assert!(clean.exchanges > 0, "sketches were never exchanged in the clean run");
+
+        // Each shard sees at least 1024 appends; killing inside
+        // [150, 800) lands strictly between cadence boundaries (one
+        // block = 16 appends per stream), past at least one snapshot.
+        let plan = Arc::new(FaultPlan::seeded_kills(0xD1CE, shards, 150, 800));
+        let (got, faulted, report) = drive(RuntimeConfig {
+            shards,
+            queue_capacity: 32,
+            recovery: Some(RecoveryPolicy { snapshot_every: 64 }),
+            fault_plan: Some(Arc::clone(&plan)),
+            ..RuntimeConfig::default()
+        });
+        assert_eq!(plan.fired_count(), shards, "every scheduled kill must fire");
+        assert_eq!(report.stats.total_restarts(), shards as u64);
+        assert_eq!(
+            bits(&got),
+            bits(&want),
+            "cross-shard pair set diverged after mid-cadence kills at {shards} shard(s)"
+        );
+        // Respawned workers re-shipped from a reset frontier (strictly
+        // more publications than the clean run), yet the prune
+        // accounting still covers every cross-shard pair exactly once.
+        assert!(
+            faulted.exchanges >= clean.exchanges,
+            "recovered workers must re-publish sketches: {faulted:?} vs {clean:?}"
+        );
+        assert_eq!(
+            faulted.candidates + faulted.pruned,
+            clean.candidates + clean.pruned,
+            "exchange double-counted into prune accounting: {faulted:?} vs {clean:?}"
+        );
+    }
 }
 
 /// A `DelayDrain` fault slows a worker without killing it; nothing may

@@ -128,9 +128,10 @@ fn shard_feed(
     feed
 }
 
-/// The full drill: feed through a persisted runtime under `faults`,
-/// kill the process (`crash()`), reopen the directory unfaulted,
-/// re-submit everything past each shard's durable watermark, and
+/// The full cycle: feed through a persisted runtime under `faults`,
+/// kill the process (`crash()`), reopen the directory under
+/// `reopen_faults` (the at-rest damage `open()` applies before its
+/// scan), re-submit everything past each shard's durable watermark, and
 /// return the union of every event delivered along the way (sorted).
 #[allow(clippy::too_many_arguments)]
 fn crash_reopen_resubmit(
@@ -141,6 +142,7 @@ fn crash_reopen_resubmit(
     shards: usize,
     sync: SyncPolicy,
     faults: Option<Arc<FaultPlan>>,
+    reopen_faults: Option<Arc<FaultPlan>>,
     snapshot_every: u64,
 ) -> Vec<Event> {
     let persist = PersistConfig::new(dir).sync(sync);
@@ -159,9 +161,8 @@ fn crash_reopen_resubmit(
     }
     let mut all_events = rt.crash().events;
 
-    let (rt, report) =
-        ShardedRuntime::open(spec, streams.len(), config(shards, None, snapshot_every), persist)
-            .unwrap();
+    let reopen = config(shards, reopen_faults, snapshot_every);
+    let (rt, report) = ShardedRuntime::open(spec, streams.len(), reopen, persist).unwrap();
     all_events.extend(rt.drain_events());
     let n_shards = rt.n_shards();
     for shard_report in &report.shards {
@@ -245,7 +246,8 @@ fn all_sync_policies_recover_identically() {
         ("onsnap", SyncPolicy::OnSnapshot),
     ] {
         let dir = tempdir(&format!("sync-{tag}"));
-        let events = crash_reopen_resubmit(&dir, &spec, &streams, n_values, 2, sync, None, 48);
+        let events =
+            crash_reopen_resubmit(&dir, &spec, &streams, n_values, 2, sync, None, None, 48);
         assert_eq!(events, reference, "policy {tag} diverged");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -253,7 +255,10 @@ fn all_sync_policies_recover_identically() {
 
 /// A torn WAL write wedges its shard (fail stop), the torn tail is
 /// truncated at reopen, and re-submission from the durable watermark
-/// restores the exact event set.
+/// restores the exact event set. A WAL truncated at rest before the
+/// reopen loses records the same way, but also the acks of events
+/// already delivered: that tail is re-delivered (at-least-once), so the
+/// *deduplicated* union must equal the reference.
 #[test]
 fn torn_write_fails_stop_and_recovers_the_prefix() {
     let n_values = 256;
@@ -273,10 +278,34 @@ fn torn_write_fails_stop_and_recovers_the_prefix() {
         2,
         SyncPolicy::EveryN(16),
         Some(Arc::clone(&plan)),
+        None,
         64,
     );
     assert_eq!(plan.fired_count(), 1, "the torn write must fire");
     assert_eq!(events, reference, "torn write changed the detected event set");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Cut shard 0's WAL just past its 28-byte segment header at reopen.
+    // With no snapshot the segment is the shard's whole history, so the
+    // cut destroys every batch and ack record it held and every event
+    // the shard delivered before the kill comes back a second time.
+    let plan = Arc::new(FaultPlan::new().disk_fault(0, DiskFaultKind::TruncateWal { at_byte: 30 }));
+    let dir = tempdir("truncate");
+    let mut events = crash_reopen_resubmit(
+        &dir,
+        &spec,
+        &streams,
+        n_values,
+        2,
+        SyncPolicy::EveryN(8),
+        None,
+        Some(Arc::clone(&plan)),
+        0,
+    );
+    assert_eq!(plan.fired_count(), 1, "the truncation must fire at reopen");
+    assert!(events.len() > reference.len(), "the ack-destroyed tail was not re-delivered");
+    events.dedup();
+    assert_eq!(events, reference, "truncated WAL changed the deduplicated event set");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -303,6 +332,7 @@ fn failed_fsync_aborts_rotation_but_loses_nothing() {
         2,
         SyncPolicy::EveryN(8),
         Some(Arc::clone(&plan)),
+        None,
         32,
     );
     assert_eq!(plan.fired_count(), 2);
@@ -645,6 +675,7 @@ fn multi_seed_disk_fault_storm() {
                 2,
                 SyncPolicy::EveryN(8),
                 Some(Arc::new(plan)),
+                None,
                 48,
             );
             assert_eq!(events, reference, "seed {seed} fault {k} diverged");

@@ -19,8 +19,8 @@ use stardust_core::unified::Event;
 use stardust_datagen::random_walk::{observed_r_max, random_walk_streams};
 use stardust_runtime::{
     sort_events, AggregateSpec, Batch, CorrelationSpec, FaultKind, FaultPlan, MigrationStep,
-    MonitorSpec, RebalanceAction, RecoveryPolicy, RuntimeConfig, RuntimeError, ShardedRuntime,
-    TrendPattern, TrendSpec,
+    MonitorSpec, PersistConfig, RebalanceAction, RecoveryPolicy, RuntimeConfig, RuntimeError,
+    ShardedRuntime, SyncPolicy, TrendPattern, TrendSpec,
 };
 
 const BASE_WINDOW: usize = 16;
@@ -93,7 +93,9 @@ fn feed(rt: &ShardedRuntime, streams: &[Vec<f64>], range: std::ops::Range<usize>
 
 /// Tentpole invariant: split a hot shard onto the spare mid-ingest,
 /// merge it back later, and the event set is bit-identical to the
-/// single-threaded monitor at every shard count.
+/// single-threaded monitor at every shard count. The split must also
+/// relieve the hot slot: its share of the appends drops by exactly the
+/// share of the streams it handed off.
 #[test]
 fn split_then_merge_is_invisible_in_the_event_set() {
     let (streams, r_max) = workload(42);
@@ -103,17 +105,35 @@ fn split_then_merge_is_invisible_in_the_event_set() {
     assert!(reference.iter().any(|e| matches!(e, Event::Trend(_))));
     sort_events(&mut reference);
 
-    for shards in [2usize, 3, 4] {
+    // Hot-slot relief (slot 0's append share before the split over its
+    // share after), per shard count. Slot 0 owns groups {0, S} of
+    // min(2S, 6) over 6 streams and hands group S to the spare: at S = 2
+    // that is 3 streams down to 2 (group 0 holds streams 0 and 4); at
+    // S = 3 and 4 it is 2 down to 1, half its load.
+    let reliefs = [1.5, 2.0, 2.0];
+    for (shards, want_relief) in [2usize, 3, 4].into_iter().zip(reliefs) {
         // Group `shards` lands on slot 0 (`g mod shards`); the spare is
         // slot `shards`, the first slot past the primaries.
         let spare = shards;
         let rt =
             ShardedRuntime::launch(&spec, N_STREAMS, elastic_config(shards, 2 * shards)).unwrap();
         assert_eq!(rt.live_shards(), shards, "spares must start idle");
-        feed(&rt, &streams, 0..N_VALUES / 3);
+        // Slot 0's appends over a feed, read behind a scatter-gather
+        // barrier so every batch (and any adoption) has landed.
+        let hot_appends = |range: std::ops::Range<usize>| {
+            rt.class_stats().unwrap();
+            let before = rt.stats().shards[0].appends;
+            let rows = range.len() as u64;
+            feed(&rt, &streams, range);
+            rt.class_stats().unwrap();
+            (rt.stats().shards[0].appends - before, N_STREAMS as u64 * rows)
+        };
+        let (pre_hot, pre_total) = hot_appends(0..N_VALUES / 3);
         rt.split_shard(0, spare, &[shards]).unwrap();
         assert_eq!(rt.live_shards(), shards + 1, "split must activate the spare");
-        feed(&rt, &streams, N_VALUES / 3..2 * N_VALUES / 3);
+        let (post_hot, post_total) = hot_appends(N_VALUES / 3..2 * N_VALUES / 3);
+        let relief = (pre_hot * post_total) as f64 / (post_hot * pre_total) as f64;
+        assert_eq!(relief, want_relief, "hot-slot relief at {shards} shards");
         assert_eq!(rt.merge_shard(spare, 0).unwrap(), 1, "merge must drain the spare");
         assert_eq!(rt.live_shards(), shards);
         feed(&rt, &streams, 2 * N_VALUES / 3..N_VALUES);
@@ -251,6 +271,44 @@ fn killed_worker_mid_migration_recovers_exactly_once() {
     for step in [MigrationStep::AfterSeal, MigrationStep::BeforeAdopt] {
         killed_migration_run(&spec, &streams, &reference, 2, step, false);
     }
+
+    // The whole process dies mid-handoff: persist to disk, stall the
+    // destination inside its first adoption, crash while the split is in
+    // flight, and reopen unfaulted. The shard layout is not durable —
+    // `open()` re-places every group at epoch 0 and recovers it from its
+    // own journal — so the half-applied migration must be invisible once
+    // each group's feed is re-submitted past its durable watermark.
+    let dir = std::env::temp_dir().join(format!("sd-rebalance-crash-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let persist = || PersistConfig::new(&dir).sync(SyncPolicy::EveryN(8));
+    let stall = FaultKind::Stall(Duration::from_millis(300));
+    let plan = Arc::new(FaultPlan::new().migration_fault(0, MigrationStep::BeforeAdopt, stall));
+    let faulted = RuntimeConfig { fault_plan: Some(Arc::clone(&plan)), ..elastic_config(2, 4) };
+    let (rt, _) = ShardedRuntime::open(&spec, N_STREAMS, faulted, persist()).unwrap();
+    feed(&rt, &streams, 0..N_VALUES / 2);
+    let mut events = rt.drain_events();
+    // Slot 0 owns {0, 2}; both move to the spare (slot 2).
+    rt.split_shard(0, 2, &[0, 2]).unwrap();
+    events.extend(rt.crash().events);
+    assert_eq!(plan.fired_count(), 1, "the adoption stall never fired");
+
+    let (rt, report) =
+        ShardedRuntime::open(&spec, N_STREAMS, elastic_config(2, 4), persist()).unwrap();
+    assert_eq!(rt.epoch(), 0, "the shard layout must not survive a process crash");
+    events.extend(rt.drain_events());
+    let groups = rt.n_groups();
+    for (g, group_report) in report.shards.iter().enumerate() {
+        // The group's journal order: row-major over its streams.
+        let group_feed =
+            (0..N_VALUES).flat_map(|t| (g..N_STREAMS).step_by(groups).map(move |s| (s, t)));
+        for (s, t) in group_feed.skip(group_report.durable_appends as usize) {
+            rt.append_blocking(s as StreamId, streams[s][t]).unwrap();
+        }
+    }
+    events.extend(rt.shutdown().events);
+    sort_events(&mut events);
+    assert_eq!(events, reference, "a crash mid-migration corrupted recovery");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Exhaustive chaos sweep: kill the protocol at *every* step, during a

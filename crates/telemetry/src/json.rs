@@ -1,8 +1,8 @@
 //! A minimal std-only JSON parser and string escaper.
 //!
-//! Exactly the subset needed in an offline workspace: the bench
-//! comparator (`bench_gate`) and the CLI golden tests parse emitted
-//! metric/bench documents with it, and the exporters use [`escape`] for
+//! Exactly the subset needed in an offline workspace: the `e2e`
+//! benchmark and the metrics tests parse emitted metric and report
+//! documents with it, and the exporters use [`escape`] for
 //! string values. Numbers are parsed as `f64`; objects preserve
 //! insertion order (a `Vec` of pairs, not a map) so documents
 //! round-trip deterministically.

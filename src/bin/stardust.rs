@@ -15,15 +15,12 @@ fn main() -> ExitCode {
         }
     };
     // Input: last positional argument as a file, else stdin. `help` needs
-    // no input; `serve`, `serve-bench`, `chaos`, `chaos-disk`,
-    // `rebalance`, and `metrics` generate their own workload when none is
-    // given (piped stdin is still honored — only an interactive terminal
-    // is skipped, so the command runs without waiting for input).
+    // no input; `serve` and `metrics` generate their own workload when
+    // none is given (piped stdin is still honored — only an interactive
+    // terminal is skipped, so the command runs without waiting for input).
     let no_input = matches!(cmd.as_str(), "help" | "--help" | "-h")
-        || (matches!(
-            cmd.as_str(),
-            "serve" | "serve-bench" | "chaos" | "chaos-disk" | "rebalance" | "metrics"
-        ) && args.positional().is_empty()
+        || (matches!(cmd.as_str(), "serve" | "metrics")
+            && args.positional().is_empty()
             && std::io::IsTerminal::is_terminal(&std::io::stdin()));
     let input = if no_input {
         String::new()

@@ -86,26 +86,6 @@ COMMANDS:
   trend       continuously match registered patterns against all streams
               --patterns FILE (required: one comma-separated pattern per
               line)  --radius r (0.05)  --base W (16)  --levels L (4)
-  serve-bench replay a workload through the sharded multi-threaded
-              runtime and report ingest throughput, query latency, and
-              per-shard stats; generates random-walk streams when no
-              input is given
-              --shards S (0: one per CPU)  --queue Q (64)  --batch rows (16)
-              --streams M (64)  --values N (2048)  --seed (42)
-              --base W (16)  --levels L (3)  --min-corr c (0.9)
-              --lambda L (6.0)  --radius r (0.05)
-              --classes agg,corr (of agg|corr|trend)
-              --query-iters K (32: scatter-gather latency samples)
-              --query-threads T (1: collector-side intra-query worker
-              pool; 0 = one per CPU; results are bit-identical at
-              every setting)
-              --emit-bench FILE (write a schema-stable JSON report for
-              CI regression gating, including WAL-append and
-              disk-recovery micro-timings, a socket-level server load
-              section, and a cross-shard correlation prune audit;
-              see crates/bench/src/bin/bench_gate.rs)
-              --server-clients C (32)  --server-values V (1024)
-              (fleet size for the emitted server load section)
   serve       listen for ingest/query clients over TCP (SDNET001
               length+CRC framed protocol); clients authenticate with
               per-tenant tokens and get disjoint stream namespaces
@@ -121,9 +101,10 @@ COMMANDS:
               until killed)  --idle-seconds T (60)  --max-conns N
               (256)  --addr-file PATH (write the bound address, for
               scripts using --addr with port 0)
-              --values N (2048)  --seed (42) and the serve-bench spec
-              flags (the threshold-training workload when no CSV is
-              given)
+              --values N (2048)  --seed (42) (threshold-training
+              workload when no CSV is given); monitor spec: the
+              metrics flags --base/--levels/--min-corr/--lambda/
+              --classes, plus --radius r (0.05: trend class)
   metrics     run a workload through the instrumented runtime and dump
               the metrics registry (Prometheus text or JSON), including
               the observed vs Eq. 4-7 predicted false-alarm rate;
@@ -131,51 +112,12 @@ COMMANDS:
               --format prom|json (prom)  --shards S (1)
               --streams M (16)  --values N (2048)  --seed (42)
               --base W (16)  --levels L (3)  --min-corr c (0.9)
-              --lambda L (6.0)  --classes agg,corr (query classes)
-  chaos       crash-recovery drill: kill every shard worker once
-              mid-ingest (seeded, reproducible) and audit that the
-              recovered event set is bit-identical to an unfaulted run;
-              generates random-walk streams when no input is given
-              --shards S (2)  --queue Q (32)  --batch rows (16)
-              --snapshot-every A (64: appends between shard snapshots)
-              --streams M (32)  --values N (2048)  --seed (42)
-              --base W (16)  --levels L (3)  --min-corr c (0.9)
-              --classes agg,corr (which query classes to enable)
-  chaos-disk  disk-fault drill: run the persisted runtime through every
-              disk-fault kind (torn WAL write, failed fsync, bit-flipped
-              snapshot, truncated WAL), kill the process mid-ingest,
-              reopen the directory, re-submit past the durable
-              watermark, and audit the recovered event set against an
-              unfaulted run; generates random-walk streams when no
-              input is given
-              --dir PATH (temp dir)  --shards S (2)  --queue Q (32)
-              --batch rows (16)  --snapshot-every A (64)
-              --sync-every E (8: WAL fsync cadence)
-              --torn-at B (600: WAL byte offset of the torn write)
-              --streams M (16)  --values N (2048)  --seed (42)
-              --base W (16)  --levels L (3)  --min-corr c (0.9)
-              --classes agg,corr (of agg|corr|trend)
-  rebalance   elastic rebalancing drill: split a hot shard onto a spare
-              and merge it back under live ingest, under deterministic
-              worker kills at every migration protocol step, and across
-              a whole-process crash mid-migration recovered from disk;
-              every phase audited bit-identical to a never-resized run;
-              generates random-walk streams when no input is given
-              --shards S (2)  --groups G (2*S)  --queue Q (32)
-              --batch rows (16)  --snapshot-every A (64)
-              --dir PATH (temp dir)  --streams M (8)  --values N (2048)
-              --seed (42)  --base W (16)  --levels L (3)
-              --min-corr c (0.9)  --classes agg,corr (of agg|corr|trend)
+              --lambda L (6.0)  --classes agg,corr (of agg|corr|trend)
 
 EXAMPLE:
   stardust burst --base 20 --windows 8 --lambda 8 traffic.csv
-  stardust serve-bench --shards 4 --streams 128 --values 4096
-  stardust serve-bench --emit-bench BENCH_3.json
   stardust serve --addr 127.0.0.1:7171 --tenants a:tok-a:8:0,b:tok-b:8:512
   stardust metrics --format prom --streams 8 --values 1024
-  stardust chaos --shards 4 --snapshot-every 128 --seed 7
-  stardust chaos-disk --shards 2 --streams 8 --values 1024
-  stardust rebalance --shards 2 --groups 4 --streams 8 --values 1024
 "
     .to_string()
 }
@@ -235,12 +177,8 @@ pub fn run(cmd: &str, args: &Args, input: &str) -> Result<String, String> {
         "pattern" => run_pattern(args, input),
         "correlate" => run_correlate(args, input),
         "trend" => run_trend(args, input),
-        "serve-bench" => run_serve_bench(args, input),
         "serve" => run_serve(args, input),
         "metrics" => run_metrics(args, input),
-        "chaos" => run_chaos(args, input),
-        "chaos-disk" => run_chaos_disk(args, input),
-        "rebalance" => run_rebalance(args, input),
         "help" | "--help" | "-h" => Ok(usage()),
         other => Err(format!("unknown command '{other}'\n\n{}", usage())),
     }
@@ -434,8 +372,8 @@ const AGG_WINDOW_FACTOR: usize = 2;
 const AGG_BOX_CAPACITY: usize = 4;
 
 /// Builds a runtime `MonitorSpec` from the shared
-/// `--base/--levels/--min-corr/--lambda/--classes` flags over `streams`
-/// (used by `serve-bench`, `metrics`, and `chaos`).
+/// `--base/--levels/--min-corr/--lambda/--radius/--classes` flags over
+/// `streams` (used by `serve` and `metrics`).
 fn monitor_spec_from_args(
     args: &Args,
     streams: &[Vec<f64>],
@@ -503,682 +441,6 @@ fn monitor_spec_from_args(
     Ok(spec)
 }
 
-/// Formats an `f64` as a JSON number (non-finite values become 0, which
-/// JSON cannot represent).
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
-    }
-}
-
-/// Median wall time of `reps` runs of `f`, in nanoseconds (std-only
-/// micro-measurement for the machine-readable bench report; criterion's
-/// stdout is not machine-parseable).
-fn micro_median_ns(reps: usize, mut f: impl FnMut()) -> u64 {
-    let mut samples = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let start = std::time::Instant::now();
-        f();
-        samples.push(start.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-    }
-    samples.sort_unstable();
-    samples[reps / 2]
-}
-
-/// Index and rebuild micro-benchmarks for the `stardust-bench/v1` report:
-/// total ns to insert `n_items` random 8-d rects one at a time, ns for 100
-/// range queries, and the tree-rebuild cost via STR bulk load vs
-/// incremental replay (the crash-recovery comparison the CI gate watches).
-fn index_micro_bench(n_items: usize) -> (u64, u64, u64, u64) {
-    use stardust_index::{bulk_load, Params, RStarTree, Rect};
-
-    const DIMS: usize = 8;
-    const REPS: usize = 5;
-    // splitmix64, matching the criterion index bench's data shape.
-    let mut state = 99u64;
-    let mut rng = move || {
-        state = state.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z = z ^ (z >> 31);
-        (z >> 11) as f64 / (1u64 << 53) as f64
-    };
-    let items: Vec<(Rect, u64)> = (0..n_items)
-        .map(|i| {
-            let lo: Vec<f64> = (0..DIMS).map(|_| rng() * 100.0).collect();
-            let hi: Vec<f64> = lo.iter().map(|l| l + rng() * 2.0).collect();
-            (Rect::new(lo, hi), i as u64)
-        })
-        .collect();
-    let queries: Vec<Rect> = (0..100)
-        .map(|_| {
-            let lo: Vec<f64> = (0..DIMS).map(|_| rng() * 90.0).collect();
-            let hi: Vec<f64> = lo.iter().map(|l| l + 10.0).collect();
-            Rect::new(lo, hi)
-        })
-        .collect();
-
-    let insert_ns = micro_median_ns(REPS, || {
-        let mut tree = RStarTree::with_params(DIMS, Params::default());
-        for (r, v) in &items {
-            tree.insert(r.clone(), *v);
-        }
-        std::hint::black_box(tree.len());
-    });
-    let mut tree = RStarTree::with_params(DIMS, Params::default());
-    for (r, v) in &items {
-        tree.insert(r.clone(), *v);
-    }
-    let query_ns = micro_median_ns(REPS, || {
-        let mut hits = 0usize;
-        for q in &queries {
-            tree.search_intersecting(q, |_, _| hits += 1);
-        }
-        std::hint::black_box(hits);
-    });
-    let rebuild_bulk_ns = micro_median_ns(REPS, || {
-        let t = bulk_load(DIMS, Params::default(), items.clone());
-        std::hint::black_box(t.len());
-    });
-    let rebuild_replay_ns = micro_median_ns(REPS, || {
-        let mut t = RStarTree::with_params(DIMS, Params::default());
-        for (r, v) in &items {
-            t.insert(r.clone(), *v);
-        }
-        std::hint::black_box(t.len());
-    });
-    (insert_ns, query_ns, rebuild_bulk_ns, rebuild_replay_ns)
-}
-
-/// Persistence micro-timings for the `stardust-bench/v1` report: the
-/// per-append cost of ingesting the workload through a durably
-/// persisted runtime (`SyncPolicy::EveryN(64)`), and the wall time to
-/// reopen the directory after a `crash()` — WAL scan, checksum
-/// validation, and replay included. Returns
-/// `(wal_append_ns, recovery_ns, recovered_appends)`.
-fn persistence_micro_bench(
-    spec: &stardust_runtime::MonitorSpec,
-    streams: &[Vec<f64>],
-    shards: usize,
-    queue: usize,
-    batch_rows: usize,
-) -> Result<(u64, u64, u64), String> {
-    use stardust_runtime::{Batch, PersistConfig, RuntimeConfig, ShardedRuntime, SyncPolicy};
-
-    let m = streams.len();
-    let n = streams[0].len();
-    let dir = std::env::temp_dir().join(format!("stardust-bench-persist-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let config = || RuntimeConfig { shards, queue_capacity: queue, ..RuntimeConfig::default() };
-    let persist = || PersistConfig::new(&dir).sync(SyncPolicy::EveryN(64));
-
-    let (rt, _) = ShardedRuntime::open(spec, m, config(), persist()).map_err(|e| e.to_string())?;
-    let started = std::time::Instant::now();
-    let mut row = 0;
-    while row < n {
-        let rows = batch_rows.min(n - row);
-        let batch: Batch = (row..row + rows)
-            .flat_map(|t| streams.iter().enumerate().map(move |(s, x)| (s as u32, x[t])))
-            .collect();
-        rt.submit_blocking(&batch).map_err(|e| e.to_string())?;
-        row += rows;
-    }
-    // Scatter-gather barrier: every batch above is journaled and
-    // applied before the clock stops.
-    rt.class_stats().map_err(|e| e.to_string())?;
-    let total = (m * n) as u64;
-    let wal_append_ns = (started.elapsed().as_nanos() / total.max(1) as u128) as u64;
-    drop(rt.crash());
-
-    let started = std::time::Instant::now();
-    let (rt, report) =
-        ShardedRuntime::open(spec, m, config(), persist()).map_err(|e| e.to_string())?;
-    let recovery_ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-    let recovered_appends = report.total_durable_appends();
-    drop(rt.shutdown());
-    let _ = std::fs::remove_dir_all(&dir);
-    Ok((wal_append_ns, recovery_ns, recovered_appends))
-}
-
-/// Durable group-commit ingest: the serve-bench workload through a
-/// persisted runtime under `SyncPolicy::Always`, where every commit
-/// group pays exactly one fsync. Returns (values/s, batches-per-group
-/// p50, coalesced WAL group writes) — the numbers the CI gate uses to
-/// hold the group-commit win.
-fn durable_ingest_bench(
-    spec: &stardust_runtime::MonitorSpec,
-    streams: &[Vec<f64>],
-    shards: usize,
-    queue: usize,
-    batch_rows: usize,
-) -> Result<(f64, u64, u64), String> {
-    use stardust_runtime::{Batch, PersistConfig, RuntimeConfig, ShardedRuntime, SyncPolicy};
-    use stardust_telemetry::Registry;
-
-    let m = streams.len();
-    let n = streams[0].len();
-    let dir = std::env::temp_dir().join(format!("stardust-bench-durable-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let registry = Registry::new();
-    let config = RuntimeConfig {
-        shards,
-        queue_capacity: queue,
-        telemetry: Some(registry.clone()),
-        ..RuntimeConfig::default()
-    };
-    let persist = PersistConfig::new(&dir).sync(SyncPolicy::Always);
-
-    let (rt, _) = ShardedRuntime::open(spec, m, config, persist).map_err(|e| e.to_string())?;
-    let started = std::time::Instant::now();
-    let mut row = 0;
-    while row < n {
-        let rows = batch_rows.min(n - row);
-        let batch: Batch = (row..row + rows)
-            .flat_map(|t| streams.iter().enumerate().map(move |(s, x)| (s as u32, x[t])))
-            .collect();
-        rt.submit_blocking(&batch).map_err(|e| e.to_string())?;
-        row += rows;
-    }
-    // Scatter-gather barrier: every batch above is journaled, fsynced,
-    // and applied before the clock stops.
-    rt.class_stats().map_err(|e| e.to_string())?;
-    let elapsed = started.elapsed();
-    drop(rt.shutdown());
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let total = (m * n) as u64;
-    let rate = total as f64 / elapsed.as_secs_f64();
-    let group_p50 =
-        registry.histogram("stardust_runtime_group_size", "").quantile(0.5).unwrap_or(0);
-    let group_writes = registry.counter("stardust_persist_wal_group_writes_total", "").get();
-    Ok((rate, group_p50, group_writes))
-}
-
-/// Cross-shard correlation audit for the report's `cross_corr` section.
-struct CrossCorrBench {
-    /// Correlated pairs in the final result.
-    pairs: u64,
-    /// Cross-shard pairs the collector considered (candidates + pruned).
-    considered: u64,
-    /// Pairs that survived the sketch prune into exact verification.
-    candidates: u64,
-    /// Pairs dismissed by the sketch distance lower bound.
-    pruned: u64,
-    /// Verified candidates that were genuinely within the radius.
-    confirmed: u64,
-    /// Sketch publications absorbed by the collector board.
-    exchanges: u64,
-    /// `confirmed / candidates` — how selective the prune filter is.
-    prune_precision: f64,
-    /// Fraction of ground-truth pairs the sharded path reported (the
-    /// no-false-dismissal bound says this is exactly 1).
-    prune_recall: f64,
-    /// Ground-truth pairs missing from the sharded result.
-    false_dismissals: u64,
-    /// Median latency of the pulled cross-shard query over drained queues.
-    query_p50_ns: u64,
-}
-
-/// Runs a phase-structured workload with planted correlated pairs at
-/// four shards, audits the sketch-prune funnel against a single-monitor
-/// linear scan, and times the pulled `correlated_pairs` query. A false
-/// dismissal is a correctness bug, not a slow run, so it fails the
-/// command rather than just skewing a number.
-fn cross_corr_micro_bench(query_iters: usize) -> Result<CrossCorrBench, String> {
-    use stardust_runtime::{Batch, CorrelationSpec, MonitorSpec, RuntimeConfig, ShardedRuntime};
-
-    const BASE_WINDOW: usize = 8;
-    const LEVELS: usize = 3;
-    const WINDOW: usize = BASE_WINDOW << (LEVELS - 1);
-    const M: usize = 8;
-    const SHARDS: usize = 4;
-    /// Block-aligned with the default sketch block so the final sketches
-    /// end exactly at the query clock and the prune path is live.
-    const N: usize = 160;
-    const RADIUS: f64 = 0.5;
-
-    // Sinusoids one period per correlation window: streams sharing a
-    // phase correlate, the rest sit far outside the radius, and the
-    // block averages resolve the waveform so the prune has teeth. Both
-    // planted pairs are cross-shard under `g mod 4`.
-    let phases = [0.0, 0.0, 2.1, 2.1, 0.9, 2.9, 4.2, 5.1];
-    let mut state = 0xB0B5u64;
-    let mut rng = move || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
-    };
-    let streams: Vec<Vec<f64>> = phases
-        .iter()
-        .enumerate()
-        .map(|(i, &phase)| {
-            let mean = 30.0 + 4.0 * i as f64;
-            (0..N)
-                .map(|t| {
-                    let cycle = 2.0 * std::f64::consts::PI * t as f64 / WINDOW as f64;
-                    mean * (1.0 + 0.2 * (cycle + phase).sin() + 0.004 * rng())
-                })
-                .collect()
-        })
-        .collect();
-    let r_max = streams.iter().flatten().fold(1.0f64, |m, &x| m.max(x.abs()));
-    let spec = MonitorSpec::new(BASE_WINDOW, LEVELS, r_max)
-        .with_correlations(CorrelationSpec { coeffs: 4, radius: RADIUS });
-
-    // Ground truth: single monitor, linear scan over every pair.
-    let want = {
-        let mut monitor = spec.build(M).map_err(|e| e.to_string())?.ok_or("no correlation")?;
-        for t in 0..N {
-            for (s, stream) in streams.iter().enumerate() {
-                monitor.append(s as u32, stream[t]);
-            }
-        }
-        monitor.correlation_monitor().ok_or("no correlation")?.linear_scan_pairs(N as u64 - 1)
-    };
-
-    let rt = ShardedRuntime::launch(
-        &spec,
-        M,
-        RuntimeConfig { shards: SHARDS, queue_capacity: 64, ..RuntimeConfig::default() },
-    )
-    .map_err(|e| e.to_string())?;
-    for t in 0..N {
-        let batch: Batch = streams.iter().enumerate().map(|(s, x)| (s as u32, x[t])).collect();
-        rt.submit_blocking(&batch).map_err(|e| e.to_string())?;
-    }
-    let got = rt.correlated_pairs().map_err(|e| e.to_string())?;
-    // Snapshot the funnel after exactly one query: the timing loop
-    // below would otherwise multiply the counters.
-    let stats = rt.cross_corr_stats();
-
-    let hist = stardust_telemetry::Histogram::standalone(stardust_telemetry::duration_buckets_ns());
-    for _ in 0..query_iters.max(1) {
-        let span = hist.span();
-        rt.correlated_pairs().map_err(|e| e.to_string())?;
-        drop(span);
-    }
-    rt.shutdown();
-
-    let false_dismissals = want.iter().filter(|p| !got.contains(p)).count() as u64;
-    if false_dismissals > 0 {
-        return Err(format!(
-            "cross-corr audit FAILED: {false_dismissals} ground-truth pair(s) dismissed \
-             ({want:?} expected, {got:?} reported)"
-        ));
-    }
-    let prune_recall = if want.is_empty() {
-        1.0
-    } else {
-        (want.len() as u64 - false_dismissals) as f64 / want.len() as f64
-    };
-    let prune_precision =
-        if stats.candidates > 0 { stats.confirmed as f64 / stats.candidates as f64 } else { 1.0 };
-    Ok(CrossCorrBench {
-        pairs: got.len() as u64,
-        considered: stats.candidates + stats.pruned,
-        candidates: stats.candidates,
-        pruned: stats.pruned,
-        confirmed: stats.confirmed,
-        exchanges: stats.exchanges,
-        prune_precision,
-        prune_recall,
-        false_dismissals,
-        query_p50_ns: hist.quantile(0.5).unwrap_or(0),
-    })
-}
-
-/// Elastic-rebalancing recovery numbers for the report's `rebalance`
-/// section.
-struct RebalanceBench {
-    /// Ingest rate with every group packed onto one hot worker.
-    pre_rate: f64,
-    /// Ingest rate after half the groups were split onto the spare.
-    post_rate: f64,
-    /// Hot-shard load relief: the hot worker's share of ingest before
-    /// the split divided by its share after (2.0 when half the groups
-    /// move off). The CI gate holds this at >= 1.2 — an online split
-    /// must actually relieve the hot shard. Load shares come from the
-    /// exact per-shard append counters, so the ratio is deterministic
-    /// where wall-clock throughput on a shared CI core is not.
-    recovery_ratio: f64,
-    /// Group migrations the split performed.
-    migrations: u64,
-    /// Median end-to-end migration latency (freeze to promote).
-    migration_ms_p50: u64,
-}
-
-/// One deliberately hot primary worker (plus an idle spare) ingests a
-/// correlation-heavy workload; halfway through, half of its stream
-/// groups are split onto the spare under live ingest and the clock
-/// restarts. The interesting number is how much of the hot shard's
-/// load the online split sheds without stopping the stream.
-fn rebalance_micro_bench(batch_rows: usize) -> Result<RebalanceBench, String> {
-    use stardust_runtime::{
-        Batch, CorrelationSpec, MonitorSpec, RecoveryPolicy, RuntimeConfig, ShardedRuntime,
-    };
-    use stardust_telemetry::Registry;
-
-    const M: usize = 16;
-    const N: usize = 4096;
-
-    let streams = stardust_datagen::random_walk_streams(0xE1A5, M, N);
-    let r_max = streams.iter().flatten().fold(1.0f64, |acc, &x| acc.max(x.abs()));
-    let spec = MonitorSpec::new(32, 5, r_max)
-        .with_correlations(CorrelationSpec { coeffs: 31, radius: 0.25 });
-
-    let registry = Registry::new();
-    let rt = ShardedRuntime::launch(
-        &spec,
-        M,
-        RuntimeConfig {
-            shards: 1,
-            groups: 4,
-            spare_shards: 1,
-            queue_capacity: 32,
-            recovery: Some(RecoveryPolicy { snapshot_every: 64 }),
-            telemetry: Some(registry.clone()),
-            ..RuntimeConfig::default()
-        },
-    )
-    .map_err(|e| e.to_string())?;
-
-    // Per-phase ingest rate plus the hot slot's appends over the phase.
-    let phase = |lo: usize, hi: usize| -> Result<(f64, u64), String> {
-        let before = rt.stats().shards[0].appends;
-        let started = std::time::Instant::now();
-        let mut row = lo;
-        while row < hi {
-            let rows = batch_rows.min(hi - row);
-            let batch: Batch = (row..row + rows)
-                .flat_map(|t| streams.iter().enumerate().map(move |(s, x)| (s as u32, x[t])))
-                .collect();
-            rt.submit_blocking(&batch).map_err(|e| e.to_string())?;
-            row += rows;
-        }
-        // Scatter-gather barrier: every batch above is applied before
-        // the clock stops (and any in-flight adoption has landed, so
-        // the counter transfer is settled).
-        rt.class_stats().map_err(|e| e.to_string())?;
-        let rate = (M * (hi - lo)) as f64 / started.elapsed().as_secs_f64();
-        Ok((rate, rt.stats().shards[0].appends - before))
-    };
-
-    let (pre_rate, pre_hot) = phase(0, N / 2)?;
-    rt.split_shard(0, 1, &[1, 3]).map_err(|e| format!("bench split failed: {e}"))?;
-    // Barrier between split and the post phase: the adoption's counter
-    // transfer must not be misread as phase-2 hot-shard load.
-    rt.class_stats().map_err(|e| e.to_string())?;
-    let (post_rate, post_hot) = phase(N / 2, N)?;
-    let stats = rt.stats();
-    rt.shutdown();
-
-    let phase_total = (M * N / 2) as f64;
-    let pre_share = pre_hot as f64 / phase_total;
-    let post_share = post_hot as f64 / phase_total;
-    Ok(RebalanceBench {
-        pre_rate,
-        post_rate,
-        recovery_ratio: if post_share > 0.0 { pre_share / post_share } else { 0.0 },
-        migrations: stats.migrations,
-        migration_ms_p50: registry
-            .histogram("stardust_runtime_migration_ms", "")
-            .quantile(0.5)
-            .unwrap_or(0),
-    })
-}
-
-fn run_serve_bench(args: &Args, input: &str) -> Result<String, String> {
-    use stardust_runtime::{Batch, RuntimeConfig, ShardedRuntime};
-    use stardust_telemetry::Registry;
-
-    let shards: usize = args.get_or("shards", 0)?;
-    let queue: usize = args.get_or("queue", 64)?;
-    let batch_rows: usize = args.get_or("batch", 16)?;
-    let query_iters: usize = args.get_or("query-iters", 32)?;
-    let query_threads: usize = args.get_or("query-threads", 1)?;
-
-    let streams = workload_from_args(args, input, 64)?;
-    let m = streams.len();
-    let n = streams[0].len();
-    let spec = monitor_spec_from_args(args, &streams)?;
-
-    let registry = Registry::new();
-    let rt = ShardedRuntime::launch(
-        &spec,
-        m,
-        RuntimeConfig {
-            shards,
-            queue_capacity: queue,
-            intra_query_threads: query_threads,
-            telemetry: Some(registry.clone()),
-            ..RuntimeConfig::default()
-        },
-    )
-    .map_err(|e| e.to_string())?;
-    let n_shards = rt.n_shards();
-
-    let started = std::time::Instant::now();
-    let mut events = 0u64;
-    let mut row = 0;
-    while row < n {
-        let rows = batch_rows.min(n - row);
-        let batch: Batch = (row..row + rows)
-            .flat_map(|t| streams.iter().enumerate().map(move |(s, x)| (s as u32, x[t])))
-            .collect();
-        rt.submit_blocking(&batch).map_err(|e| e.to_string())?;
-        events += rt.drain_events().len() as u64;
-        row += rows;
-    }
-    // Queries ride the shard queues, so this scatter-gather doubles as a
-    // drain barrier: once it answers, every batch above is processed and
-    // the ingest clock stops.
-    rt.class_stats().map_err(|e| e.to_string())?;
-    let elapsed = started.elapsed();
-
-    // Query-latency phase: repeated scatter-gather over drained queues.
-    let query_hist =
-        stardust_telemetry::Histogram::standalone(stardust_telemetry::duration_buckets_ns());
-    for _ in 0..query_iters {
-        let span = query_hist.span();
-        rt.class_stats().map_err(|e| e.to_string())?;
-        drop(span);
-    }
-    let query = query_hist.snapshot();
-
-    let report = rt.shutdown();
-    events += report.events.len() as u64;
-    report.stats.export(&registry);
-
-    let total = (m * n) as u64;
-    let rate = total as f64 / elapsed.as_secs_f64();
-    let mut out = String::new();
-    out.push_str(&format!(
-        "# {m} streams x {n} values, {n_shards} shard(s), queue {queue}, batch {batch_rows} row(s)\n"
-    ));
-    out.push_str(&format!(
-        "ingested {total} values in {:.3}s: {:.0} values/s, {events} event(s)\n",
-        elapsed.as_secs_f64(),
-        rate,
-    ));
-    out.push_str(&format!(
-        "query latency over {query_iters} scatter-gather round(s): p50 {}ns, p95 {}ns\n",
-        query.p50.unwrap_or(0),
-        query.p95.unwrap_or(0),
-    ));
-    out.push_str(&report.stats.render());
-
-    if let Some(path) = args.get("emit-bench") {
-        // Standalone index/rebuild micro-benchmarks: criterion output is
-        // stdout-only, so the machine-readable report carries its own
-        // timings for the CI gate's index and maintenance checks.
-        let micro_items: usize = args.get_or("micro-items", 2000)?;
-        let (insert_ns, query_ns, rebuild_bulk_ns, rebuild_replay_ns) =
-            index_micro_bench(micro_items);
-        let rebuild_speedup = if rebuild_bulk_ns > 0 {
-            rebuild_replay_ns as f64 / rebuild_bulk_ns as f64
-        } else {
-            0.0
-        };
-        out.push_str(&format!(
-            "index micro ({micro_items} items): insert {insert_ns}ns, 100 queries {query_ns}ns, \
-             rebuild bulk {rebuild_bulk_ns}ns vs replay {rebuild_replay_ns}ns ({rebuild_speedup:.2}x)\n"
-        ));
-        let (wal_append_ns, recovery_ns, recovered_appends) =
-            persistence_micro_bench(&spec, &streams, shards, queue, batch_rows)?;
-        out.push_str(&format!(
-            "persistence micro: WAL append {wal_append_ns}ns/append (EveryN(64)), \
-             recovery of {recovered_appends} append(s) in {recovery_ns}ns\n"
-        ));
-        // Durable group-commit phase: the same workload under
-        // SyncPolicy::Always, where the coalesced write + single fsync
-        // per commit group is what makes the rate.
-        let (durable_rate, group_size_p50, wal_group_writes) =
-            durable_ingest_bench(&spec, &streams, shards, queue, batch_rows)?;
-        out.push_str(&format!(
-            "durable ingest (SyncPolicy::Always): {durable_rate:.0} values/s, \
-             group p50 {group_size_p50} batch(es), {wal_group_writes} coalesced WAL write(s)\n"
-        ));
-        // Socket-level load: the same self-hosted fleet CI's serve job
-        // drives, with the zero-loss/zero-duplication event audit. An
-        // audit failure is a correctness bug, not a slow run, so it
-        // fails the command rather than just skewing a number.
-        let server_clients: usize = args.get_or("server-clients", 32)?;
-        let server_values: usize = args.get_or("server-values", 1024)?;
-        let load = stardust_bench::server_load::run_self_hosted(
-            &stardust_bench::server_load::LoadConfig {
-                clients: server_clients,
-                values_per_client: server_values,
-                shards,
-                ..Default::default()
-            },
-        );
-        if load.audit_ok != Some(true) {
-            return Err("server load audit FAILED: socket ingest lost or duplicated events".into());
-        }
-        out.push_str(&format!(
-            "server load: {} client(s) x {} value(s): {:.0} values/s, \
-             append p50 {}ns p99 {}ns, {} busy repl(ies), audit ok ({} events)\n",
-            load.clients,
-            server_values,
-            load.throughput_values_per_s,
-            load.append_p50_ns,
-            load.append_p99_ns,
-            load.busy_replies,
-            load.audit_events,
-        ));
-        // Cross-shard correlation audit: sketch-prune funnel vs a
-        // single-monitor linear scan. A false dismissal fails the
-        // command inside the helper.
-        let cc = cross_corr_micro_bench(query_iters)?;
-        out.push_str(&format!(
-            "cross-corr: {} pair(s), {} cross-shard considered ({} pruned, {} verified, \
-             {} confirmed), precision {:.3}, recall {:.3}, query p50 {}ns, {} exchange(s)\n",
-            cc.pairs,
-            cc.considered,
-            cc.pruned,
-            cc.candidates,
-            cc.confirmed,
-            cc.prune_precision,
-            cc.prune_recall,
-            cc.query_p50_ns,
-            cc.exchanges,
-        ));
-        // Elastic-rebalancing recovery: an online split of a hot shard
-        // must win back throughput under live ingest; the gate holds
-        // the recovery ratio.
-        let rb = rebalance_micro_bench(batch_rows)?;
-        out.push_str(&format!(
-            "rebalance: hot-shard load relief {:.2}x ({} migration(s), p50 {}ms), \
-             pre-split {:.0} values/s, post-split {:.0} values/s\n",
-            rb.recovery_ratio, rb.migrations, rb.migration_ms_p50, rb.pre_rate, rb.post_rate,
-        ));
-        let json = format!(
-            concat!(
-                "{{\"schema\":\"stardust-bench/v1\",",
-                "\"config\":{{\"batch_rows\":{},\"queue\":{},\"shards\":{},",
-                "\"streams\":{},\"values\":{}}},",
-                "\"ingest\":{{\"durable_throughput_values_per_s\":{},",
-                "\"elapsed_s\":{},\"events\":{},\"group_size_p50\":{},",
-                "\"throughput_values_per_s\":{},\"values\":{},",
-                "\"wal_group_writes\":{}}},",
-                "\"query\":{{\"iterations\":{},\"p50_ns\":{},\"p95_ns\":{}}},",
-                "\"index\":{{\"insert_ns\":{},\"items\":{},\"query_ns\":{}}},",
-                "\"maintenance\":{{\"rebuild_bulk_ns\":{},\"rebuild_replay_ns\":{},",
-                "\"rebuild_speedup\":{}}},",
-                "\"persistence\":{{\"recovered_appends\":{},\"recovery_ns\":{},",
-                "\"wal_append_ns\":{}}},",
-                "\"server\":{{\"append_p50_ns\":{},\"append_p95_ns\":{},",
-                "\"append_p99_ns\":{},\"audit_events\":{},\"busy_replies\":{},",
-                "\"clients\":{},\"elapsed_s\":{},",
-                "\"throughput_values_per_s\":{},\"values\":{}}},",
-                "\"cross_corr\":{{\"candidates\":{},\"confirmed\":{},",
-                "\"considered\":{},\"exchanges\":{},\"false_dismissals\":{},",
-                "\"pairs\":{},\"prune_precision\":{},\"prune_recall\":{},",
-                "\"pruned\":{},\"query_p50_ns\":{}}},",
-                "\"rebalance\":{{\"migration_ms_p50\":{},\"migrations\":{},",
-                "\"recovery_ratio\":{},\"throughput_post_split_values_per_s\":{},",
-                "\"throughput_pre_split_values_per_s\":{}}},",
-                "\"metrics\":{}}}\n"
-            ),
-            batch_rows,
-            queue,
-            n_shards,
-            m,
-            n,
-            json_num(durable_rate),
-            json_num(elapsed.as_secs_f64()),
-            events,
-            group_size_p50,
-            json_num(rate),
-            total,
-            wal_group_writes,
-            query_iters,
-            query.p50.unwrap_or(0),
-            query.p95.unwrap_or(0),
-            insert_ns,
-            micro_items,
-            query_ns,
-            rebuild_bulk_ns,
-            rebuild_replay_ns,
-            json_num(rebuild_speedup),
-            recovered_appends,
-            recovery_ns,
-            wal_append_ns,
-            load.append_p50_ns,
-            load.append_p95_ns,
-            load.append_p99_ns,
-            load.audit_events,
-            load.busy_replies,
-            load.clients,
-            json_num(load.elapsed_s),
-            json_num(load.throughput_values_per_s),
-            load.values,
-            cc.candidates,
-            cc.confirmed,
-            cc.considered,
-            cc.exchanges,
-            cc.false_dismissals,
-            cc.pairs,
-            json_num(cc.prune_precision),
-            json_num(cc.prune_recall),
-            cc.pruned,
-            cc.query_p50_ns,
-            rb.migration_ms_p50,
-            rb.migrations,
-            json_num(rb.recovery_ratio),
-            json_num(rb.post_rate),
-            json_num(rb.pre_rate),
-            registry.render_json(),
-        );
-        std::fs::write(path, &json)
-            .map_err(|e| format!("cannot write bench report '{path}': {e}"))?;
-        out.push_str(&format!("wrote bench report to {path}\n"));
-    }
-    Ok(out)
-}
-
 /// Parses `--tenants name:token:streams:rate,...` into tenant configs
 /// (`rate` 0 means unlimited appends/s).
 fn parse_tenants(s: &str) -> Result<Vec<stardust_server::TenantConfig>, String> {
@@ -1225,7 +487,7 @@ fn run_serve(args: &Args, input: &str) -> Result<String, String> {
     let tenants = args.get("tenants").map(parse_tenants).transpose()?;
 
     // Threshold-training workload: the spec the live server monitors is
-    // calibrated on this data, exactly like `serve-bench`. With
+    // calibrated on this data, exactly like `metrics`. With
     // `--tenants` and no explicit `--streams`, the tenant layout
     // defines the stream count.
     let streams = if input.trim().is_empty() {
@@ -1404,523 +666,6 @@ fn run_metrics(args: &Args, input: &str) -> Result<String, String> {
     }
 }
 
-/// Chaos drill: run the same workload twice through the sharded
-/// runtime — once untouched, once with every shard worker killed
-/// mid-ingest by a seeded fault plan — and audit that crash recovery
-/// reproduced the unfaulted event set bit for bit.
-fn run_chaos(args: &Args, input: &str) -> Result<String, String> {
-    use stardust_runtime::{
-        sort_events, Batch, FaultPlan, RecoveryPolicy, RuntimeConfig, RuntimeStats, ShardedRuntime,
-    };
-    use std::sync::Arc;
-
-    let shards: usize = args.get_or("shards", 2)?;
-    let queue: usize = args.get_or("queue", 32)?;
-    let batch_rows: usize = args.get_or("batch", 16)?;
-    let snapshot_every: u64 = args.get_or("snapshot-every", 64)?;
-    let seed: u64 = args.get_or("seed", 42)?;
-    if shards == 0 {
-        return Err("--shards must be positive for a chaos drill".into());
-    }
-
-    let streams = workload_from_args(args, input, 32)?;
-    let m = streams.len();
-    let n = streams[0].len();
-    if m < shards {
-        return Err(format!("need at least one stream per shard ({m} streams, {shards} shards)"));
-    }
-    let spec = monitor_spec_from_args(args, &streams)?;
-
-    // One kill per shard, each somewhere in [10%, 60%) of the fewest
-    // appends any shard processes — strictly mid-ingest on every shard.
-    let min_local = (0..shards).map(|s| (m - s).div_ceil(shards)).min().unwrap_or(1);
-    let per_shard = (min_local * n) as u64;
-    let lo = (per_shard / 10).max(1);
-    let hi = (per_shard * 6 / 10).max(lo + 1);
-    let plan = Arc::new(FaultPlan::seeded_kills(seed, shards, lo, hi));
-
-    let run = |faults: Option<Arc<FaultPlan>>| -> Result<(Vec<_>, RuntimeStats), String> {
-        let rt = ShardedRuntime::launch(
-            &spec,
-            m,
-            RuntimeConfig {
-                shards,
-                queue_capacity: queue,
-                recovery: Some(RecoveryPolicy { snapshot_every }),
-                fault_plan: faults,
-                ..RuntimeConfig::default()
-            },
-        )
-        .map_err(|e| e.to_string())?;
-        let mut row = 0;
-        while row < n {
-            let rows = batch_rows.min(n - row);
-            let batch: Batch = (row..row + rows)
-                .flat_map(|t| streams.iter().enumerate().map(move |(s, x)| (s as u32, x[t])))
-                .collect();
-            rt.submit_blocking(&batch).map_err(|e| e.to_string())?;
-            row += rows;
-        }
-        let report = rt.shutdown();
-        Ok((report.events, report.stats))
-    };
-
-    let (mut baseline, _) = run(None)?;
-    let (mut chaotic, stats) = run(Some(Arc::clone(&plan)))?;
-    sort_events(&mut baseline);
-    sort_events(&mut chaotic);
-
-    let mut out = String::new();
-    out.push_str(&format!(
-        "# chaos drill: {m} streams x {n} values, {shards} shard(s), \
-         snapshot every {snapshot_every} append(s)\n"
-    ));
-    for f in plan.faults() {
-        out.push_str(&format!("kill shard {} at its append #{}\n", f.shard, f.at_append));
-    }
-    out.push_str(&format!(
-        "faults fired: {}/{}, worker restarts: {}\n",
-        plan.fired_count(),
-        shards,
-        stats.total_restarts(),
-    ));
-    if chaotic != baseline {
-        return Err(format!(
-            "AUDIT FAILED: recovered run emitted {} event(s), unfaulted run {} — \
-             crash recovery lost or duplicated events",
-            chaotic.len(),
-            baseline.len(),
-        ));
-    }
-    out.push_str(&format!(
-        "AUDIT OK: recovered event set bit-identical to the unfaulted run ({} event(s))\n",
-        baseline.len(),
-    ));
-    out.push_str(&stats.render());
-    Ok(out)
-}
-
-/// Disk-fault drill: for each disk-fault kind, run the persisted
-/// runtime with that fault injected, kill the whole process
-/// (`crash()`), reopen the directory, re-submit everything past each
-/// shard's durable watermark, and audit the union of delivered events
-/// against an unfaulted in-memory run.
-///
-/// Two of the four kinds can legally re-deliver a suffix of events:
-/// a torn write or an at-rest WAL truncation may destroy the ack
-/// records of events that already left the process, so exactly-once
-/// degrades to at-least-once for that tail (see DESIGN.md
-/// §Durability). Those drills audit the *deduplicated* union; the
-/// failed-fsync and bit-flipped-snapshot drills lose no acks and are
-/// audited bit-exact.
-fn run_chaos_disk(args: &Args, input: &str) -> Result<String, String> {
-    use stardust_runtime::{
-        sort_events, Batch, DiskFaultKind, DiskFile, FaultPlan, PersistConfig, RecoveryPolicy,
-        RuntimeConfig, RuntimeError, ShardedRuntime, SyncPolicy,
-    };
-    use std::sync::Arc;
-
-    let shards: usize = args.get_or("shards", 2)?;
-    let queue: usize = args.get_or("queue", 32)?;
-    let batch_rows: usize = args.get_or("batch", 16)?;
-    let snapshot_every: u64 = args.get_or("snapshot-every", 64)?;
-    let sync_every: u64 = args.get_or("sync-every", 8)?;
-    let torn_at: u64 = args.get_or("torn-at", 600)?;
-    if shards == 0 || snapshot_every == 0 || sync_every == 0 {
-        return Err("--shards, --snapshot-every, and --sync-every must be positive".into());
-    }
-
-    let streams = workload_from_args(args, input, 16)?;
-    let m = streams.len();
-    let n = streams[0].len();
-    if m < shards {
-        return Err(format!("need at least one stream per shard ({m} streams, {shards} shards)"));
-    }
-    let spec = monitor_spec_from_args(args, &streams)?;
-
-    let base_dir = match args.get("dir") {
-        Some(d) => std::path::PathBuf::from(d),
-        None => std::env::temp_dir().join(format!("stardust-chaos-disk-{}", std::process::id())),
-    };
-
-    // Unfaulted reference: the same workload through the in-memory
-    // runtime. PR-tier determinism tests prove this equals a
-    // single-threaded feed, so it is the drill's ground truth.
-    let reference_rt = ShardedRuntime::launch(
-        &spec,
-        m,
-        RuntimeConfig { shards, queue_capacity: queue, ..RuntimeConfig::default() },
-    )
-    .map_err(|e| e.to_string())?;
-    let mut row = 0;
-    while row < n {
-        let rows = batch_rows.min(n - row);
-        let batch: Batch = (row..row + rows)
-            .flat_map(|t| streams.iter().enumerate().map(move |(s, x)| (s as u32, x[t])))
-            .collect();
-        reference_rt.submit_blocking(&batch).map_err(|e| e.to_string())?;
-        row += rows;
-    }
-    let mut reference = reference_rt.shutdown().events;
-    sort_events(&mut reference);
-
-    // The append order each shard journals, so the post-recovery
-    // re-submission can start exactly at the durable watermark.
-    let shard_feeds: Vec<Vec<(u32, f64)>> = (0..shards)
-        .map(|shard| {
-            let mut feed = Vec::new();
-            for t in 0..n {
-                for (s, x) in streams.iter().enumerate() {
-                    if s % shards == shard {
-                        feed.push((s as u32, x[t]));
-                    }
-                }
-            }
-            feed
-        })
-        .collect();
-
-    // (name, fault kind, fires at open time, audit modulo duplicates)
-    let drills: [(&str, DiskFaultKind, bool, bool); 4] = [
-        ("torn-write", DiskFaultKind::TornWrite { at_byte: torn_at }, false, true),
-        ("failed-fsync", DiskFaultKind::FailFsync { nth: 1 }, false, false),
-        (
-            "bit-flip-snap",
-            DiskFaultKind::BitFlip { file: DiskFile::Snapshot, at_byte: 40 },
-            true,
-            false,
-        ),
-        // Cut just past the 28-byte segment header: whatever records
-        // the live segment holds at the kill are destroyed, however
-        // short the segment is (offsets clamp into the file).
-        ("truncate-wal", DiskFaultKind::TruncateWal { at_byte: 30 }, true, true),
-    ];
-
-    let mut out = String::new();
-    out.push_str(&format!(
-        "# chaos-disk drill: {m} streams x {n} values, {shards} shard(s), \
-         snapshot every {snapshot_every} append(s), fsync every {sync_every} record(s)\n"
-    ));
-    for &(name, kind, at_open, dedup) in &drills {
-        let dir = base_dir.join(name);
-        let _ = std::fs::remove_dir_all(&dir);
-        let plan = Arc::new(FaultPlan::new().disk_fault(0, kind));
-        let config = |faults: Option<Arc<FaultPlan>>| RuntimeConfig {
-            shards,
-            queue_capacity: queue,
-            recovery: Some(RecoveryPolicy { snapshot_every }),
-            fault_plan: faults,
-            ..RuntimeConfig::default()
-        };
-        let persist = || PersistConfig::new(&dir).sync(SyncPolicy::EveryN(sync_every));
-
-        // Phase 1: ingest under the fault (write-path faults fire here;
-        // at-rest faults wait for the reopen), then kill the process.
-        let live = if at_open { None } else { Some(Arc::clone(&plan)) };
-        let (rt, _) = ShardedRuntime::open(&spec, m, config(live), persist())
-            .map_err(|e| format!("{name}: open failed: {e}"))?;
-        let mut events = Vec::new();
-        let mut row = 0;
-        while row < n {
-            let rows = batch_rows.min(n - row);
-            let batch: Batch = (row..row + rows)
-                .flat_map(|t| streams.iter().enumerate().map(move |(s, x)| (s as u32, x[t])))
-                .collect();
-            match rt.submit_blocking(&batch) {
-                Ok(()) => {}
-                // A wedged shard closes its queue mid-ingest; the rest
-                // of the feed is re-submitted after recovery.
-                Err(RuntimeError::Disconnected) => break,
-                Err(e) => return Err(format!("{name}: ingest failed: {e}")),
-            }
-            events.extend(rt.drain_events());
-            row += rows;
-        }
-        events.extend(rt.crash().events);
-
-        // Phase 2: reopen (at-rest faults damage the files now), let
-        // the replay re-deliver the unacked tail, then re-submit
-        // everything past each shard's durable watermark.
-        let open_faults = if at_open { Some(Arc::clone(&plan)) } else { None };
-        let (rt, report) = ShardedRuntime::open(&spec, m, config(open_faults), persist())
-            .map_err(|e| format!("{name}: recovery failed: {e}"))?;
-        events.extend(rt.drain_events());
-        for (shard, shard_report) in report.shards.iter().enumerate() {
-            for &(stream, value) in &shard_feeds[shard][shard_report.durable_appends as usize..] {
-                rt.append_blocking(stream, value)
-                    .map_err(|e| format!("{name}: re-submission failed: {e}"))?;
-            }
-        }
-        events.extend(rt.shutdown().events);
-        sort_events(&mut events);
-        if dedup {
-            events.dedup();
-        }
-
-        let verdict = if events == reference { "AUDIT OK" } else { "AUDIT FAILED" };
-        out.push_str(&format!(
-            "{name:<14} fired {}/1, durable {}/{} append(s), replayed {}, \
-             truncated {} byte(s), fallback {} — {verdict}{}\n",
-            plan.fired_count(),
-            report.total_durable_appends(),
-            m * n,
-            report.total_replayed(),
-            report.total_truncated_bytes(),
-            report.any_fallback(),
-            if dedup { " (modulo re-delivered tail)" } else { "" },
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        if events != reference {
-            return Err(format!(
-                "{out}AUDIT FAILED: {name}: recovered {} event(s), unfaulted run {} — \
-                 disk recovery lost or corrupted events",
-                events.len(),
-                reference.len(),
-            ));
-        }
-    }
-    if args.get("dir").is_none() {
-        let _ = std::fs::remove_dir_all(&base_dir);
-    }
-    out.push_str(&format!(
-        "AUDIT OK: all {} disk-fault drills recovered the unfaulted event set ({} event(s))\n",
-        drills.len(),
-        reference.len(),
-    ));
-    Ok(out)
-}
-
-/// Elastic rebalancing drill: prove that online shard split/merge is
-/// invisible in the event stream — under live concurrent ingest
-/// (phase B), under deterministic worker kills at migration protocol
-/// steps (phase C), and across a whole-process crash mid-migration
-/// recovered through `ShardedRuntime::open` (phase D). Every phase is
-/// audited bit-for-bit against a never-resized baseline (phase A).
-fn run_rebalance(args: &Args, input: &str) -> Result<String, String> {
-    use stardust_runtime::{
-        sort_events, Batch, FaultKind, FaultPlan, MigrationStep, PersistConfig, RecoveryPolicy,
-        RuntimeConfig, ShardedRuntime, SyncPolicy,
-    };
-    use std::sync::Arc;
-    use std::time::Duration;
-
-    let shards: usize = args.get_or("shards", 2)?;
-    let queue: usize = args.get_or("queue", 32)?;
-    let batch_rows: usize = args.get_or("batch", 16)?;
-    let snapshot_every: u64 = args.get_or("snapshot-every", 64)?;
-    if shards == 0 {
-        return Err("--shards must be positive for a rebalance drill".into());
-    }
-    let streams = workload_from_args(args, input, 8)?;
-    let m = streams.len();
-    let n = streams[0].len();
-    let groups: usize = args.get_or("groups", (2 * shards).min(m))?;
-    if groups <= shards || groups > m {
-        return Err(format!(
-            "--groups must exceed --shards and not exceed the stream count \
-             ({groups} groups, {shards} shards, {m} streams)"
-        ));
-    }
-    let spec = monitor_spec_from_args(args, &streams)?;
-    // The first slot past the primaries: idle until a split lands on it.
-    let spare = shards;
-    // Slot 0 owns groups {0, S, 2S, …} under `g mod S` placement; the
-    // drill moves all of them (≥ 2, since groups > shards).
-    let moving: Vec<usize> = (0..groups).filter(|&g| g % shards == 0).collect();
-
-    let config = |fault_plan: Option<Arc<FaultPlan>>| RuntimeConfig {
-        shards,
-        groups,
-        spare_shards: 1,
-        queue_capacity: queue,
-        recovery: Some(RecoveryPolicy { snapshot_every }),
-        fault_plan,
-        ..RuntimeConfig::default()
-    };
-    let feed = |rt: &ShardedRuntime, lo: usize, hi: usize| -> Result<(), String> {
-        let mut row = lo;
-        while row < hi {
-            let rows = batch_rows.min(hi - row);
-            let batch: Batch = (row..row + rows)
-                .flat_map(|t| streams.iter().enumerate().map(move |(s, x)| (s as u32, x[t])))
-                .collect();
-            rt.submit_blocking(&batch).map_err(|e| e.to_string())?;
-            row += rows;
-        }
-        Ok(())
-    };
-
-    let mut out = String::new();
-    out.push_str(&format!(
-        "# rebalance drill: {m} streams x {n} values, {shards} shard(s) + 1 spare, \
-         {groups} group(s), snapshot every {snapshot_every} append(s)\n"
-    ));
-
-    // Phase A — baseline: the same elastic layout, never resized.
-    let rt = ShardedRuntime::launch(&spec, m, config(None)).map_err(|e| e.to_string())?;
-    feed(&rt, 0, n)?;
-    let mut reference = rt.shutdown().events;
-    sort_events(&mut reference);
-    out.push_str(&format!("baseline: never resized, {} event(s)\n", reference.len()));
-
-    // Phase B — live resize: a feeder thread never stops submitting
-    // while the drill splits slot 0's groups onto the spare and later
-    // merges the spare away again.
-    let rt = ShardedRuntime::launch(&spec, m, config(None)).map_err(|e| e.to_string())?;
-    let total = (m * n) as u64;
-    std::thread::scope(|scope| -> Result<(), String> {
-        let feeder = scope.spawn(|| feed(&rt, 0, n));
-        while rt.stats().total_appends() < total / 3 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        rt.split_shard(0, spare, &moving).map_err(|e| format!("live split failed: {e}"))?;
-        while rt.stats().total_appends() < 2 * total / 3 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let merged = rt.merge_shard(spare, 0).map_err(|e| format!("live merge failed: {e}"))?;
-        if merged != moving.len() {
-            return Err(format!("merge drained {merged} group(s), expected {}", moving.len()));
-        }
-        feeder.join().map_err(|_| "feeder thread panicked".to_string())?
-    })?;
-    let stats = rt.stats();
-    out.push_str(&format!(
-        "live resize: split groups {moving:?} 0 -> {spare}, merged back, \
-         epoch {}, {} migration(s)\n",
-        stats.epoch, stats.migrations,
-    ));
-    let expected_migrations = 2 * moving.len() as u64;
-    if stats.migrations != expected_migrations {
-        return Err(format!(
-            "{out}AUDIT FAILED: {} migration(s) recorded, expected {expected_migrations}",
-            stats.migrations,
-        ));
-    }
-    let mut resized = rt.shutdown().events;
-    sort_events(&mut resized);
-    if resized != reference {
-        return Err(format!(
-            "{out}AUDIT FAILED: live resize emitted {} event(s), baseline {} — \
-             migration lost or duplicated events",
-            resized.len(),
-            reference.len(),
-        ));
-    }
-    out.push_str("AUDIT OK: live split+merge bit-identical to the never-resized baseline\n");
-
-    // Phase C — protocol chaos: kill the source worker right after it
-    // seals one group and the destination worker right before it
-    // adopts another; the supervisor must heal both handoffs.
-    let plan = Arc::new(
-        FaultPlan::new()
-            .migration_fault(moving[0], MigrationStep::AfterSeal, FaultKind::Panic)
-            .migration_fault(moving[1], MigrationStep::BeforeAdopt, FaultKind::Panic),
-    );
-    let rt = ShardedRuntime::launch(&spec, m, config(Some(Arc::clone(&plan))))
-        .map_err(|e| e.to_string())?;
-    feed(&rt, 0, n / 3)?;
-    rt.split_shard(0, spare, &moving).map_err(|e| format!("chaos split failed: {e}"))?;
-    feed(&rt, n / 3, 2 * n / 3)?;
-    rt.merge_shard(spare, 0).map_err(|e| format!("chaos merge failed: {e}"))?;
-    feed(&rt, 2 * n / 3, n)?;
-    let report = rt.shutdown();
-    out.push_str(&format!(
-        "migration kills: faults fired: {}/2, worker restarts: {}\n",
-        plan.fired_count(),
-        report.stats.total_restarts(),
-    ));
-    if plan.fired_count() != 2 || report.stats.total_restarts() != 2 {
-        return Err(format!("{out}AUDIT FAILED: scheduled migration kills did not all fire"));
-    }
-    let mut chaotic = report.events;
-    sort_events(&mut chaotic);
-    if chaotic != reference {
-        return Err(format!(
-            "{out}AUDIT FAILED: killed-migration run emitted {} event(s), baseline {} — \
-             the handoff lost or duplicated events",
-            chaotic.len(),
-            reference.len(),
-        ));
-    }
-    out.push_str("AUDIT OK: kills at seal and adopt recovered bit-identically\n");
-
-    // Phase D — process crash mid-migration: persist to disk, stall the
-    // destination inside an adoption, kill the whole process while the
-    // handoff is in flight, and reopen. The shard layout is not
-    // durable — `open()` re-places every group at epoch 0 and recovers
-    // it from its own journal, so the half-applied migration must be
-    // invisible after the re-submission.
-    let base_dir = match args.get("dir") {
-        Some(d) => std::path::PathBuf::from(d),
-        None => std::env::temp_dir().join(format!("stardust-rebalance-{}", std::process::id())),
-    };
-    let _ = std::fs::remove_dir_all(&base_dir);
-    let plan = Arc::new(FaultPlan::new().migration_fault(
-        moving[0],
-        MigrationStep::BeforeAdopt,
-        FaultKind::Stall(Duration::from_millis(300)),
-    ));
-    let persist = || PersistConfig::new(&base_dir).sync(SyncPolicy::EveryN(8));
-    let (rt, _) = ShardedRuntime::open(&spec, m, config(Some(Arc::clone(&plan))), persist())
-        .map_err(|e| format!("persisted open failed: {e}"))?;
-    let mut events = Vec::new();
-    feed(&rt, 0, n / 2)?;
-    events.extend(rt.drain_events());
-    rt.split_shard(0, spare, &moving).map_err(|e| format!("persisted split failed: {e}"))?;
-    // The destination is stalled inside the first adoption; kill the
-    // process with the handoff half-applied.
-    events.extend(rt.crash().events);
-    let (rt, report) = ShardedRuntime::open(&spec, m, config(None), persist())
-        .map_err(|e| format!("reopen after mid-migration crash failed: {e}"))?;
-    events.extend(rt.drain_events());
-    let reopened_epoch = rt.epoch();
-    // Re-submit everything past each group's durable watermark, in the
-    // same per-group order the journals saw.
-    let mut resubmitted = 0u64;
-    for (g, group_report) in report.shards.iter().enumerate() {
-        let feed_for_group: Vec<(u32, f64)> = (0..n)
-            .flat_map(|t| {
-                streams
-                    .iter()
-                    .enumerate()
-                    .filter(move |(s, _)| s % groups == g)
-                    .map(move |(s, x)| (s as u32, x[t]))
-            })
-            .collect();
-        for &(stream, value) in &feed_for_group[group_report.durable_appends as usize..] {
-            rt.append_blocking(stream, value)
-                .map_err(|e| format!("post-recovery re-submission failed: {e}"))?;
-            resubmitted += 1;
-        }
-    }
-    events.extend(rt.shutdown().events);
-    sort_events(&mut events);
-    out.push_str(&format!(
-        "process crash mid-migration: durable {}/{} append(s), replayed {}, \
-         re-submitted {resubmitted}, reopened at epoch {reopened_epoch}\n",
-        report.total_durable_appends(),
-        m * n,
-        report.total_replayed(),
-    ));
-    if args.get("dir").is_none() {
-        let _ = std::fs::remove_dir_all(&base_dir);
-    }
-    if events != reference {
-        return Err(format!(
-            "{out}AUDIT FAILED: crash-recovered run emitted {} event(s), baseline {} — \
-             the interrupted migration corrupted recovery",
-            events.len(),
-            reference.len(),
-        ));
-    }
-    out.push_str(&format!(
-        "AUDIT OK: all rebalance drills recovered the baseline event set \
-         ({} event(s))\n",
-        reference.len(),
-    ));
-    Ok(out)
-}
-
 fn run_trend(args: &Args, input: &str) -> Result<String, String> {
     let streams = read_columns(input)?;
     let patterns_path = args.get("patterns").ok_or("trend needs --patterns FILE")?;
@@ -2094,42 +839,7 @@ mod tests {
     }
 
     #[test]
-    fn serve_bench_generated_workload() {
-        let (cmd, args) = Args::parse(&argv(
-            "serve-bench --shards 2 --streams 8 --values 256 --batch 8 --seed 7",
-        ))
-        .unwrap();
-        let out = run(&cmd, &args, "").expect("runs");
-        assert!(out.contains("8 streams x 256 values, 2 shard(s)"), "header:\n{out}");
-        assert!(out.contains("values/s"), "throughput line:\n{out}");
-        assert!(out.contains("q_hwm"), "per-shard stats table:\n{out}");
-        assert!(out.contains("ingested 2048 values"), "total count:\n{out}");
-    }
-
-    #[test]
-    fn chaos_drill_audits_recovery() {
-        let (cmd, args) = Args::parse(&argv(
-            "chaos --shards 2 --streams 6 --values 512 --snapshot-every 64 --seed 9",
-        ))
-        .unwrap();
-        let out = run(&cmd, &args, "").expect("drill passes its audit");
-        assert!(out.contains("chaos drill: 6 streams x 512 values, 2 shard(s)"), "header:\n{out}");
-        assert!(out.contains("kill shard 0 at"), "kill plan:\n{out}");
-        assert!(out.contains("kill shard 1 at"), "kill plan:\n{out}");
-        assert!(out.contains("faults fired: 2/2, worker restarts: 2"), "fired line:\n{out}");
-        assert!(out.contains("AUDIT OK"), "audit verdict:\n{out}");
-        assert!(out.contains("restarts"), "stats table:\n{out}");
-    }
-
-    #[test]
-    fn chaos_rejects_more_shards_than_streams() {
-        let (cmd, args) = Args::parse(&argv("chaos --shards 8 --streams 4 --values 128")).unwrap();
-        let err = run(&cmd, &args, "").unwrap_err();
-        assert!(err.contains("at least one stream per shard"), "{err}");
-    }
-
-    #[test]
-    fn serve_bench_csv_input() {
+    fn metrics_csv_input() {
         let mut csv = String::new();
         let mut x = 10.0f64;
         for i in 0..400 {
@@ -2137,9 +847,16 @@ mod tests {
             csv.push_str(&format!("{x},{},{}\n", x + 1.0, 40.0 - x / 2.0));
         }
         let (cmd, args) =
-            Args::parse(&argv("serve-bench --shards 3 --batch 4 --classes corr")).unwrap();
+            Args::parse(&argv("metrics --shards 3 --batch 4 --classes corr")).unwrap();
         let out = run(&cmd, &args, &csv).expect("runs");
-        assert!(out.contains("3 streams x 400 values, 3 shard(s)"), "header:\n{out}");
+        for shard in 0..3 {
+            let line = format!("stardust_shard_appends{{shard=\"{shard}\"}} 400\n");
+            assert!(out.contains(&line), "one CSV column per shard:\n{out}");
+        }
+        assert!(
+            !out.contains("stardust_aggregate_monitoring_ratio"),
+            "--classes corr must not run the aggregate class:\n{out}"
+        );
     }
 
     #[test]

@@ -18,7 +18,6 @@
 //! | [`datagen`] | `stardust-datagen` | seeded workload generators for every §6 experiment |
 //! | [`runtime`] | `stardust-runtime` | sharded, multi-threaded ingestion & query runtime |
 //! | [`server`] | `stardust-server` | multi-client TCP ingest/query service + wire client |
-//! | [`bench`](mod@bench) | `stardust-bench` | benchmark harness, load driver, CI regression gate |
 //!
 //! ## Quickstart
 //!
@@ -48,7 +47,6 @@
 pub mod cli;
 
 pub use stardust_baselines as baselines;
-pub use stardust_bench as bench;
 pub use stardust_core as core;
 pub use stardust_datagen as datagen;
 pub use stardust_dsp as dsp;

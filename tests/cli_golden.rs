@@ -1,14 +1,14 @@
 //! Golden-output integration tests for the operational CLI commands:
-//! `serve-bench`, `chaos`, and `metrics` are run in-process on generated
-//! workloads and their emitted documents are parsed back and checked
-//! for schema stability and cross-field invariants.
+//! `metrics` and `serve` are run in-process on generated workloads and
+//! their emitted documents are parsed back and checked for schema
+//! stability and cross-field invariants.
 //!
 //! "Golden" here means schema and invariants, not byte-exact output —
 //! every run carries machine-dependent timings. What must never drift
-//! without a deliberate schema bump: the `stardust-bench/v1` document
-//! shape, the metric names exported by the registry, and conservation
-//! laws between counters (values in = values appended, candidates never
-//! exceed checks, confirmed never exceeds candidates).
+//! without a deliberate schema bump: the metric names exported by the
+//! registry and conservation laws between counters (values in = values
+//! appended, candidates never exceed checks, confirmed never exceeds
+//! candidates).
 
 use stardust::cli::{run, Args};
 use stardust_telemetry::json::{self, Value};
@@ -24,144 +24,6 @@ fn counter(doc: &Value, name: &str) -> u64 {
         .and_then(|c| c.get(name))
         .and_then(Value::as_u64)
         .unwrap_or_else(|| panic!("missing counter {name}"))
-}
-
-#[test]
-fn serve_bench_emits_schema_stable_report() {
-    let dir = std::env::temp_dir().join(format!("stardust-golden-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("BENCH_3.json");
-    let path_str = path.to_str().expect("utf-8 temp path");
-
-    let (cmd, args) = argv(&[
-        "serve-bench",
-        "--streams",
-        "8",
-        "--values",
-        "512",
-        "--shards",
-        "2",
-        "--query-iters",
-        "16",
-        "--micro-items",
-        "400",
-        "--server-clients",
-        "8",
-        "--server-values",
-        "256",
-        "--emit-bench",
-        path_str,
-    ]);
-    let out = run(&cmd, &args, "").expect("serve-bench runs");
-    assert!(out.contains("values/s"), "throughput line missing:\n{out}");
-    assert!(out.contains("query latency over 16"), "query phase missing:\n{out}");
-
-    let text = std::fs::read_to_string(&path).expect("report written");
-    let doc = json::parse(&text).expect("report is valid JSON");
-    std::fs::remove_file(&path).ok();
-
-    assert_eq!(doc.get("schema").and_then(Value::as_str), Some("stardust-bench/v1"));
-    let config = doc.get("config").expect("config section");
-    assert_eq!(config.get("streams").and_then(Value::as_u64), Some(8));
-    assert_eq!(config.get("values").and_then(Value::as_u64), Some(512));
-    assert_eq!(config.get("shards").and_then(Value::as_u64), Some(2));
-
-    let ingest = doc.get("ingest").expect("ingest section");
-    assert_eq!(ingest.get("values").and_then(Value::as_u64), Some(8 * 512));
-    assert!(ingest.get("elapsed_s").and_then(Value::as_f64).expect("elapsed") > 0.0);
-    assert!(ingest.get("throughput_values_per_s").and_then(Value::as_f64).expect("rate") > 0.0);
-
-    let query = doc.get("query").expect("query section");
-    assert_eq!(query.get("iterations").and_then(Value::as_u64), Some(16));
-    let p50 = query.get("p50_ns").and_then(Value::as_u64).expect("p50");
-    let p95 = query.get("p95_ns").and_then(Value::as_u64).expect("p95");
-    assert!(p50 > 0 && p50 <= p95, "quantiles out of order: p50 {p50}, p95 {p95}");
-
-    // Index / maintenance micro-timings consumed by bench_gate: present,
-    // positive, and the STR bulk rebuild must not be slower than the
-    // incremental replay it replaced on the recovery path.
-    let index = doc.get("index").expect("index section");
-    assert_eq!(index.get("items").and_then(Value::as_u64), Some(400));
-    assert!(index.get("insert_ns").and_then(Value::as_u64).expect("insert_ns") > 0);
-    assert!(index.get("query_ns").and_then(Value::as_u64).expect("query_ns") > 0);
-    let maint = doc.get("maintenance").expect("maintenance section");
-    let bulk = maint.get("rebuild_bulk_ns").and_then(Value::as_u64).expect("bulk ns");
-    let replay = maint.get("rebuild_replay_ns").and_then(Value::as_u64).expect("replay ns");
-    let speedup = maint.get("rebuild_speedup").and_then(Value::as_f64).expect("speedup");
-    assert!(bulk > 0 && bulk <= replay, "bulk rebuild slower than replay: {bulk} vs {replay}");
-    assert!(speedup >= 1.0, "rebuild speedup below 1: {speedup}");
-
-    // Persistence micro-timings consumed by bench_gate: the durable
-    // WAL path must have recovered the full workload it journaled.
-    let persist = doc.get("persistence").expect("persistence section");
-    assert_eq!(
-        persist.get("recovered_appends").and_then(Value::as_u64),
-        Some(8 * 512),
-        "disk recovery must surface every journaled append"
-    );
-    assert!(persist.get("wal_append_ns").and_then(Value::as_u64).expect("wal ns") > 0);
-    assert!(persist.get("recovery_ns").and_then(Value::as_u64).expect("recovery ns") > 0);
-
-    // Server-load section consumed by bench_gate: the fleet ran, the
-    // event-set audit passed (an audit failure errors the whole
-    // command), and the tail quantiles are ordered.
-    let server = doc.get("server").expect("server section");
-    assert_eq!(server.get("clients").and_then(Value::as_u64), Some(8));
-    assert_eq!(server.get("values").and_then(Value::as_u64), Some(8 * 256));
-    assert!(server.get("throughput_values_per_s").and_then(Value::as_f64).expect("rate") > 0.0);
-    assert!(server.get("audit_events").and_then(Value::as_u64).expect("events") > 0);
-    let sp50 = server.get("append_p50_ns").and_then(Value::as_u64).expect("p50");
-    let sp99 = server.get("append_p99_ns").and_then(Value::as_u64).expect("p99");
-    assert!(sp50 > 0 && sp50 <= sp99, "append quantiles out of order: {sp50} vs {sp99}");
-
-    // Cross-shard correlation audit consumed by bench_gate: the prune
-    // funnel conserves (considered = candidates + pruned), recall is
-    // exactly 1 with zero false dismissals (a dismissal errors the
-    // whole command), and precision is a valid fraction.
-    let cc = doc.get("cross_corr").expect("cross_corr section");
-    let considered = cc.get("considered").and_then(Value::as_u64).expect("considered");
-    let candidates = cc.get("candidates").and_then(Value::as_u64).expect("candidates");
-    let pruned = cc.get("pruned").and_then(Value::as_u64).expect("pruned");
-    let confirmed = cc.get("confirmed").and_then(Value::as_u64).expect("confirmed");
-    assert_eq!(candidates + pruned, considered, "prune funnel leaks pairs");
-    assert!(confirmed <= candidates, "confirmed {confirmed} > candidates {candidates}");
-    assert!(pruned > 0, "the audit workload must exercise the prune path");
-    assert_eq!(cc.get("false_dismissals").and_then(Value::as_u64), Some(0));
-    assert_eq!(cc.get("prune_recall").and_then(Value::as_f64), Some(1.0));
-    let precision = cc.get("prune_precision").and_then(Value::as_f64).expect("precision");
-    assert!((0.0..=1.0).contains(&precision), "precision out of range: {precision}");
-    assert!(cc.get("exchanges").and_then(Value::as_u64).expect("exchanges") > 0);
-    assert!(cc.get("pairs").and_then(Value::as_u64).expect("pairs") > 0);
-
-    // The embedded registry document: every value ingested is an append
-    // seen by the summarizers of the enabled classes (aggregate plus
-    // correlation in the default generated workload), and the class
-    // funnel is monotone.
-    let metrics = doc.get("metrics").expect("metrics section");
-    assert_eq!(metrics.get("schema").and_then(Value::as_str), Some("stardust-metrics/v1"));
-    let appends = counter(metrics, "stardust_summarizer_appends_total");
-    assert_eq!(appends % (8 * 512), 0, "appends {appends} not a multiple of values ingested");
-    assert!(appends >= 8 * 512);
-    for class in ["aggregate", "correlation"] {
-        let checks = counter(metrics, &format!("stardust_{class}_checks_total"));
-        let candidates = counter(metrics, &format!("stardust_{class}_candidates_total"));
-        let confirmed = counter(metrics, &format!("stardust_{class}_confirmed_total"));
-        assert!(candidates <= checks, "{class}: candidates {candidates} > checks {checks}");
-        assert!(
-            confirmed <= candidates,
-            "{class}: confirmed {confirmed} > candidates {candidates}"
-        );
-    }
-
-    // Per-shard gauges exported from runtime stats conserve the ingest
-    // volume.
-    let gauges = metrics.get("gauges").and_then(Value::as_object).expect("gauges");
-    let shard_appends: f64 = gauges
-        .iter()
-        .filter(|(k, _)| k.starts_with("stardust_shard_appends{"))
-        .filter_map(|(_, v)| v.as_f64())
-        .sum();
-    assert_eq!(shard_appends as u64, 8 * 512, "shard appends must sum to values ingested");
 }
 
 #[test]
@@ -187,6 +49,34 @@ fn metrics_command_emits_model_gauges() {
     assert!((0.0..=1.0).contains(&observed), "observed rate out of range: {observed}");
     assert!((0.0..=1.0).contains(&predicted), "predicted rate out of range: {predicted}");
     assert!(ratio >= 1.0, "Eq. 7 ratio below 1: {ratio}");
+
+    // Conservation: every value ingested is an append seen by the
+    // summarizers of the enabled classes (aggregate plus correlation by
+    // default), and the class funnel is monotone.
+    let values = 4 * 512;
+    let appends = counter(&doc, "stardust_summarizer_appends_total");
+    assert_eq!(appends % values, 0, "appends {appends} not a multiple of values ingested");
+    assert!(appends >= values);
+    for class in ["aggregate", "correlation"] {
+        let checks = counter(&doc, &format!("stardust_{class}_checks_total"));
+        let candidates = counter(&doc, &format!("stardust_{class}_candidates_total"));
+        let confirmed = counter(&doc, &format!("stardust_{class}_confirmed_total"));
+        assert!(candidates <= checks, "{class}: candidates {candidates} > checks {checks}");
+        assert!(
+            confirmed <= candidates,
+            "{class}: confirmed {confirmed} > candidates {candidates}"
+        );
+    }
+    // Per-shard gauges exported from runtime stats conserve the ingest
+    // volume.
+    let shard_appends: f64 = gauges
+        .as_object()
+        .expect("gauges object")
+        .iter()
+        .filter(|(k, _)| k.starts_with("stardust_shard_appends{"))
+        .filter_map(|(_, v)| v.as_f64())
+        .sum();
+    assert_eq!(shard_appends as u64, values, "shard appends must sum to values ingested");
 
     // Prometheus rendering of the same run: spot-check the format.
     let (cmd, args) = argv(&["metrics", "--format", "prom", "--streams", "4", "--values", "512"]);
@@ -265,53 +155,4 @@ fn serve_subcommand_accepts_clients_end_to_end() {
         "drain summary must account for the 8 appends:\n{out}"
     );
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn chaos_drill_still_audits_after_telemetry_wiring() {
-    let (cmd, args) = argv(&["chaos", "--streams", "8", "--values", "256", "--shards", "2"]);
-    let out = run(&cmd, &args, "").expect("chaos runs");
-    assert!(out.contains("AUDIT OK"), "chaos audit failed:\n{out}");
-}
-
-/// The `stardust rebalance` drill: live split/merge, deterministic
-/// migration kills, and a whole-process crash mid-migration must all
-/// audit bit-identical against the never-resized baseline.
-#[test]
-fn rebalance_drill_audits_live_chaos_and_crash_phases() {
-    let (cmd, args) =
-        argv(&["rebalance", "--streams", "8", "--values", "512", "--shards", "2", "--groups", "4"]);
-    let out = run(&cmd, &args, "").expect("rebalance runs");
-    assert!(out.contains("baseline: never resized"), "baseline phase missing:\n{out}");
-    assert!(out.contains("epoch 4, 4 migration(s)"), "live resize summary missing:\n{out}");
-    assert!(
-        out.contains("faults fired: 2/2, worker restarts: 2"),
-        "migration kills must both fire and both heal:\n{out}"
-    );
-    assert!(out.contains("reopened at epoch 0"), "crash phase must reopen fresh:\n{out}");
-    assert_eq!(out.matches("AUDIT OK").count(), 3, "every phase must audit clean:\n{out}");
-}
-
-#[test]
-fn chaos_disk_drill_audits_every_fault_kind() {
-    let dir = std::env::temp_dir().join(format!("stardust-golden-disk-{}", std::process::id()));
-    let (cmd, args) = argv(&[
-        "chaos-disk",
-        "--streams",
-        "8",
-        "--values",
-        "1000",
-        "--shards",
-        "2",
-        "--dir",
-        dir.to_str().expect("utf-8 temp path"),
-    ]);
-    let out = run(&cmd, &args, "").expect("chaos-disk runs");
-    std::fs::remove_dir_all(&dir).ok();
-    for kind in ["torn-write", "failed-fsync", "bit-flip-snap", "truncate-wal"] {
-        assert!(out.contains(kind), "drill for {kind} missing:\n{out}");
-    }
-    assert_eq!(out.matches("fired 1/1").count(), 4, "every fault must fire exactly once:\n{out}");
-    assert!(out.contains("fallback true"), "snapshot fallback must engage:\n{out}");
-    assert!(out.contains("AUDIT OK: all 4 disk-fault drills"), "chaos-disk audit failed:\n{out}");
 }

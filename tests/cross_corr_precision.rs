@@ -12,9 +12,8 @@
 //! sketch locally from the raw data, asserts the bound is below the
 //! true z-normed distance for every cross-shard pair, predicts the
 //! pruned count from the bound alone, and requires the runtime's
-//! counters to match that prediction *exactly*. The same numbers
-//! surface in the `cross_corr` section of `stardust serve-bench
-//! --emit-bench`.
+//! counters to match that prediction *exactly*. The same counters are
+//! exported as the `stardust_cross_corr_*` registry series.
 
 use stardust::core::normalize;
 use stardust::core::stream::StreamId;
