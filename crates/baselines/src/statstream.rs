@@ -38,7 +38,6 @@ pub struct StatStream {
     cell_size: f64,
     radius: f64,
     window: usize,
-    f: usize,
     verify: bool,
     stats: CorrelationStats,
 }
@@ -71,7 +70,6 @@ impl StatStream {
             cell_size,
             radius,
             window,
-            f,
             verify: true,
             stats: CorrelationStats::default(),
         }
@@ -184,11 +182,6 @@ impl StatStream {
             });
         }
         pairs
-    }
-
-    /// Feature dimensionality.
-    pub fn feature_dims(&self) -> usize {
-        self.f
     }
 }
 

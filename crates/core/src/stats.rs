@@ -24,11 +24,6 @@ pub fn phi(x: f64) -> f64 {
     0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
 }
 
-/// Standard normal density `φ(x)`.
-pub fn phi_density(x: f64) -> f64 {
-    (-0.5 * x * x).exp() / (2.0 * std::f64::consts::PI).sqrt()
-}
-
 /// Inverse standard normal CDF `Φ⁻¹(p)` (Acklam's approximation plus one
 /// Halley refinement step; relative error below 1e-9 on (0, 1)).
 ///

@@ -404,15 +404,6 @@ impl StreamSummary {
         self.retire(t, events);
     }
 
-    /// Appends a batch of values; equivalent to calling [`Self::push`]
-    /// once per value with the same `events` buffer. The batched form
-    /// amortizes the per-call dispatch for the runtime's queue drain.
-    pub fn push_all(&mut self, values: &[f64], events: &mut Vec<SummaryEvent>) {
-        for &value in values {
-            self.push(value, events);
-        }
-    }
-
     /// Direct (non-incremental) feature of the level-`j` window ending at
     /// `t` — the `ComputeMode::Direct` path.
     fn direct_feature(&mut self, level: usize, t: Time) -> (Bounds, (f64, f64), (f64, f64)) {

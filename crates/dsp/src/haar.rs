@@ -88,21 +88,6 @@ pub fn averaging_step(x: &[f64]) -> Vec<f64> {
     out
 }
 
-/// One Haar differencing step: the `m` detail coefficients of a slice of
-/// even length `2m`.
-///
-/// # Panics
-/// Panics if `x.len()` is odd or zero.
-pub fn differencing_step(x: &[f64]) -> Vec<f64> {
-    assert!(
-        !x.is_empty() && x.len().is_multiple_of(2),
-        "differencing step needs even, nonzero length"
-    );
-    let mut out = vec![0.0; x.len() / 2];
-    pairwise_diff_into(x, &mut out);
-    out
-}
-
 /// The full ordered Haar DWT `[a^J, d^J, d^{J-1}, …, d^1]` of a signal whose
 /// length is a power of two.
 ///
@@ -254,16 +239,6 @@ pub fn energy(x: &[f64]) -> f64 {
     acc
 }
 
-/// The value every approximation coefficient takes for the constant signal
-/// `1` of length `w` kept at `keep` coefficients: `√(w / keep)`.
-///
-/// Used to z-normalize DWT features analytically: subtracting the window
-/// mean shifts each approximation coefficient by `μ·√(w/keep)`.
-#[inline]
-pub fn constant_coefficient(w: usize, keep: usize) -> f64 {
-    (w as f64 / keep as f64).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,17 +320,6 @@ mod tests {
                 d_approx <= d_signal + EPS,
                 "f={f}: approx distance {d_approx} exceeds signal distance {d_signal}"
             );
-        }
-    }
-
-    #[test]
-    fn constant_coefficient_matches_transform() {
-        for (w, keep) in [(16usize, 4usize), (8, 1), (32, 8)] {
-            let ones = vec![1.0; w];
-            let a = approx(&ones, keep);
-            for c in a {
-                assert!((c - constant_coefficient(w, keep)).abs() < EPS);
-            }
         }
     }
 

@@ -27,9 +27,7 @@ pub mod dft;
 pub mod filter;
 pub mod haar;
 pub mod mbr_transform;
-pub mod wavedec;
 
 pub use complex::Complex;
 pub use filter::FilterBank;
 pub use mbr_transform::Bounds;
-pub use wavedec::{wavedec, waverec, Wavelet};

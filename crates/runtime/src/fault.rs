@@ -73,39 +73,6 @@ pub struct DiskFault {
     fired: AtomicBool,
 }
 
-/// Protocol step of a live group migration at which a migration fault
-/// fires (see [`FaultPlan::migration_fault`]). Steps are named from the
-/// perspective of the worker executing them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MigrationStep {
-    /// On the *source* worker: the `MigrateOut` marker was drained but
-    /// the group has not been sealed yet — the marker dies with the
-    /// worker and the supervisor must re-push it.
-    BeforeSeal,
-    /// On the *source* worker: the group was sealed (route is `Handed`)
-    /// but the worker dies before returning to its queue.
-    AfterSeal,
-    /// On the *destination* worker: the `Adopt` message was drained but
-    /// the rebuilt state has not been installed — the in-memory payload
-    /// dies and the respawn must rebuild from the journal.
-    BeforeAdopt,
-    /// On the *destination* worker: the group state was installed but
-    /// the worker dies before draining anything else.
-    AfterAdopt,
-}
-
-/// One scheduled migration fault: fires when `group` reaches `step`.
-#[derive(Debug)]
-pub struct MigrationFault {
-    /// The stream group whose migration triggers the fault.
-    pub group: usize,
-    /// The protocol step at which to fire.
-    pub step: MigrationStep,
-    /// Panic or stall (DelayDrain is meaningless inside the protocol).
-    pub kind: FaultKind,
-    fired: AtomicBool,
-}
-
 /// What happens when a fault triggers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
@@ -142,7 +109,6 @@ pub struct Fault {
 pub struct FaultPlan {
     faults: Vec<Fault>,
     disk: Vec<DiskFault>,
-    migration: Vec<MigrationFault>,
 }
 
 impl FaultPlan {
@@ -207,14 +173,6 @@ impl FaultPlan {
         plan
     }
 
-    /// Adds a migration fault: when the migration protocol for stream
-    /// group `group` reaches `step`, the worker executing that step
-    /// panics or stalls. One-shot, like every other fault.
-    pub fn migration_fault(mut self, group: usize, step: MigrationStep, kind: FaultKind) -> Self {
-        self.migration.push(MigrationFault { group, step, kind, fired: AtomicBool::new(false) });
-        self
-    }
-
     /// Adds a disk fault on `shard`'s persistence files.
     pub fn disk_fault(mut self, shard: usize, kind: DiskFaultKind) -> Self {
         self.disk.push(DiskFault { shard, kind, fired: AtomicBool::new(false) });
@@ -226,21 +184,10 @@ impl FaultPlan {
         &self.faults
     }
 
-    /// The scheduled disk faults.
-    pub fn disk_faults(&self) -> &[DiskFault] {
-        &self.disk
-    }
-
-    /// The scheduled migration faults.
-    pub fn migration_faults(&self) -> &[MigrationFault] {
-        &self.migration
-    }
-
-    /// How many faults (worker, disk, migration) have triggered so far.
+    /// How many faults (worker and disk) have triggered so far.
     pub fn fired_count(&self) -> usize {
         self.faults.iter().filter(|f| f.fired.load(Ordering::Relaxed)).count()
             + self.disk.iter().filter(|f| f.fired.load(Ordering::Relaxed)).count()
-            + self.migration.iter().filter(|f| f.fired.load(Ordering::Relaxed)).count()
     }
 
     /// Checks whether a fault triggers for `shard` at the (1-based)
@@ -253,19 +200,6 @@ impl FaultPlan {
                 && append_no >= f.at_append
                 && !f.fired.swap(true, Ordering::Relaxed)
             {
-                return Some(f.kind);
-            }
-        }
-        None
-    }
-
-    /// Checks whether a migration fault triggers for `group` at `step`;
-    /// marks it fired. Exact-match on the step (each step happens at
-    /// most once per marker/adopt delivery, and re-deliveries after a
-    /// kill are exactly what the one-shot latch protects against).
-    pub(crate) fn fire_migration(&self, group: usize, step: MigrationStep) -> Option<FaultKind> {
-        for f in &self.migration {
-            if f.group == group && f.step == step && !f.fired.swap(true, Ordering::Relaxed) {
                 return Some(f.kind);
             }
         }
@@ -357,19 +291,6 @@ mod tests {
         let plan = FaultPlan::new().disk_fault(2, DiskFaultKind::TornWrite { at_byte: 150 });
         assert_eq!(plan.tear_wal(2, 100, 140), None, "write ends before the offset");
         assert_eq!(plan.tear_wal(2, 140, 180), Some(150));
-    }
-
-    #[test]
-    fn migration_faults_fire_once_per_step() {
-        let plan = FaultPlan::new()
-            .migration_fault(2, MigrationStep::BeforeSeal, FaultKind::Panic)
-            .migration_fault(2, MigrationStep::AfterAdopt, FaultKind::Panic);
-        assert_eq!(plan.fire_migration(1, MigrationStep::BeforeSeal), None, "wrong group");
-        assert_eq!(plan.fire_migration(2, MigrationStep::AfterSeal), None, "wrong step");
-        assert_eq!(plan.fire_migration(2, MigrationStep::BeforeSeal), Some(FaultKind::Panic));
-        assert_eq!(plan.fire_migration(2, MigrationStep::BeforeSeal), None, "one-shot");
-        assert_eq!(plan.fire_migration(2, MigrationStep::AfterAdopt), Some(FaultKind::Panic));
-        assert_eq!(plan.fired_count(), 2);
     }
 
     #[test]

@@ -75,7 +75,6 @@ use stardust_core::stream::StreamId;
 mod fault;
 mod persist;
 mod queue;
-mod routing;
 mod runtime;
 mod shard;
 mod snapshot;
@@ -83,12 +82,12 @@ mod spec;
 mod stats;
 mod telemetry;
 
-pub use fault::{DiskFault, DiskFaultKind, DiskFile, Fault, FaultKind, FaultPlan, MigrationStep};
+pub use fault::{DiskFault, DiskFaultKind, DiskFile, Fault, FaultKind, FaultPlan};
 pub use persist::crc32::crc32;
 pub use persist::{PersistConfig, RecoveryError, RecoveryReport, ShardRecoveryReport, SyncPolicy};
 pub use runtime::{
-    sort_events, Batch, PartialSubmit, QueueFull, RebalanceAction, RecoveryPolicy, RuntimeConfig,
-    ShardedRuntime, ShutdownReport,
+    sort_events, Batch, PartialSubmit, QueueFull, RecoveryPolicy, RuntimeConfig, ShardedRuntime,
+    ShutdownReport,
 };
 pub use shard::ClassStats;
 pub use spec::{AggregateSpec, CorrelationSpec, MonitorSpec, TrendPattern, TrendSpec};
@@ -123,20 +122,10 @@ pub enum RuntimeError {
     /// than [`RuntimeConfig::max_restarts_in_window`] allows; the shard
     /// is failed for good.
     RespawnStorm {
-        /// The fail-stopped worker slot.
+        /// The fail-stopped shard.
         shard: usize,
         /// Restarts observed inside the window when the cap tripped.
         restarts: u32,
-    },
-    /// Shard split/merge needs the recovery journal as its handoff
-    /// mechanism; the runtime was launched with `recovery: None`.
-    MigrationUnsupported,
-    /// A rebalancing call was given arguments the current layout cannot
-    /// satisfy (out-of-range slot or group, a group not owned by the
-    /// source, or a group already mid-migration).
-    Rebalance {
-        /// What was wrong.
-        detail: &'static str,
     },
 }
 
@@ -157,10 +146,6 @@ impl std::fmt::Display for RuntimeError {
                 f,
                 "shard {shard} fail-stopped after {restarts} restarts inside the storm window"
             ),
-            RuntimeError::MigrationUnsupported => {
-                f.write_str("shard split/merge requires recovery journaling (recovery: None)")
-            }
-            RuntimeError::Rebalance { detail } => write!(f, "rebalance rejected: {detail}"),
         }
     }
 }

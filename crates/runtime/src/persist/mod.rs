@@ -249,11 +249,6 @@ impl RecoveryReport {
         self.shards.iter().map(|s| s.replayed).sum()
     }
 
-    /// Torn bytes truncated across shards.
-    pub fn total_truncated_bytes(&self) -> u64 {
-        self.shards.iter().map(|s| s.truncated_bytes).sum()
-    }
-
     /// Whether any shard fell back to its previous snapshot generation.
     pub fn any_fallback(&self) -> bool {
         self.shards.iter().any(|s| s.used_fallback)

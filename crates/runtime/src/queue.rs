@@ -15,34 +15,8 @@ use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, PoisonError};
 
 /// Why a non-blocking push was refused.
-// The runtime's ingestion paths moved to the admission-gated variants
-// ([`TryAdmitError`]); this ungated surface remains for the queue's own
-// test suite and any caller without routing concerns.
-#[allow(dead_code)]
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) enum PushError<T> {
-    /// The queue is at capacity; the message is handed back for retry.
-    Full(T),
-    /// The queue was closed; no further messages are accepted.
-    Closed(T),
-}
-
-/// Why an admission-gated push was refused (see [`BoundedQueue::push_if`]).
-#[derive(Debug, PartialEq, Eq)]
-pub(crate) enum AdmitError<T> {
-    /// The admission predicate said no; the routing layer should
-    /// re-resolve the destination and retry elsewhere.
-    Refused(T),
-    /// The queue was closed; no further messages are accepted.
-    Closed(T),
-}
-
-/// Why a non-blocking admission-gated push was refused
-/// (see [`BoundedQueue::try_push_if`]).
-#[derive(Debug, PartialEq, Eq)]
-pub(crate) enum TryAdmitError<T> {
-    /// The admission predicate said no.
-    Refused(T),
     /// The queue is at capacity; the message is handed back for retry.
     Full(T),
     /// The queue was closed; no further messages are accepted.
@@ -75,7 +49,6 @@ impl<T> BoundedQueue<T> {
 
     /// Enqueues without blocking; a full or closed queue returns the
     /// message for the caller to retry or report.
-    #[allow(dead_code)]
     pub(crate) fn try_push(&self, msg: T) -> Result<(), PushError<T>> {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         if inner.closed {
@@ -106,81 +79,6 @@ impl<T> BoundedQueue<T> {
             }
             inner = self.not_full.wait(inner).unwrap_or_else(PoisonError::into_inner);
         }
-    }
-
-    /// Enqueues, parking while at capacity, but only while `admit`
-    /// (re-evaluated under the queue lock on every attempt) returns
-    /// `true`. This is the migration-safe producer entry point: the
-    /// routing layer's admission check and the enqueue happen atomically
-    /// with respect to the coordinator, which takes the same queue lock
-    /// to push its freeze marker — so no message can be admitted for a
-    /// group *after* that group's `MigrateOut` marker is queued behind
-    /// it. A `false` from `admit` hands the message back as
-    /// [`AdmitError::Refused`]; the caller re-resolves routing and
-    /// retries on the new owner.
-    pub(crate) fn push_if(
-        &self,
-        msg: T,
-        mut admit: impl FnMut() -> bool,
-    ) -> Result<(), AdmitError<T>> {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if inner.closed {
-                return Err(AdmitError::Closed(msg));
-            }
-            if !admit() {
-                return Err(AdmitError::Refused(msg));
-            }
-            if inner.items.len() < self.capacity {
-                inner.items.push_back(msg);
-                drop(inner);
-                self.not_empty.notify_one();
-                return Ok(());
-            }
-            inner = self.not_full.wait(inner).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// Non-blocking [`Self::push_if`]: a full queue is reported as
-    /// `Full` instead of parking, so capacity pressure surfaces through
-    /// the admission-checked path exactly as it does via
-    /// [`Self::try_push`].
-    pub(crate) fn try_push_if(
-        &self,
-        msg: T,
-        mut admit: impl FnMut() -> bool,
-    ) -> Result<(), TryAdmitError<T>> {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        if inner.closed {
-            return Err(TryAdmitError::Closed(msg));
-        }
-        if !admit() {
-            return Err(TryAdmitError::Refused(msg));
-        }
-        if inner.items.len() >= self.capacity {
-            return Err(TryAdmitError::Full(msg));
-        }
-        inner.items.push_back(msg);
-        drop(inner);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Appends ignoring capacity (never blocks, never refuses a live
-    /// queue). The supervisor uses this to re-push a migration marker a
-    /// dead worker consumed without sealing: the marker *must* land even
-    /// when producers have the queue at capacity, and the supervisor
-    /// cannot park (it would deadlock the respawn that frees the queue).
-    /// Only closed queues refuse.
-    pub(crate) fn force_push(&self, msg: T) -> Result<(), T> {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        if inner.closed {
-            return Err(msg);
-        }
-        inner.items.push_back(msg);
-        drop(inner);
-        self.not_empty.notify_one();
-        Ok(())
     }
 
     /// Dequeues, parking the consumer while the queue is empty. Returns
@@ -403,57 +301,6 @@ mod tests {
         assert_eq!(q.drain_into(&mut rest, 8, |_| true), 2);
         rest.sort_unstable();
         assert_eq!(rest, vec![2, 3]);
-    }
-
-    #[test]
-    fn push_if_admits_refuses_and_closes() {
-        let q = BoundedQueue::new(4);
-        assert!(q.push_if(1, || true).is_ok());
-        assert_eq!(q.push_if(2, || false), Err(AdmitError::Refused(2)));
-        assert_eq!(q.try_push_if(3, || false), Err(TryAdmitError::Refused(3)));
-        assert!(q.try_push_if(3, || true).is_ok());
-        q.close();
-        assert_eq!(q.push_if(4, || true), Err(AdmitError::Closed(4)));
-        assert_eq!(q.try_push_if(5, || true), Err(TryAdmitError::Closed(5)));
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(3));
-    }
-
-    #[test]
-    fn push_if_reevaluates_admission_while_parked() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let q = Arc::new(BoundedQueue::new(1));
-        q.try_push(0).unwrap();
-        let frozen = Arc::new(AtomicBool::new(false));
-        let (q2, f2) = (Arc::clone(&q), Arc::clone(&frozen));
-        let producer = std::thread::spawn(move || q2.push_if(1, || !f2.load(Ordering::SeqCst)));
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        // Freeze the route while the producer is parked on capacity; the
-        // wake-up must re-check admission and hand the message back.
-        frozen.store(true, Ordering::SeqCst);
-        assert_eq!(q.pop(), Some(0));
-        assert_eq!(producer.join().unwrap(), Err(AdmitError::Refused(1)));
-        assert_eq!(q.len(), 0);
-    }
-
-    #[test]
-    fn try_push_if_reports_full() {
-        let q = BoundedQueue::new(1);
-        q.try_push(0).unwrap();
-        assert_eq!(q.try_push_if(1, || true), Err(TryAdmitError::Full(1)));
-    }
-
-    #[test]
-    fn force_push_ignores_capacity_but_not_close() {
-        let q = BoundedQueue::new(1);
-        q.try_push(0).unwrap();
-        assert!(q.force_push(1).is_ok());
-        assert_eq!(q.len(), 2);
-        q.close();
-        assert_eq!(q.force_push(2), Err(2));
-        assert_eq!(q.pop(), Some(0));
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), None);
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! The sharded runtime: stream partitioning, bounded-queue ingestion
 //! with backpressure, scatter-gather queries, supervised crash
-//! recovery, elastic shard split/merge with exactly-once live
-//! migration, and drain-then-join shutdown.
+//! recovery, and drain-then-join shutdown.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -17,11 +16,9 @@ use stardust_core::unified::{Event, UnifiedMonitor};
 
 use crate::fault::FaultPlan;
 use crate::persist::{self, PersistConfig, RecoveryError, RecoveryReport, ShardRecoveryReport};
-use crate::queue::{AdmitError, BoundedQueue, TryAdmitError};
-use crate::routing::{GroupRoute, Routing};
+use crate::queue::{BoundedQueue, PushError};
 use crate::shard::{
-    remap_event, Board, DeathNotice, GroupState, QueryReply, QueryRequest, ShardMsg, SketchBoard,
-    Worker,
+    remap_event, Board, DeathNotice, QueryReply, QueryRequest, ShardMsg, SketchBoard, Worker,
 };
 use crate::snapshot::ShardRecovery;
 use crate::spec::MonitorSpec;
@@ -29,40 +26,14 @@ use crate::stats::{CrossCorrStats, RuntimeStats, ShardCounters};
 use crate::telemetry::RuntimeTelemetry;
 use crate::{ClassStats, RuntimeError};
 
-/// Worker-slot count, group count, and per-group stream counts for
-/// `n_streams` streams. Streams with `g mod n_groups == group` live in
-/// `group`; groups are placed on worker slots by the routing table
-/// (initially `group mod n_shards`) and move between slots at runtime.
-fn sizing(n_streams: usize, shards: usize, groups: usize) -> (usize, usize, Vec<usize>) {
+/// Shard count and per-shard stream counts for `n_streams` streams.
+/// Stream `s` lives on shard `s mod n_shards` as local stream
+/// `s div n_shards`.
+fn sizing(n_streams: usize, shards: usize) -> (usize, Vec<usize>) {
     let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let n_shards = if shards == 0 { hw } else { shards }.min(n_streams).max(1);
-    let n_groups = if groups == 0 { n_shards } else { groups }.min(n_streams).max(1);
-    let n_locals = (0..n_groups).map(|group| (n_streams - group).div_ceil(n_groups)).collect();
-    (n_shards, n_groups, n_locals)
-}
-
-/// One rebalancing move chosen (and already executed) by
-/// [`ShardedRuntime::rebalance_step`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RebalanceAction {
-    /// Groups moved off a hot slot onto an idle one.
-    Split {
-        /// The overloaded source slot.
-        from: usize,
-        /// The previously idle destination slot.
-        to: usize,
-        /// The groups that moved.
-        groups: Vec<usize>,
-    },
-    /// A cold slot drained into a sibling and retired.
-    Merge {
-        /// The cold source slot (owns nothing afterwards).
-        from: usize,
-        /// The slot that absorbed its groups.
-        into: usize,
-        /// The groups that moved.
-        groups: Vec<usize>,
-    },
+    let n_locals = (0..n_shards).map(|shard| (n_streams - shard).div_ceil(n_shards)).collect();
+    (n_shards, n_locals)
 }
 
 /// The bounded per-shard queue rejected a message; retry later or use a
@@ -78,7 +49,7 @@ impl std::fmt::Display for QueueFull {
 
 impl std::error::Error for QueueFull {}
 
-/// A group of values for ingestion, each tagged with its (global)
+/// A set of values for ingestion, each tagged with its (global)
 /// stream. Values of one stream are applied in batch order.
 #[derive(Debug, Clone, Default)]
 pub struct Batch {
@@ -147,26 +118,13 @@ impl Default for RecoveryPolicy {
 /// Runtime tuning knobs.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
-    /// Worker shards. `0` means one per available CPU. Clamped to the
-    /// stream count (an empty shard serves nothing).
+    /// Worker shards `S`. Stream `s` is placed on shard `s mod S` for
+    /// the runtime's whole life. `0` means one per available CPU.
+    /// Clamped to the stream count (an empty shard serves nothing).
     pub shards: usize,
-    /// Stream groups — the unit of elastic rebalancing. Streams are
-    /// partitioned `stream mod groups`; each group is owned by exactly
-    /// one worker slot and can migrate between slots at runtime
-    /// ([`ShardedRuntime::split_shard`] / [`ShardedRuntime::merge_shard`]).
-    /// `0` — the default — means one group per shard, which pins the
-    /// placement to the classic `stream mod shards` layout (bit-identical
-    /// to the pre-elastic runtime, but with nothing to split). Set it
-    /// above `shards` to give the runtime room to rebalance.
-    pub groups: usize,
-    /// Extra worker slots spawned at launch beyond `shards`, idle until
-    /// a split moves groups onto them. Split destinations must be
-    /// pre-spawned: migration hands state over through queues, not by
-    /// creating threads mid-protocol.
-    pub spare_shards: usize,
-    /// Respawn-storm cap: if one worker slot restarts more than this
+    /// Respawn-storm cap: if one shard's worker restarts more than this
     /// many times within [`Self::restart_window`], the supervisor stops
-    /// restarting it and fails the slot for good — producers get
+    /// restarting it and fails the shard for good — producers get
     /// [`RuntimeError::RespawnStorm`] instead of an unbounded
     /// crash/restore loop.
     pub max_restarts_in_window: u32,
@@ -205,8 +163,6 @@ impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
             shards: 0,
-            groups: 0,
-            spare_shards: 0,
             max_restarts_in_window: 64,
             restart_window: Duration::from_secs(10),
             queue_capacity: 64,
@@ -229,16 +185,11 @@ pub struct ShutdownReport {
     pub events: Vec<Event>,
 }
 
-/// State shared by producers, workers, the supervisor, and the
-/// migration coordinator. Everything a restored worker needs to resume
-/// a dead slot lives here.
+/// State shared by producers, workers, and the supervisor. Everything
+/// a restored worker needs to resume a dead shard lives here.
 struct Shared {
     spec: MonitorSpec,
-    /// Worker slots (`shards + spare_shards`), all spawned at launch.
-    n_workers: usize,
-    /// Stream groups — the routing modulus.
-    n_groups: usize,
-    /// Streams per group.
+    /// Streams per shard.
     n_locals: Vec<usize>,
     snapshot_every: u64,
     fault_plan: Option<Arc<FaultPlan>>,
@@ -248,26 +199,15 @@ struct Shared {
     /// Runtime-level handles (batch latency, recovery timings); fully
     /// detached when telemetry is off.
     runtime_telemetry: RuntimeTelemetry,
-    /// Per-slot queues. They live outside any worker so a worker crash
+    /// Per-shard queues. They live outside any worker so a worker crash
     /// loses no queued message — the restored worker resumes draining.
+    /// A closed queue is the one "shard is gone" signal producers see.
     queues: Vec<Arc<BoundedQueue<ShardMsg>>>,
-    /// Per-slot queue capacity, for the rebalance policy's depth signal.
-    queue_capacity: usize,
     counters: Vec<Arc<ShardCounters>>,
-    /// Epoch-versioned group→slot routing table.
-    routing: Arc<Routing>,
-    /// Serializes migrations: one group moves at a time, so the
-    /// freeze/seal/adopt/promote window never overlaps another's.
-    migration: Mutex<()>,
-    /// Completed migrations (splits and merges both count per group).
-    migrations: AtomicU64,
-    /// Per-slot append counts at the last `rebalance_step`, for the
-    /// append-rate half of the policy signal.
-    last_appends: Mutex<Vec<u64>>,
-    /// Slots the supervisor fail-stopped for restarting too fast,
+    /// Shards the supervisor fail-stopped for restarting too fast,
     /// with the restart count that tripped the cap.
     storms: Mutex<Vec<(usize, u32)>>,
-    /// Per-slot restart timestamps inside the storm window.
+    /// Per-shard restart timestamps inside the storm window.
     restart_history: Mutex<Vec<VecDeque<Instant>>>,
     max_restarts_in_window: u32,
     restart_window: Duration,
@@ -276,8 +216,7 @@ struct Shared {
     sketches: Arc<SketchBoard>,
     /// Sketch-exchange cadence in sealed blocks (`0` = disabled).
     sketch_cadence: u64,
-    /// Per-**group** recovery journals (a group's journal travels with
-    /// it across slots); `None` when recovery is disabled.
+    /// Per-shard recovery journals; `None` when recovery is disabled.
     recovery: Option<Vec<Arc<ShardRecovery>>>,
     board: Arc<Board>,
     handles: Mutex<Vec<Option<JoinHandle<()>>>>,
@@ -289,10 +228,16 @@ struct Shared {
 }
 
 impl Shared {
+    fn n_shards(&self) -> usize {
+        self.n_locals.len()
+    }
+
+    /// Spawns the worker for `slot` over `monitor`, which has already
+    /// processed `processed` appends.
     fn spawn_worker(
         self: &Arc<Self>,
         slot: usize,
-        groups: BTreeMap<usize, GroupState>,
+        monitor: Option<UnifiedMonitor>,
         processed: u64,
     ) -> std::io::Result<JoinHandle<()>> {
         let events = self
@@ -303,8 +248,10 @@ impl Shared {
             .expect("worker spawned after shutdown");
         let worker = Worker {
             slot,
-            n_groups: self.n_groups,
-            groups,
+            n_shards: self.n_shards(),
+            n_locals: self.n_locals[slot],
+            monitor,
+            recovery: self.recovery.as_ref().map(|r| Arc::clone(&r[slot])),
             inbox: Arc::clone(&self.queues[slot]),
             events,
             counters: Arc::clone(&self.counters[slot]),
@@ -313,7 +260,7 @@ impl Shared {
             snapshot_every: self.snapshot_every,
             sketches: Arc::clone(&self.sketches),
             sketch_cadence: self.sketch_cadence,
-            routing: Arc::clone(&self.routing),
+            last_shipped: 0,
             telemetry: self.runtime_telemetry.clone(),
         };
         let board = Arc::clone(&self.board);
@@ -328,40 +275,36 @@ impl Shared {
         })
     }
 
-    /// Fail-stops a slot for good: queue closed (producers unpark into
-    /// an error), board told, every route through the slot poisoned.
+    /// Fail-stops a shard for good: the storm (if any) is recorded
+    /// first, then the queue closes (producers unpark into
+    /// [`Self::route_failed_error`]) and the board is told.
     fn fail_slot(&self, slot: usize, storm_restarts: Option<u32>) {
         if let Some(restarts) = storm_restarts {
             self.storms.lock().unwrap_or_else(PoisonError::into_inner).push((slot, restarts));
         }
         self.queues[slot].close();
         self.board.mark_failed(slot);
-        self.routing.mark_worker_failed(slot);
     }
 
-    /// The error producers see for a permanently failed route: a
-    /// respawn storm if the supervisor tripped the cap, otherwise plain
-    /// disconnection.
-    fn route_failed_error(&self) -> RuntimeError {
+    /// The error a producer or query sees when `slot`'s queue is
+    /// closed: a respawn storm if the supervisor tripped the cap on that
+    /// shard, otherwise plain disconnection.
+    fn route_failed_error(&self, slot: usize) -> RuntimeError {
         let storms = self.storms.lock().unwrap_or_else(PoisonError::into_inner);
-        match storms.first() {
+        match storms.iter().find(|&&(shard, _)| shard == slot) {
             Some(&(shard, restarts)) => RuntimeError::RespawnStorm { shard, restarts },
             None => RuntimeError::Disconnected,
         }
     }
 
-    /// Supervisor path: joins the dead worker, rebuilds every group the
-    /// slot still owes state for from the groups' journals (replaying
-    /// undelivered events), and spawns a replacement that resumes
-    /// draining the same queue. The respawn set is routing-derived: it
-    /// heals deaths mid-migration by re-pushing consumed-but-unsealed
-    /// `MigrateOut` markers and re-rebuilding adopted-but-unpromoted
-    /// groups from their journals.
+    /// Supervisor path: joins the dead worker, rebuilds the shard's
+    /// monitor from its journal (replaying undelivered events), and
+    /// spawns a replacement that resumes draining the same queue.
     fn restore_shard(self: &Arc<Self>, slot: usize) {
         if let Some(handle) = self.handles.lock().expect("handles poisoned")[slot].take() {
             let _ = handle.join();
         }
-        // Respawn-storm cap: a slot that keeps dying faster than the
+        // Respawn-storm cap: a shard that keeps dying faster than the
         // window allows is failed for good rather than looped forever.
         {
             let mut history = self.restart_history.lock().unwrap_or_else(PoisonError::into_inner);
@@ -378,7 +321,7 @@ impl Shared {
                 return;
             }
         }
-        let recs = self.recovery.as_ref().expect("supervisor requires recovery");
+        let rec = &self.recovery.as_ref().expect("supervisor requires recovery")[slot];
         let events = self
             .events_tx
             .lock()
@@ -386,194 +329,56 @@ impl Shared {
             .clone()
             .expect("restore after shutdown");
         let restore_span = self.runtime_telemetry.restore.span();
-        let mut groups: BTreeMap<usize, GroupState> = BTreeMap::new();
-        let mut processed = 0u64;
-        let mut markers = Vec::new();
-        for (group, needs_marker) in self.routing.respawn_set(slot) {
-            let rec = &recs[group];
-            let rebuilt = rec.rebuild_state(
-                &self.spec,
-                self.n_locals[group],
-                group,
-                self.n_groups,
-                &events,
-                &self.sketches,
-                self.sketch_cadence,
-                &self.runtime_telemetry,
-            );
-            let Some((mut monitor, appends)) = rebuilt else {
-                // The group's durable WAL is wedged (torn write or
-                // failed rotation): an in-memory rebuild would accept
-                // appends the disk can no longer journal, so the whole
-                // slot fails stop (its other groups' journals are fine
-                // but the slot's fate is one fail-stop decision).
-                drop(restore_span);
-                self.fail_slot(slot, None);
-                return;
-            };
-            // The replay above ran detached (a restored monitor never
-            // counts replayed appends twice); re-attach for the group's
-            // second life.
-            if let (Some(registry), Some(m)) = (&self.telemetry, monitor.as_mut()) {
-                m.attach_telemetry(registry);
-            }
-            groups.insert(
-                group,
-                GroupState {
-                    n_locals: self.n_locals[group],
-                    monitor,
-                    recovery: Some(Arc::clone(rec)),
-                    appends,
-                    emitted: rec.emitted(),
-                    // Reset on every (re)spawn: the restored worker
-                    // re-publishes its sketches, absorbed idempotently.
-                    last_shipped: 0,
-                },
-            );
-            processed += appends;
-            if needs_marker {
-                markers.push(group);
-            }
-        }
-        drop(restore_span);
-        // Absolute stores, not deltas: they heal a counter move a death
-        // interrupted halfway (sealed but not adopted, or vice versa).
-        let counters = &self.counters[slot];
-        counters.appends.store(groups.values().map(|g| g.appends).sum(), Ordering::Relaxed);
-        counters.events.store(groups.values().map(|g| g.emitted).sum(), Ordering::Relaxed);
-        counters.restarts.fetch_add(1, Ordering::Relaxed);
-        // Dead-with-marker-consumed groups get their marker back. Force
-        // push: the supervisor must never park on a full queue, and the
-        // marker is control flow, not capacity-counted load.
-        for group in markers {
-            let _ = self.queues[slot].force_push(ShardMsg::MigrateOut(group));
-        }
-        match self.spawn_worker(slot, groups, processed) {
-            Ok(handle) => {
-                self.handles.lock().expect("handles poisoned")[slot] = Some(handle);
-            }
-            Err(_) => {
-                // Can't spawn a replacement thread: give the slot up.
-                self.fail_slot(slot, None);
-            }
-        }
-    }
-
-    /// Moves one group to slot `to` through the freeze → seal → rebuild
-    /// → adopt → promote protocol. Serialized (one migration at a
-    /// time); exactly-once by construction — the group's journal is the
-    /// unit of handoff, and the ack-suppression arithmetic that already
-    /// proves crash recovery proves the replay resends nothing (the
-    /// source sealed gracefully, so everything it emitted is acked).
-    fn migrate_group(self: &Arc<Self>, group: usize, to: usize) -> Result<(), RuntimeError> {
-        let Some(recs) = self.recovery.as_ref() else {
-            return Err(RuntimeError::MigrationUnsupported);
-        };
-        if group >= self.n_groups {
-            return Err(RuntimeError::Rebalance { detail: "group index out of range" });
-        }
-        if to >= self.n_workers {
-            return Err(RuntimeError::Rebalance { detail: "destination slot out of range" });
-        }
-        let _serial = self.migration.lock().unwrap_or_else(PoisonError::into_inner);
-        let from = match self.routing.freeze(group, to) {
-            Ok(from) => from,
-            // Already where it should be: a no-op, not an error.
-            Err(GroupRoute::Steady(w)) if w == to => return Ok(()),
-            Err(GroupRoute::Failed) => return Err(self.route_failed_error()),
-            Err(_) => return Err(RuntimeError::Rebalance { detail: "group is mid-migration" }),
-        };
-        let started = Instant::now();
-        // Queue the seal marker. Everything for the group admitted
-        // before the freeze is FIFO-ahead of it; nothing lands behind
-        // (admission closures re-check the route under the queue lock).
-        if self.queues[from].push(ShardMsg::MigrateOut(group)).is_err() {
-            self.routing.thaw(group, from);
-            return Err(self.route_failed_error());
-        }
-        match self.routing.wait_handed(group) {
-            GroupRoute::Handed { .. } => {}
-            _ => return Err(self.route_failed_error()),
-        }
-        // The source sealed: its journal is the group's complete,
-        // quiescent state (emitted == acked). Rebuild a warm monitor
-        // from it; the replay resends nothing.
-        let events = self
-            .events_tx
-            .lock()
-            .expect("events sender poisoned")
-            .clone()
-            .ok_or(RuntimeError::Disconnected)?;
-        let rec = &recs[group];
         let rebuilt = rec.rebuild_state(
             &self.spec,
-            self.n_locals[group],
-            group,
-            self.n_groups,
+            self.n_locals[slot],
+            slot,
+            self.n_shards(),
             &events,
             &self.sketches,
             self.sketch_cadence,
             &self.runtime_telemetry,
         );
+        drop(restore_span);
         let Some((mut monitor, appends)) = rebuilt else {
-            // Wedged journal mid-migration: the group cannot be handed
-            // to anyone (its WAL refuses appends). Fail the group, not
-            // the runtime.
-            self.routing.mark_group_failed(group);
-            return Err(RuntimeError::Disconnected);
+            // The shard's durable WAL is wedged (torn write or failed
+            // rotation): an in-memory rebuild would accept appends the
+            // disk can no longer journal, so the shard fails stop.
+            self.fail_slot(slot, None);
+            return;
         };
+        // The replay above ran detached (a restored monitor never
+        // counts replayed appends twice); re-attach for the shard's
+        // second life.
         if let (Some(registry), Some(m)) = (&self.telemetry, monitor.as_mut()) {
             m.attach_telemetry(registry);
         }
-        let state = GroupState {
-            n_locals: self.n_locals[group],
-            monitor,
-            recovery: Some(Arc::clone(rec)),
-            appends,
-            emitted: rec.emitted(),
-            last_shipped: 0,
-        };
-        // Queue the adoption, then promote. FIFO puts the payload ahead
-        // of any batch admitted after the flip, and a destination crash
-        // between the two is healed by its respawn set (`Handed{to}` ⇒
-        // rebuild from the journal; the stale payload is dropped).
-        if self.queues[to].push(ShardMsg::Adopt(group, Box::new(state))).is_err() {
-            self.routing.mark_group_failed(group);
-            return Err(self.route_failed_error());
+        // Absolute stores, not deltas: the journal covers batches the
+        // dead worker drained but never applied.
+        let counters = &self.counters[slot];
+        counters.appends.store(appends, Ordering::Relaxed);
+        counters.events.store(rec.emitted(), Ordering::Relaxed);
+        counters.restarts.fetch_add(1, Ordering::Relaxed);
+        match self.spawn_worker(slot, monitor, appends) {
+            Ok(handle) => {
+                self.handles.lock().expect("handles poisoned")[slot] = Some(handle);
+            }
+            Err(_) => {
+                // Can't spawn a replacement thread: give the shard up.
+                self.fail_slot(slot, None);
+            }
         }
-        self.routing.promote(group);
-        // The seal/adopt pair transfers the group's historical append
-        // count between the slot counters; shift the rebalance baseline
-        // by the same amount so the transfer never reads as fresh load
-        // (otherwise the policy sees the destination as hot and
-        // thrashes).
-        {
-            let mut last = self.last_appends.lock().unwrap_or_else(PoisonError::into_inner);
-            last[from] = last[from].saturating_sub(appends);
-            last[to] += appends;
-        }
-        self.migrations.fetch_add(1, Ordering::Relaxed);
-        self.runtime_telemetry.migrations.inc();
-        let ms = started.elapsed().as_millis().min(u64::MAX as u128) as u64;
-        self.runtime_telemetry.migration_ms.observe(ms);
-        Ok(())
     }
 }
 
-/// A multi-threaded monitor over `M` streams, partitioned into `G`
-/// stream groups placed across `S` worker shards.
+/// A multi-threaded monitor over `M` streams, partitioned across `S`
+/// worker shards.
 ///
-/// Stream `g` lives in group `g mod G` as local stream `g div G`; each
-/// group owns a private [`stardust_core::unified::UnifiedMonitor`] over
-/// its slice and communicates only through channels, so no monitor
-/// state is ever shared or locked. By default `G = S` and every group
-/// is pinned to its identity slot — the classic immutable layout. With
-/// [`RuntimeConfig::groups`] `> S` the runtime is *elastic*: groups
-/// migrate between worker slots online ([`Self::split_shard`] /
-/// [`Self::merge_shard`]) through an exactly-once handoff protocol
-/// built on the same journal/ack machinery as crash recovery, and
-/// ingestion and queries issued mid-migration return exactly what an
-/// unresized run would.
+/// Placement is static: stream `s` lives on shard `s mod S` as local
+/// stream `s div S` for the runtime's whole life. Each shard owns a
+/// private [`stardust_core::unified::UnifiedMonitor`] over its slice
+/// and communicates only through channels, so no monitor state is ever
+/// shared or locked.
 ///
 /// **Semantics vs. a single monitor.** Aggregate and trend monitoring
 /// are per-stream computations: the sharded runtime emits *exactly* the
@@ -605,7 +410,10 @@ impl Shared {
 /// suffix (suppressing the events the dead worker already delivered),
 /// and spawns a replacement that resumes draining the *same* queue — no
 /// queued batch or query is lost, no event is delivered twice, and the
-/// recovered event stream is bit-identical to an unfaulted run.
+/// recovered event stream is bit-identical to an unfaulted run. A shard
+/// that keeps dying faster than [`RuntimeConfig::max_restarts_in_window`]
+/// allows is fail-stopped instead: its queue closes, and every producer
+/// and query path into it reports [`RuntimeError::RespawnStorm`].
 pub struct ShardedRuntime {
     n_streams: usize,
     shared: Arc<Shared>,
@@ -623,9 +431,7 @@ impl std::fmt::Debug for ShardedRuntime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedRuntime")
             .field("n_streams", &self.n_streams)
-            .field("n_shards", &self.shared.n_workers)
-            .field("n_groups", &self.shared.n_groups)
-            .field("epoch", &self.shared.routing.epoch())
+            .field("n_shards", &self.shared.n_shards())
             .field("recovery", &self.shared.recovery.is_some())
             .finish_non_exhaustive()
     }
@@ -645,16 +451,15 @@ impl ShardedRuntime {
         if n_streams == 0 {
             return Err(RuntimeError::NoStreams);
         }
-        let (n_shards, n_groups, n_locals) = sizing(n_streams, config.shards, config.groups);
-        let n_workers = n_shards + config.spare_shards;
+        let (n_shards, n_locals) = sizing(n_streams, config.shards);
         let with_recovery = config.recovery.is_some();
-        let mut seeds: Vec<(usize, Option<UnifiedMonitor>, u64)> = Vec::with_capacity(n_groups);
-        for (group, &n_local) in n_locals.iter().enumerate() {
+        let mut seeds: Vec<(Option<UnifiedMonitor>, u64)> = Vec::with_capacity(n_shards);
+        for &n_local in &n_locals {
             let mut monitor = spec.build(n_local)?;
             if let (Some(registry), Some(m)) = (&config.telemetry, monitor.as_mut()) {
                 m.attach_telemetry(registry);
             }
-            seeds.push((group, monitor, 0));
+            seeds.push((monitor, 0));
         }
         let runtime_telemetry =
             config.telemetry.as_ref().map(RuntimeTelemetry::new).unwrap_or_default();
@@ -663,13 +468,12 @@ impl ShardedRuntime {
         let shared = Self::assemble(
             spec,
             n_locals,
-            n_workers,
             config,
             events_tx,
             runtime_telemetry,
-            (0..n_workers).map(|_| Arc::new(ShardCounters::new())).collect(),
+            (0..n_shards).map(|_| Arc::new(ShardCounters::new())).collect(),
             with_recovery
-                .then(|| (0..n_groups).map(|_| Arc::new(ShardRecovery::new(None))).collect()),
+                .then(|| (0..n_shards).map(|_| Arc::new(ShardRecovery::new(None))).collect()),
         );
         Self::start_workers(&shared, seeds)?;
         let supervisor = if with_recovery { Some(Self::start_supervisor(&shared)?) } else { None };
@@ -717,34 +521,32 @@ impl ShardedRuntime {
         if config.recovery.is_none() {
             config.recovery = Some(RecoveryPolicy::default());
         }
-        let (n_shards, n_groups, n_locals) = sizing(n_streams, config.shards, config.groups);
-        let n_workers = n_shards + config.spare_shards;
+        let (n_shards, n_locals) = sizing(n_streams, config.shards);
         let recovery_err = |e: RecoveryError| RuntimeError::Recovery(e);
         std::fs::create_dir_all(&persist.dir)
             .map_err(|e| recovery_err(RecoveryError::io(&persist.dir, e)))?;
-        // Durable layout is per *group*: `shard-N` files hold group N's
-        // journal, which travels with the group across worker slots.
-        // (The on-disk names predate elastic routing.)
-        persist::check_shard_layout(&persist.dir, n_groups).map_err(recovery_err)?;
+        persist::check_shard_layout(&persist.dir, n_shards).map_err(recovery_err)?;
         let runtime_telemetry =
             config.telemetry.as_ref().map(RuntimeTelemetry::new).unwrap_or_default();
         let (events_tx, events_rx) = mpsc::channel();
 
-        let mut seeds = Vec::with_capacity(n_groups);
-        let mut recoveries = Vec::with_capacity(n_groups);
-        let mut report = RecoveryReport { shards: Vec::with_capacity(n_groups) };
-        for group in 0..n_groups {
+        let mut seeds = Vec::with_capacity(n_shards);
+        let mut recoveries = Vec::with_capacity(n_shards);
+        let mut report = RecoveryReport { shards: Vec::with_capacity(n_shards) };
+        let counters: Vec<Arc<ShardCounters>> =
+            (0..n_shards).map(|_| Arc::new(ShardCounters::new())).collect();
+        for shard in 0..n_shards {
             let span = runtime_telemetry.disk_recovery.span();
-            persist::apply_open_faults(&persist.dir, group, &config.fault_plan)
+            persist::apply_open_faults(&persist.dir, shard, &config.fault_plan)
                 .map_err(recovery_err)?;
-            let rec = persist::recover_shard(&persist.dir, group).map_err(recovery_err)?;
+            let rec = persist::recover_shard(&persist.dir, shard).map_err(recovery_err)?;
             // Build from the spec first — this validates the spec for
-            // every group even when a snapshot overrides the state.
-            let mut monitor = spec.build(n_locals[group])?;
+            // every shard even when a snapshot overrides the state.
+            let mut monitor = spec.build(n_locals[shard])?;
             if let Some(bytes) = &rec.snapshot {
                 let restored = UnifiedMonitor::restore(bytes).map_err(|_| {
                     recovery_err(RecoveryError::CorruptSnapshot {
-                        path: persist::ShardPaths::new(&persist.dir, group).snap,
+                        path: persist::ShardPaths::new(&persist.dir, shard).snap,
                         detail: "checksummed monitor payload failed to decode \
                                  (spec or version mismatch?)",
                     })
@@ -753,11 +555,7 @@ impl ShardedRuntime {
             }
             // Replay the WAL suffix. The first `already` regenerated
             // events were delivered (and acked) by the previous process;
-            // the rest go to the collector now. A process killed mid-
-            // migration recovers here too: the group's journal is
-            // crash-consistent no matter which slot owned it (seal
-            // fences the source before the destination writes), so
-            // `open` lands in a consistent epoch-0 placement.
+            // the rest go to the collector now.
             let already = rec.last_ack - rec.emitted_at_snapshot;
             let mut regenerated = 0u64;
             let mut re_emitted = 0u64;
@@ -770,7 +568,7 @@ impl ShardedRuntime {
                     for ev in buf.drain(..) {
                         regenerated += 1;
                         if regenerated > already {
-                            resend.push(remap_event(group, n_groups, ev));
+                            resend.push(remap_event(shard, n_shards, ev));
                         }
                     }
                 }
@@ -795,7 +593,7 @@ impl ShardedRuntime {
             let snap_bytes = monitor.as_ref().map(|m| m.snapshot());
             let disk = persist::ShardDisk::create(
                 &persist.dir,
-                group,
+                shard,
                 persist.sync,
                 config.fault_plan.clone(),
                 runtime_telemetry.clone(),
@@ -807,7 +605,7 @@ impl ShardedRuntime {
             .map_err(|e| recovery_err(RecoveryError::io(&persist.dir, e)))?;
             drop(span);
             report.shards.push(ShardRecoveryReport {
-                shard: group,
+                shard,
                 durable_appends,
                 replayed: rec.suffix.len() as u64,
                 re_emitted,
@@ -816,30 +614,20 @@ impl ShardedRuntime {
                 used_fallback: rec.used_fallback,
                 generation: disk.generation(),
             });
+            counters[shard].appends.store(durable_appends, Ordering::Relaxed);
+            counters[shard].events.store(emitted, Ordering::Relaxed);
             recoveries.push(Arc::new(ShardRecovery::resumed(
                 snap_bytes,
                 durable_appends,
                 emitted,
                 Some(disk),
             )));
-            seeds.push((group, monitor, durable_appends));
-        }
-
-        // Per-slot counters start at the sums of the groups initially
-        // placed on each slot (`group mod n_shards`).
-        let counters: Vec<Arc<ShardCounters>> =
-            (0..n_workers).map(|_| Arc::new(ShardCounters::new())).collect();
-        for (group, rec) in recoveries.iter().enumerate() {
-            let slot = group % n_shards;
-            let appends = report.shards[group].durable_appends;
-            counters[slot].appends.fetch_add(appends, Ordering::Relaxed);
-            counters[slot].events.fetch_add(rec.emitted(), Ordering::Relaxed);
+            seeds.push((monitor, durable_appends));
         }
 
         let shared = Self::assemble(
             spec,
             n_locals,
-            n_workers,
             config,
             events_tx,
             runtime_telemetry,
@@ -860,83 +648,48 @@ impl ShardedRuntime {
 
     /// Builds the shared state common to [`Self::launch`] and
     /// [`Self::open`].
-    #[allow(clippy::too_many_arguments)]
     fn assemble(
         spec: &MonitorSpec,
         n_locals: Vec<usize>,
-        n_workers: usize,
         config: RuntimeConfig,
         events_tx: Sender<Vec<Event>>,
         runtime_telemetry: RuntimeTelemetry,
         counters: Vec<Arc<ShardCounters>>,
         recovery: Option<Vec<Arc<ShardRecovery>>>,
     ) -> Arc<Shared> {
-        let n_groups = n_locals.len();
-        let n_shards = n_workers - config.spare_shards;
+        let n_shards = n_locals.len();
         let n_streams: usize = n_locals.iter().sum();
         let queue_capacity = config.queue_capacity.max(1);
-        // Initial placement: group g on slot g mod n_shards. With the
-        // default groups == shards this is the identity — the classic
-        // immutable layout.
-        let assignment = (0..n_groups).map(|g| g % n_shards).collect();
         Arc::new(Shared {
             spec: spec.clone(),
-            n_workers,
-            n_groups,
             n_locals,
             snapshot_every: config.recovery.map(|r| r.snapshot_every).unwrap_or(0),
             fault_plan: config.fault_plan,
             telemetry: config.telemetry,
             runtime_telemetry,
-            queues: (0..n_workers).map(|_| Arc::new(BoundedQueue::new(queue_capacity))).collect(),
-            queue_capacity,
+            queues: (0..n_shards).map(|_| Arc::new(BoundedQueue::new(queue_capacity))).collect(),
             counters,
-            routing: Arc::new(Routing::new(assignment, n_workers)),
-            migration: Mutex::new(()),
-            migrations: AtomicU64::new(0),
-            last_appends: Mutex::new(vec![0; n_workers]),
             storms: Mutex::new(Vec::new()),
-            restart_history: Mutex::new(vec![VecDeque::new(); n_workers]),
+            restart_history: Mutex::new(vec![VecDeque::new(); n_shards]),
             max_restarts_in_window: config.max_restarts_in_window,
             restart_window: config.restart_window,
             sketches: Arc::new(SketchBoard::new(n_streams)),
             sketch_cadence: config.sketch_cadence,
             recovery,
-            board: Arc::new(Board::new(n_workers)),
-            handles: Mutex::new((0..n_workers).map(|_| None).collect()),
+            board: Arc::new(Board::new(n_shards)),
+            handles: Mutex::new((0..n_shards).map(|_| None).collect()),
             events_tx: Mutex::new(Some(events_tx)),
         })
     }
 
-    /// Spawns every worker slot. `seeds` carries one entry per *group*
-    /// (`(group, monitor, durable_appends)`); groups are bucketed onto
-    /// their initial slots and spare slots start empty.
+    /// Spawns one worker per shard; `seeds[shard]` is the shard's
+    /// monitor and the appends it has already processed.
     fn start_workers(
         shared: &Arc<Shared>,
-        seeds: Vec<(usize, Option<UnifiedMonitor>, u64)>,
+        seeds: Vec<(Option<UnifiedMonitor>, u64)>,
     ) -> Result<(), RuntimeError> {
-        let mut per_slot: Vec<BTreeMap<usize, GroupState>> =
-            (0..shared.n_workers).map(|_| BTreeMap::new()).collect();
-        let mut processed: Vec<u64> = vec![0; shared.n_workers];
-        for (group, monitor, appends) in seeds {
-            let slot = shared.routing.try_owner(group).expect("fresh routing is steady");
-            let recovery = shared.recovery.as_ref().map(|r| Arc::clone(&r[group]));
-            let emitted = recovery.as_ref().map_or(0, |r| r.emitted());
-            per_slot[slot].insert(
-                group,
-                GroupState {
-                    n_locals: shared.n_locals[group],
-                    monitor,
-                    recovery,
-                    appends,
-                    emitted,
-                    last_shipped: 0,
-                },
-            );
-            processed[slot] += appends;
-        }
-        for (slot, groups) in per_slot.into_iter().enumerate() {
-            match shared.spawn_worker(slot, groups, processed[slot]) {
+        for (slot, (monitor, processed)) in seeds.into_iter().enumerate() {
+            match shared.spawn_worker(slot, monitor, processed) {
                 Ok(handle) => shared.handles.lock().expect("handles poisoned")[slot] = Some(handle),
                 Err(e) => {
                     // Unblock the workers already spawned; they drain
@@ -969,30 +722,9 @@ impl ShardedRuntime {
             })
     }
 
-    /// Number of worker slots (including idle spares).
+    /// Number of worker shards.
     pub fn n_shards(&self) -> usize {
-        self.shared.n_workers
-    }
-
-    /// Number of stream groups — the unit of elastic rebalancing.
-    pub fn n_groups(&self) -> usize {
-        self.shared.n_groups
-    }
-
-    /// Number of worker slots currently owning at least one group.
-    pub fn live_shards(&self) -> usize {
-        self.shared.routing.live_workers()
-    }
-
-    /// Routing epoch: bumped once per completed group migration.
-    pub fn epoch(&self) -> u64 {
-        self.shared.routing.epoch()
-    }
-
-    /// Completed group migrations (splits and merges both count one per
-    /// group moved).
-    pub fn migrations(&self) -> u64 {
-        self.shared.migrations.load(Ordering::Relaxed)
+        self.shared.n_shards()
     }
 
     /// Number of monitored streams.
@@ -1005,65 +737,47 @@ impl ShardedRuntime {
         self.shared.counters.iter().map(|c| c.restarts.load(Ordering::Relaxed)).sum()
     }
 
+    /// `(shard, local id)` of a global stream id.
     fn place(&self, stream: StreamId) -> Result<(usize, StreamId), RuntimeError> {
         if (stream as usize) < self.n_streams {
-            let g = self.shared.n_groups;
-            Ok((stream as usize % g, stream / g as StreamId))
+            let s = self.shared.n_shards();
+            Ok((stream as usize % s, stream / s as StreamId))
         } else {
             Err(RuntimeError::UnknownStream { stream, n_streams: self.n_streams })
         }
     }
 
-    /// Blocks until `group` has a steady owner; maps routing failures
-    /// to the producer-visible error.
-    fn wait_owner(&self, group: usize) -> Result<usize, RuntimeError> {
-        self.shared.routing.wait_steady(group).map_err(|failed| {
-            if failed {
-                self.shared.route_failed_error()
-            } else {
-                RuntimeError::Disconnected
-            }
+    /// Blocking push of one shard's batch.
+    fn push_batch_blocking(
+        &self,
+        slot: usize,
+        items: Vec<(StreamId, f64)>,
+        now: Instant,
+    ) -> Result<(), RuntimeError> {
+        self.shared.counters[slot].note_enqueued();
+        self.shared.queues[slot].push(ShardMsg::Batch(items, now)).map_err(|_| {
+            self.shared.counters[slot].undo_enqueued();
+            self.shared.route_failed_error(slot)
         })
     }
 
-    /// Blocking push of one group's batch with migration-safe admission:
-    /// the message is admitted only while the route still points at the
-    /// resolved slot (checked under the queue lock, atomically against
-    /// the coordinator's freeze), so no batch ever lands behind a
-    /// `MigrateOut` marker. A refusal re-resolves and retries on the
-    /// new owner.
-    fn push_batch_blocking(
+    /// Non-blocking push of one shard's batch; a full queue hands the
+    /// items back.
+    fn try_push_batch(
         &self,
-        group: usize,
-        mut items: Vec<(StreamId, f64)>,
+        slot: usize,
+        items: Vec<(StreamId, f64)>,
         now: Instant,
-    ) -> Result<(), RuntimeError> {
-        loop {
-            let slot = self.wait_owner(group)?;
-            self.shared.counters[slot].note_enqueued();
-            let routing = &self.shared.routing;
-            match self.shared.queues[slot]
-                .push_if(ShardMsg::Batch(group, items, now), || routing.is_steady_at(group, slot))
-            {
-                Ok(()) => return Ok(()),
-                Err(AdmitError::Refused(ShardMsg::Batch(_, i, _))) => {
-                    // The group migrated (or froze) while we waited;
-                    // chase it to its new owner.
-                    self.shared.counters[slot].undo_enqueued();
-                    items = i;
+    ) -> Result<Result<(), Vec<(StreamId, f64)>>, RuntimeError> {
+        self.shared.counters[slot].note_enqueued();
+        match self.shared.queues[slot].try_push(ShardMsg::Batch(items, now)) {
+            Ok(()) => Ok(Ok(())),
+            Err(e) => {
+                self.shared.counters[slot].undo_enqueued();
+                match e {
+                    PushError::Full(ShardMsg::Batch(items, _)) => Ok(Err(items)),
+                    _ => Err(self.shared.route_failed_error(slot)),
                 }
-                Err(AdmitError::Closed(ShardMsg::Batch(_, i, _))) => {
-                    self.shared.counters[slot].undo_enqueued();
-                    if self.shared.recovery.is_none() {
-                        return Err(RuntimeError::Disconnected);
-                    }
-                    // Slot fail-stopped; the routing table is marked
-                    // failed momentarily after the close. Yield until
-                    // wait_owner observes it.
-                    items = i;
-                    std::thread::yield_now();
-                }
-                Err(_) => unreachable!("pushed message is returned verbatim"),
             }
         }
     }
@@ -1072,57 +786,42 @@ impl ShardedRuntime {
     ///
     /// # Errors
     /// [`RuntimeError::Backpressure`] when the owning shard's queue is
-    /// full — or the stream's group is mid-migration — (the value is
-    /// *not* enqueued; retry or use [`Self::append_blocking`]),
-    /// [`RuntimeError::UnknownStream`] on an out-of-range id.
+    /// full (the value is *not* enqueued; retry or use
+    /// [`Self::append_blocking`]), [`RuntimeError::UnknownStream`] on an
+    /// out-of-range id, [`RuntimeError::Disconnected`] if the shard
+    /// failed terminally, [`RuntimeError::RespawnStorm`] if the
+    /// supervisor gave up on it.
     pub fn try_append(&self, stream: StreamId, value: f64) -> Result<(), RuntimeError> {
-        let (group, local) = self.place(stream)?;
-        let slot = match self.shared.routing.try_owner(group) {
-            Ok(slot) => slot,
-            // Mid-migration: transient, report backpressure.
-            Err(false) => return Err(RuntimeError::Backpressure(QueueFull)),
-            Err(true) => return Err(self.shared.route_failed_error()),
-        };
-        let msg = ShardMsg::Batch(group, vec![(local, value)], Instant::now());
-        self.shared.counters[slot].note_enqueued();
-        let routing = &self.shared.routing;
-        match self.shared.queues[slot].try_push_if(msg, || routing.is_steady_at(group, slot)) {
+        let (slot, local) = self.place(stream)?;
+        match self.try_push_batch(slot, vec![(local, value)], Instant::now())? {
             Ok(()) => Ok(()),
-            Err(TryAdmitError::Full(_)) | Err(TryAdmitError::Refused(_)) => {
-                self.shared.counters[slot].undo_enqueued();
-                Err(RuntimeError::Backpressure(QueueFull))
-            }
-            Err(TryAdmitError::Closed(_)) => {
-                self.shared.counters[slot].undo_enqueued();
-                Err(RuntimeError::Disconnected)
-            }
+            Err(_) => Err(RuntimeError::Backpressure(QueueFull)),
         }
     }
 
     /// Appends one value, waiting while the owning shard's queue is
-    /// full (or the stream's group is mid-migration).
+    /// full.
     ///
     /// # Errors
     /// [`RuntimeError::UnknownStream`] on an out-of-range id,
     /// [`RuntimeError::Disconnected`] if the shard failed terminally,
     /// [`RuntimeError::RespawnStorm`] if the supervisor gave up on it.
     pub fn append_blocking(&self, stream: StreamId, value: f64) -> Result<(), RuntimeError> {
-        let (group, local) = self.place(stream)?;
-        self.push_batch_blocking(group, vec![(local, value)], Instant::now())
+        let (slot, local) = self.place(stream)?;
+        self.push_batch_blocking(slot, vec![(local, value)], Instant::now())
     }
 
     fn split(&self, batch: &Batch) -> Result<Vec<Vec<(StreamId, f64)>>, RuntimeError> {
-        let mut per_group: Vec<Vec<(StreamId, f64)>> = vec![Vec::new(); self.shared.n_groups];
+        let mut per_shard: Vec<Vec<(StreamId, f64)>> = vec![Vec::new(); self.shared.n_shards()];
         for &(stream, value) in &batch.items {
-            let (group, local) = self.place(stream)?;
-            per_group[group].push((local, value));
+            let (slot, local) = self.place(stream)?;
+            per_shard[slot].push((local, value));
         }
-        Ok(per_group)
+        Ok(per_shard)
     }
 
     /// Submits a batch, waiting on full queues. Values are split into
-    /// one message per involved stream group; per-stream order is
-    /// preserved.
+    /// one message per involved shard; per-stream order is preserved.
     ///
     /// # Errors
     /// [`RuntimeError::UnknownStream`] on any out-of-range id (nothing
@@ -1131,65 +830,39 @@ impl ShardedRuntime {
     /// gave up on one.
     pub fn submit_blocking(&self, batch: &Batch) -> Result<(), RuntimeError> {
         let now = Instant::now();
-        for (group, items) in self.split(batch)?.into_iter().enumerate() {
+        for (slot, items) in self.split(batch)?.into_iter().enumerate() {
             if items.is_empty() {
                 continue;
             }
-            self.push_batch_blocking(group, items, now)?;
+            self.push_batch_blocking(slot, items, now)?;
         }
         Ok(())
     }
 
-    /// Submits a batch without blocking. Sub-batches for groups with
-    /// room are enqueued; the rest (including any group mid-migration)
-    /// is returned for retry.
+    /// Submits a batch without blocking. Sub-batches for shards with
+    /// room are enqueued; the rest is returned for retry.
     ///
     /// # Errors
     /// [`RuntimeError::UnknownStream`] on any out-of-range id (nothing
-    /// is enqueued); otherwise `Ok` with an optional [`PartialSubmit`]
+    /// is enqueued), [`RuntimeError::Disconnected`] /
+    /// [`RuntimeError::RespawnStorm`] if an involved shard failed
+    /// terminally; otherwise `Ok` with an optional [`PartialSubmit`]
     /// remainder — `None` means everything was enqueued.
     pub fn try_submit(&self, batch: &Batch) -> Result<Option<PartialSubmit>, RuntimeError> {
         let now = Instant::now();
-        let g_n = self.shared.n_groups as StreamId;
+        let s_n = self.shared.n_shards() as StreamId;
         let mut rejected = Batch::new();
         let mut accepted = 0usize;
-        for (group, items) in self.split(batch)?.into_iter().enumerate() {
+        for (slot, items) in self.split(batch)?.into_iter().enumerate() {
             if items.is_empty() {
                 continue;
             }
-            let reject = |rejected: &mut Batch, items: Vec<(StreamId, f64)>| {
-                rejected.items.extend(
-                    items.into_iter().map(|(local, v)| (local * g_n + group as StreamId, v)),
-                )
-            };
-            let slot = match self.shared.routing.try_owner(group) {
-                Ok(slot) => slot,
-                Err(false) => {
-                    // Mid-migration: backpressure, retry later.
-                    reject(&mut rejected, items);
-                    continue;
-                }
-                Err(true) => return Err(self.shared.route_failed_error()),
-            };
             let n = items.len();
-            self.shared.counters[slot].note_enqueued();
-            let routing = &self.shared.routing;
-            match self.shared.queues[slot].try_push_if(ShardMsg::Batch(group, items, now), || {
-                routing.is_steady_at(group, slot)
-            }) {
-                Ok(()) => {
-                    accepted += n;
-                }
-                Err(TryAdmitError::Full(ShardMsg::Batch(_, items, _)))
-                | Err(TryAdmitError::Refused(ShardMsg::Batch(_, items, _))) => {
-                    self.shared.counters[slot].undo_enqueued();
-                    reject(&mut rejected, items);
-                }
-                Err(TryAdmitError::Closed(_)) => {
-                    self.shared.counters[slot].undo_enqueued();
-                    return Err(RuntimeError::Disconnected);
-                }
-                Err(_) => unreachable!("only batches are retried"),
+            match self.try_push_batch(slot, items, now)? {
+                Ok(()) => accepted += n,
+                Err(items) => rejected.items.extend(
+                    items.into_iter().map(|(local, v)| (local * s_n + slot as StreamId, v)),
+                ),
             }
         }
         if rejected.is_empty() {
@@ -1201,7 +874,7 @@ impl ShardedRuntime {
 
     /// Every event collected so far, in collector arrival order
     /// (interleaved across shards; per-stream order is preserved —
-    /// groups arrive whole, so flattening them preserves each shard's
+    /// commit groups arrive whole, so flattening them preserves each shard's
     /// emission order). Concurrent callers serialize on the collector
     /// receiver; each event is delivered to exactly one of them.
     pub fn drain_events(&self) -> Vec<Event> {
@@ -1216,94 +889,39 @@ impl ShardedRuntime {
     /// A live counter snapshot (racy by one message against in-flight
     /// producers, by design).
     pub fn stats(&self) -> RuntimeStats {
-        RuntimeStats {
-            shards: self.shared.counters.iter().map(|c| c.snapshot()).collect(),
-            epoch: self.shared.routing.epoch(),
-            live_shards: self.shared.routing.live_workers(),
-            migrations: self.shared.migrations.load(Ordering::Relaxed),
-        }
+        RuntimeStats { shards: self.shared.counters.iter().map(|c| c.snapshot()).collect() }
     }
 
-    /// Routes `req` to `group`'s current owner, retrying across
-    /// migrations until the push is admitted. The reply channel is
-    /// tagged with the group id so gatherers can re-send on a
-    /// [`QueryReply::Declined`] (the group moved after routing).
-    fn send_group_query(
+    /// Queues `req` on `slot` and returns the channel its reply will
+    /// arrive on. A worker crash cannot lose the query: it stays in the
+    /// shared queue and the restored worker answers it.
+    fn send_query(
         &self,
-        group: usize,
+        slot: usize,
         req: QueryRequest,
-        tx: &Sender<(usize, QueryReply)>,
-    ) -> Result<(), RuntimeError> {
-        loop {
-            let slot = self.wait_owner(group)?;
-            let routing = &self.shared.routing;
-            match self.shared.queues[slot]
-                .push_if(ShardMsg::Query(group, req.clone(), tx.clone()), || {
-                    routing.is_steady_at(group, slot)
-                }) {
-                Ok(()) => return Ok(()),
-                Err(AdmitError::Refused(_)) => continue,
-                Err(AdmitError::Closed(_)) => {
-                    if self.shared.recovery.is_none() {
-                        return Err(RuntimeError::Disconnected);
-                    }
-                    std::thread::yield_now();
-                }
-            }
-        }
+    ) -> Result<Receiver<QueryReply>, RuntimeError> {
+        let (tx, rx) = mpsc::channel();
+        self.shared.queues[slot]
+            .push(ShardMsg::Query(req, tx))
+            .map_err(|_| self.shared.route_failed_error(slot))?;
+        Ok(rx)
     }
 
-    /// Gathers one reply per request in `reqs` (indexed by group),
-    /// re-sending any query a worker declined because the group had
-    /// migrated off it between routing and delivery. Migrations are
-    /// serialized and finite, so the re-send loop terminates.
-    fn gather(
-        &self,
-        rx: &Receiver<(usize, QueryReply)>,
-        tx: &Sender<(usize, QueryReply)>,
-        reqs: &[QueryRequest],
-    ) -> Result<Vec<QueryReply>, RuntimeError> {
-        let mut replies: Vec<Option<QueryReply>> = reqs.iter().map(|_| None).collect();
-        let mut remaining = reqs.len();
-        while remaining > 0 {
-            // A worker crash cannot lose the query: it stays in the
-            // shared queue and the restored worker answers it.
-            let (group, reply) = rx.recv().map_err(|_| RuntimeError::Disconnected)?;
-            if matches!(reply, QueryReply::Declined) {
-                self.send_group_query(group, reqs[group].clone(), tx)?;
-            } else {
-                if replies[group].is_none() {
-                    remaining -= 1;
-                }
-                replies[group] = Some(reply);
-            }
-        }
-        Ok(replies.into_iter().map(|r| r.expect("loop exits only when filled")).collect())
+    /// Sends `reqs[shard]` to every shard, then gathers the replies in
+    /// shard order.
+    fn scatter_each(&self, reqs: Vec<QueryRequest>) -> Result<Vec<QueryReply>, RuntimeError> {
+        let rxs = reqs
+            .into_iter()
+            .enumerate()
+            .map(|(slot, req)| self.send_query(slot, req))
+            .collect::<Result<Vec<_>, _>>()?;
+        rxs.iter().map(|rx| rx.recv().map_err(|_| RuntimeError::Disconnected)).collect()
     }
 
-    /// Scatter-gather over every group; replies come back in group
-    /// order.
+    /// Scatter-gather of one request over every shard; replies come
+    /// back in shard order.
     fn scatter(&self, req: QueryRequest) -> Result<Vec<QueryReply>, RuntimeError> {
-        let reqs: Vec<QueryRequest> = (0..self.shared.n_groups).map(|_| req.clone()).collect();
-        let (tx, rx) = mpsc::channel();
-        for (group, req) in reqs.iter().enumerate() {
-            self.send_group_query(group, req.clone(), &tx)?;
-        }
-        self.gather(&rx, &tx, &reqs)
-    }
-
-    /// One query against one group, retrying across migrations.
-    fn query_group(&self, group: usize, req: QueryRequest) -> Result<QueryReply, RuntimeError> {
-        let (tx, rx) = mpsc::channel();
-        self.send_group_query(group, req.clone(), &tx)?;
-        loop {
-            let (_, reply) = rx.recv().map_err(|_| RuntimeError::Disconnected)?;
-            if matches!(reply, QueryReply::Declined) {
-                self.send_group_query(group, req.clone(), &tx)?;
-                continue;
-            }
-            return Ok(reply);
-        }
+        self.scatter_each(vec![req; self.shared.n_shards()])
     }
 
     /// The current composed interval of one monitored aggregate window
@@ -1317,8 +935,10 @@ impl ShardedRuntime {
         stream: StreamId,
         window: usize,
     ) -> Result<Option<(f64, f64)>, RuntimeError> {
-        let (group, local) = self.place(stream)?;
-        match self.query_group(group, QueryRequest::AggregateInterval { stream: local, window })? {
+        let (slot, local) = self.place(stream)?;
+        let rx =
+            self.send_query(slot, QueryRequest::AggregateInterval { stream: local, window })?;
+        match rx.recv().map_err(|_| RuntimeError::Disconnected)? {
             QueryReply::AggregateInterval(ans) => Ok(ans),
             _ => Err(RuntimeError::Disconnected),
         }
@@ -1388,7 +1008,7 @@ impl ShardedRuntime {
         // Each mirror is projected once (Θ(m), amortizing the moment
         // normalization out of the O(n²) pair loop).
         let mirrors = self.shared.sketches.mirrors();
-        let s = self.shared.n_groups;
+        let s = self.shared.n_shards();
         let radius = corr_spec.radius;
         let projections: Vec<Option<SketchProjection>> = mirrors
             .iter()
@@ -1417,9 +1037,8 @@ impl ShardedRuntime {
         self.shared.runtime_telemetry.cross_pruned.add(pruned);
         self.shared.runtime_telemetry.cross_candidates.add(candidates.len() as u64);
 
-        // Phase 3: exact same-group pairs at t* plus the raw windows of
-        // every candidate. Requests differ per group, so this is a
-        // custom scatter.
+        // Phase 3: exact same-shard pairs at t* plus the raw windows of
+        // every candidate. Requests differ per shard.
         let mut windows_for: Vec<Vec<StreamId>> = vec![Vec::new(); s];
         for &(a, b) in &candidates {
             for g in [a, b] {
@@ -1430,18 +1049,14 @@ impl ShardedRuntime {
             locals.sort_unstable();
             locals.dedup();
         }
-        let reqs: Vec<QueryRequest> = windows_for
+        let reqs = windows_for
             .into_iter()
             .map(|w| QueryRequest::CorrVerify { t, windows_for: w })
             .collect();
-        let (tx, rx) = mpsc::channel();
-        for (group, req) in reqs.iter().enumerate() {
-            self.send_group_query(group, req.clone(), &tx)?;
-        }
         let mut merged = Vec::new();
         let mut windows: std::collections::HashMap<StreamId, Option<Vec<f64>>> =
             std::collections::HashMap::new();
-        for reply in self.gather(&rx, &tx, &reqs)? {
+        for reply in self.scatter_each(reqs)? {
             if let QueryReply::CorrVerify { pairs, windows: w } = reply {
                 merged.extend(pairs);
                 windows.extend(w);
@@ -1487,150 +1102,7 @@ impl ShardedRuntime {
         }
     }
 
-    /// Online shard **split**: moves `groups` off slot `from` onto slot
-    /// `to` (typically an idle spare — see
-    /// [`RuntimeConfig::spare_shards`]), one exactly-once live migration
-    /// per group. Ingestion and queries continue throughout; producers
-    /// touching a moving group park for the freeze window and re-resolve.
-    ///
-    /// # Errors
-    /// [`RuntimeError::MigrationUnsupported`] without recovery,
-    /// [`RuntimeError::Rebalance`] on bad arguments (out-of-range slot
-    /// or group, a group not owned by `from`),
-    /// [`RuntimeError::Disconnected`] / [`RuntimeError::RespawnStorm`]
-    /// if a slot involved failed terminally.
-    pub fn split_shard(
-        &self,
-        from: usize,
-        to: usize,
-        groups: &[usize],
-    ) -> Result<(), RuntimeError> {
-        if from == to {
-            return Err(RuntimeError::Rebalance { detail: "split source equals destination" });
-        }
-        if groups.is_empty() {
-            return Err(RuntimeError::Rebalance { detail: "split moves no groups" });
-        }
-        let owners = self.shared.routing.owners();
-        for &group in groups {
-            if owners.get(group).copied() != Some(from) {
-                return Err(RuntimeError::Rebalance {
-                    detail: "group is not owned by the split source",
-                });
-            }
-        }
-        for &group in groups {
-            self.shared.migrate_group(group, to)?;
-        }
-        Ok(())
-    }
-
-    /// Online shard **merge**: drains every group slot `from` owns into
-    /// slot `into` and retires `from` (its thread stays parked on an
-    /// empty queue, ready to be a split destination later). Returns the
-    /// number of groups moved.
-    ///
-    /// # Errors
-    /// Same surface as [`Self::split_shard`].
-    pub fn merge_shard(&self, from: usize, into: usize) -> Result<usize, RuntimeError> {
-        if from == into {
-            return Err(RuntimeError::Rebalance { detail: "merge source equals destination" });
-        }
-        if from >= self.shared.n_workers || into >= self.shared.n_workers {
-            return Err(RuntimeError::Rebalance { detail: "slot index out of range" });
-        }
-        let owners = self.shared.routing.owners();
-        let moving: Vec<usize> = (0..self.shared.n_groups).filter(|&g| owners[g] == from).collect();
-        for &group in &moving {
-            self.shared.migrate_group(group, into)?;
-        }
-        Ok(moving.len())
-    }
-
-    /// One step of the queue-depth / append-rate rebalancing policy;
-    /// executes at most one action per call and returns what it did.
-    ///
-    /// * **Split** when some slot is hot — queue at least half full, or
-    ///   appending at more than twice the per-live-slot average since
-    ///   the last call — *and* owns ≥ 2 groups *and* an idle slot
-    ///   exists: half its groups (the hotter-id half rounds down) move
-    ///   to the idle slot.
-    /// * **Merge** when ≥ 2 slots own groups and some slot was
-    ///   completely cold over the interval (no appends since the last
-    ///   call, empty queue): its groups drain into the busiest slot.
-    ///
-    /// Call it on a cadence; each call observes the append deltas since
-    /// the previous one, so the first call only primes the baseline.
-    ///
-    /// # Errors
-    /// Same surface as [`Self::split_shard`].
-    pub fn rebalance_step(&self) -> Result<Option<RebalanceAction>, RuntimeError> {
-        if self.shared.recovery.is_none() {
-            return Err(RuntimeError::MigrationUnsupported);
-        }
-        let shared = &self.shared;
-        let owners = shared.routing.owners();
-        let mut groups_of: Vec<Vec<usize>> = vec![Vec::new(); shared.n_workers];
-        for (g, &w) in owners.iter().enumerate() {
-            if w != usize::MAX {
-                groups_of[w].push(g);
-            }
-        }
-        let appends: Vec<u64> =
-            shared.counters.iter().map(|c| c.appends.load(Ordering::Relaxed)).collect();
-        let deltas: Vec<u64> = {
-            let mut last = shared.last_appends.lock().unwrap_or_else(PoisonError::into_inner);
-            let deltas =
-                appends.iter().zip(last.iter()).map(|(a, l)| a.saturating_sub(*l)).collect();
-            *last = appends;
-            deltas
-        };
-        let depths: Vec<u64> =
-            shared.counters.iter().map(|c| c.snapshot().queue_depth as u64).collect();
-        let capacity = shared.queue_capacity as u64;
-        let owning: Vec<usize> =
-            (0..shared.n_workers).filter(|&w| !groups_of[w].is_empty()).collect();
-        if owning.is_empty() {
-            return Ok(None);
-        }
-        let avg_delta = deltas.iter().sum::<u64>() / owning.len() as u64;
-        // Split: hottest eligible slot onto the first idle slot.
-        let idle = (0..shared.n_workers).find(|&w| groups_of[w].is_empty() && !owners.contains(&w));
-        if let Some(to) = idle {
-            let hot = owning
-                .iter()
-                .copied()
-                .filter(|&w| groups_of[w].len() >= 2)
-                .filter(|&w| {
-                    depths[w] * 2 >= capacity || (avg_delta > 0 && deltas[w] > 2 * avg_delta)
-                })
-                .max_by_key(|&w| (deltas[w], depths[w]));
-            if let Some(from) = hot {
-                let half = groups_of[from].len() / 2;
-                let moving: Vec<usize> = groups_of[from][half..].to_vec();
-                self.split_shard(from, to, &moving)?;
-                return Ok(Some(RebalanceAction::Split { from, to, groups: moving }));
-            }
-        }
-        // Merge: a completely cold slot drains into the busiest one.
-        if owning.len() >= 2 {
-            let cold = owning.iter().copied().find(|&w| deltas[w] == 0 && depths[w] == 0);
-            if let Some(from) = cold {
-                let into = owning
-                    .iter()
-                    .copied()
-                    .filter(|&w| w != from)
-                    .max_by_key(|&w| (deltas[w], depths[w]))
-                    .expect("owning.len() >= 2");
-                let moving = groups_of[from].clone();
-                self.merge_shard(from, into)?;
-                return Ok(Some(RebalanceAction::Merge { from, into, groups: moving }));
-            }
-        }
-        Ok(None)
-    }
-
-    /// Slots the supervisor fail-stopped for breaching the respawn-storm
+    /// Shards the supervisor fail-stopped for breaching the respawn-storm
     /// cap, with the restart count that tripped it.
     pub fn respawn_storms(&self) -> Vec<(usize, u32)> {
         self.shared.storms.lock().unwrap_or_else(PoisonError::into_inner).clone()
@@ -1669,10 +1141,6 @@ impl ShardedRuntime {
             return;
         }
         self.finished = true;
-        // Wake producers/queries parked on a frozen route; they exit
-        // with `Disconnected` instead of waiting out a migration that
-        // will never promote.
-        self.shared.routing.begin_shutdown();
         if graceful {
             for queue in &self.shared.queues {
                 // Err means the shard failed terminally; it settled.

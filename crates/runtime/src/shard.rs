@@ -1,12 +1,9 @@
-//! The per-shard worker: drains batches into the [`UnifiedMonitor`]s of
-//! the stream *groups* it currently owns, remaps local stream ids back
-//! to global ones, and answers scatter-gather queries in queue order.
-//! The worker also executes its half of the live-migration protocol
-//! (sealing groups out, adopting groups in) and hosts the
+//! The per-shard worker: drains batches into the shard's
+//! [`UnifiedMonitor`], remaps local stream ids back to global ones, and
+//! answers scatter-gather queries in queue order. Also hosts the
 //! fault-injection hooks and the crash-reporting [`Board`] the
 //! supervisor watches.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
@@ -19,52 +16,20 @@ use stardust_core::sketch::{BlockSketch, SketchDelta};
 use stardust_core::stream::{StreamId, Time};
 use stardust_core::unified::{Event, UnifiedMonitor};
 
-use crate::fault::{FaultKind, FaultPlan, MigrationStep};
+use crate::fault::{FaultKind, FaultPlan};
 use crate::queue::BoundedQueue;
-use crate::routing::Routing;
 use crate::snapshot::ShardRecovery;
 use crate::stats::ShardCounters;
 use crate::telemetry::RuntimeTelemetry;
 
-/// State of one stream group: owned by exactly one worker at any
-/// instant, moved across workers by the migration protocol and rebuilt
-/// from its journal after a crash.
-pub(crate) struct GroupState {
-    /// Local streams in this group.
-    pub n_locals: usize,
-    /// The group's monitor (`None` when the spec builds none).
-    pub monitor: Option<UnifiedMonitor>,
-    /// The group's crash-recovery journal; `None` disables journaling.
-    pub recovery: Option<Arc<ShardRecovery>>,
-    /// Lifetime appends applied to this group (including rejected
-    /// non-finite samples — they are journaled and tick the clock).
-    pub appends: u64,
-    /// Lifetime events emitted for this group.
-    pub emitted: u64,
-    /// Sealed-block frontier at the last sketch publication.
-    /// Deliberately reset to `0` on restore/adopt: the re-publication
-    /// it causes is absorbed idempotently by the board.
-    pub last_shipped: u64,
-}
-
-/// Messages a shard's bounded queue carries. Queries and migration
-/// control ride the same queue as batches, so each observes every batch
-/// submitted before it (per-shard sequential consistency) — the FIFO is
-/// what makes the freeze/handoff protocol exact.
+/// Messages a shard's bounded queue carries. Queries ride the same
+/// queue as batches, so each observes every batch submitted before it
+/// (per-shard sequential consistency).
 pub(crate) enum ShardMsg {
-    /// One group's local-id value batch plus its submission instant.
-    Batch(usize, Vec<(StreamId, f64)>, Instant),
-    /// A query against one group and the channel to answer on (tagged
-    /// with the group id).
-    Query(usize, QueryRequest, Sender<(usize, QueryReply)>),
-    /// Migration marker: seal the group out of this worker. Everything
-    /// for the group already admitted is ahead of this message; nothing
-    /// for it will be admitted behind (the route froze first).
-    MigrateOut(usize),
-    /// Migration payload: install the group's rebuilt state. Queued on
-    /// the destination *before* the route promotes, so it precedes any
-    /// post-cutover batch.
-    Adopt(usize, Box<GroupState>),
+    /// A local-id value batch plus its submission instant.
+    Batch(Vec<(StreamId, f64)>, Instant),
+    /// A query and the channel to answer on.
+    Query(QueryRequest, Sender<QueryReply>),
     /// Drain nothing further; reply channelless, exit the loop.
     Shutdown,
 }
@@ -116,9 +81,6 @@ pub(crate) enum QueryReply {
         /// ending at `t` is no longer in the stream's history).
         windows: Vec<(StreamId, Option<Vec<f64>>)>,
     },
-    /// The worker does not own the queried group (it migrated after the
-    /// query was routed). The gatherer re-resolves and re-sends.
-    Declined,
 }
 
 /// Collector-side mirror of every stream's sliding-window sketch, keyed
@@ -196,9 +158,8 @@ impl ClassStats {
     }
 }
 
-/// Local stream id → global stream id for group `shard` of `n_shards`
-/// groups (the parameter names predate elastic routing: partitioning is
-/// by *group*, and `stream % G` / `stream / G` are its two halves).
+/// Local stream id → global stream id on `shard` of `n_shards`
+/// (the inverse of `stream % S` / `stream / S`).
 fn global_id(shard: usize, n_shards: usize, local: StreamId) -> StreamId {
     local * n_shards as StreamId + shard as StreamId
 }
@@ -391,46 +352,47 @@ impl Drop for DeathNotice {
 /// capacity; a longer backlog simply commits as consecutive groups.
 const MAX_GROUP_BATCHES: usize = 256;
 
-/// Everything one worker thread owns: the slot identity plus the state
-/// of every stream group currently routed to it.
+/// Everything one worker thread owns: the shard identity, its monitor,
+/// and the handles it shares with producers and the supervisor.
 pub(crate) struct Worker {
-    /// Worker slot index (stable across restarts; *not* a group id).
+    /// Shard index (stable across restarts).
     pub slot: usize,
-    /// Total stream groups in the runtime (the routing modulus).
-    pub n_groups: usize,
-    /// Groups this worker currently owns, keyed by group id.
-    pub groups: BTreeMap<usize, GroupState>,
+    /// Total shards in the runtime (the placement modulus).
+    pub n_shards: usize,
+    /// Local streams on this shard.
+    pub n_locals: usize,
+    /// The shard's monitor (`None` when the spec builds none).
+    pub monitor: Option<UnifiedMonitor>,
+    /// The shard's crash-recovery journal; `None` disables journaling.
+    pub recovery: Option<Arc<ShardRecovery>>,
     pub inbox: Arc<BoundedQueue<ShardMsg>>,
     pub events: Sender<Vec<Event>>,
     pub counters: Arc<ShardCounters>,
     /// Injected faults; `None` costs nothing on the append path.
     pub faults: Option<Arc<FaultPlan>>,
-    /// Appends applied across every group this slot currently owns,
-    /// over the slot's lifetime — the deterministic fault clock.
-    /// Migration moves a group's contribution with the group.
+    /// Lifetime appends applied to this shard (including rejected
+    /// non-finite samples — they are journaled and tick the clock):
+    /// the deterministic fault clock.
     pub processed: u64,
-    /// Snapshot cadence in appends (per group); `0` never snapshots.
+    /// Snapshot cadence in appends; `0` never snapshots.
     pub snapshot_every: u64,
     /// Collector-side sketch mirrors this worker publishes to.
     pub sketches: Arc<SketchBoard>,
     /// Publish sketches every this many sealed blocks of the slowest
     /// local stream; `0` disables the exchange entirely.
     pub sketch_cadence: u64,
-    /// Shared routing table (this worker seals groups through it).
-    pub routing: Arc<Routing>,
+    /// Sealed-block frontier at the last sketch publication.
+    /// Deliberately `0` on every (re)spawn: the re-publication it causes
+    /// is absorbed idempotently by the board.
+    pub last_shipped: u64,
     /// Runtime-level metric handles; detached when telemetry is off.
     pub telemetry: RuntimeTelemetry,
 }
 
 impl Worker {
-    fn answer(&self, group: usize, req: QueryRequest) -> QueryReply {
-        let Some(gs) = self.groups.get(&group) else {
-            // The group migrated off between routing and delivery; the
-            // gatherer re-resolves and retries on the new owner.
-            return QueryReply::Declined;
-        };
-        let global = |local: StreamId| global_id(group, self.n_groups, local);
-        let Some(monitor) = &gs.monitor else {
+    fn answer(&self, req: QueryRequest) -> QueryReply {
+        let global = |local: StreamId| global_id(self.slot, self.n_shards, local);
+        let Some(monitor) = &self.monitor else {
             return match req {
                 QueryRequest::AggregateInterval { .. } => QueryReply::AggregateInterval(None),
                 QueryRequest::ClassStats => QueryReply::ClassStats(ClassStats::default()),
@@ -449,7 +411,7 @@ impl Worker {
                 let mut stats = ClassStats::default();
                 // Aggregate stats live per stream; trend/correlation are
                 // monitor-wide.
-                for local in 0..gs.n_locals as StreamId {
+                for local in 0..self.n_locals as StreamId {
                     let Some(m) = monitor.aggregate_monitor(local) else { break };
                     let s = m.stats();
                     stats.aggregate.checks += s.checks;
@@ -495,69 +457,14 @@ impl Worker {
         }
     }
 
-    /// Fires a one-shot migration fault for `group` at `step`, if the
-    /// plan scheduled one. Stalls happen in place; panics unwind
-    /// through [`DeathNotice`] like any injected kill.
-    fn fire_migration(&self, group: usize, step: MigrationStep) {
-        if let Some(plan) = &self.faults {
-            match plan.fire_migration(group, step) {
-                Some(FaultKind::Panic) => {
-                    panic!("injected migration fault: group {group} killed at {step:?}")
-                }
-                Some(FaultKind::Stall(pause)) => std::thread::sleep(pause),
-                _ => {}
-            }
-        }
-    }
-
-    /// Seals group `group` out of this worker: every batch admitted for
-    /// it is already applied (the marker is FIFO-behind them and the
-    /// frozen route admits no more), its events are acked, so the
-    /// journal is the group's complete, quiescent state. The group
-    /// leaves this slot's counters and fault clock with it.
-    ///
-    /// Idempotent: a supervisor re-pushed marker for an already-sealed
-    /// group finds nothing to do (`routing.seal` is a no-op too).
-    fn seal_group(&mut self, group: usize) {
-        if !self.groups.contains_key(&group) {
-            let _ = self.routing.seal(group, self.slot);
-            return;
-        }
-        self.fire_migration(group, MigrationStep::BeforeSeal);
-        let gs = self.groups.remove(&group).expect("checked present");
-        self.counters.appends.fetch_sub(gs.appends, Ordering::Relaxed);
-        self.counters.events.fetch_sub(gs.emitted, Ordering::Relaxed);
-        self.processed -= gs.appends;
-        self.routing.seal(group, self.slot);
-        self.fire_migration(group, MigrationStep::AfterSeal);
-    }
-
-    /// Installs a migrated group's rebuilt state. If a crash-respawn of
-    /// this slot already rebuilt the group from its journal (the route
-    /// said `Handed{to: me}` or had promoted), the in-flight payload is
-    /// stale — the journal-derived copy wins and the payload is
-    /// dropped, counters untouched.
-    fn adopt_group(&mut self, group: usize, state: GroupState) {
-        if self.groups.contains_key(&group) {
-            return;
-        }
-        self.fire_migration(group, MigrationStep::BeforeAdopt);
-        self.counters.appends.fetch_add(state.appends, Ordering::Relaxed);
-        self.counters.events.fetch_add(state.emitted, Ordering::Relaxed);
-        self.processed += state.appends;
-        self.groups.insert(group, state);
-        self.fire_migration(group, MigrationStep::AfterAdopt);
-    }
-
     /// The worker loop: drain message runs until `Shutdown` or the
     /// queue is closed and empty, whichever comes first. A contiguous
     /// run of batches commits as one group ([`Self::commit_group`]);
-    /// queries, migration control, and shutdown break runs and are
-    /// handled singly, at their queue position — they are never
-    /// buffered in worker-local state, so a crash mid-group cannot lose
-    /// a query reply or a protocol step (journaled batches are the only
-    /// messages the recovery protocol can replay). `notice` reports the
-    /// exit (or a panic's unwind) to the board.
+    /// queries and shutdown break runs and are handled singly, at their
+    /// queue position — they are never buffered in worker-local state,
+    /// so a crash mid-group cannot lose a query reply (journaled batches
+    /// are the only messages the recovery protocol can replay).
+    /// `notice` reports the exit (or a panic's unwind) to the board.
     pub fn run(mut self, notice: &mut DeathNotice) {
         let mut pending_delay: Option<Duration> = None;
         // Buffers reused across commit groups: the drained run, the
@@ -584,11 +491,9 @@ impl Worker {
                 self.commit_group(&msgs, &mut event_buf, &mut run_events, &mut pending_delay);
             } else {
                 match msgs.pop().expect("drained run is non-empty") {
-                    ShardMsg::Query(group, req, reply) => {
-                        let _ = reply.send((group, self.answer(group, req)));
+                    ShardMsg::Query(req, reply) => {
+                        let _ = reply.send(self.answer(req));
                     }
-                    ShardMsg::MigrateOut(group) => self.seal_group(group),
-                    ShardMsg::Adopt(group, state) => self.adopt_group(group, *state),
                     ShardMsg::Shutdown => {
                         notice.clean = true;
                         return;
@@ -601,10 +506,9 @@ impl Worker {
 
     /// Commits one drained run of batches as a group commit: the
     /// queue's high-water mark was sampled at the pre-drain depth, the
-    /// whole run is journaled — bucketed per stream group, each group's
-    /// sub-run under one coalesced WAL write — before any batch is
-    /// applied, and the run's events leave in one channel send followed
-    /// by one durable ack per event-bearing group.
+    /// whole run is journaled under one coalesced WAL write before any
+    /// batch is applied, and the run's events leave in one channel send
+    /// followed by one durable ack.
     ///
     /// Crash safety: a panic anywhere past the journal step loses
     /// nothing — every batch of the run is already journaled, so the
@@ -619,51 +523,25 @@ impl Worker {
         run_events: &mut Vec<Event>,
         pending_delay: &mut Option<Duration>,
     ) {
+        fn batch(m: &ShardMsg) -> (&[(StreamId, f64)], Instant) {
+            match m {
+                ShardMsg::Batch(items, submitted) => (items, *submitted),
+                _ => unreachable!("commit groups contain only batches"),
+            }
+        }
         // Only batches count toward queue depth; the drain predicate
         // guarantees the run is all batches.
         self.counters.note_drained(msgs.len());
-        let batch_group = |m: &ShardMsg| match m {
-            ShardMsg::Batch(group, ..) => *group,
-            _ => unreachable!("commit groups contain only batches"),
-        };
-        // Distinct groups in the run, in first-appearance order. A run
-        // rarely spans more than a couple of groups, so a linear scan
-        // beats any map.
-        let mut touched: Vec<usize> = Vec::new();
-        for msg in msgs {
-            let g = batch_group(msg);
-            if !touched.contains(&g) {
-                touched.push(g);
-            }
-        }
-        // Write-ahead for the whole run, before anything is applied:
-        // each group's sub-run goes to that group's journal in order.
-        {
+        // Write-ahead for the whole run, before anything is applied.
+        if let Some(rec) = &self.recovery {
             let _span = self.telemetry.journal.span();
-            for &g in &touched {
-                let gs = self.groups.get(&g).expect("routed batch for unowned group");
-                if let Some(rec) = &gs.recovery {
-                    let batches = msgs.iter().filter_map(move |m| match m {
-                        ShardMsg::Batch(bg, items, _) if *bg == g => Some(items.as_slice()),
-                        _ => None,
-                    });
-                    rec.journal_group(batches);
-                }
-            }
+            rec.journal_group(msgs.iter().map(|m| batch(m).0));
         }
         self.telemetry.group_size.observe(msgs.len() as u64);
         let mut rejected_total = 0u64;
-        // Events emitted per group within this run (parallel to
-        // `touched` is overkill — runs are short, scan again).
-        let mut emitted_by: Vec<(usize, u64)> = Vec::new();
         for msg in msgs {
-            let ShardMsg::Batch(group, items, submitted) = msg else {
-                unreachable!("commit groups contain only batches")
-            };
-            let group = *group;
-            let gs = self.groups.get_mut(&group).expect("routed batch for unowned group");
-            let mut rejected = 0u64;
-            if let Some(monitor) = &mut gs.monitor {
+            let (items, submitted) = batch(msg);
+            if let Some(monitor) = &mut self.monitor {
                 event_buf.clear();
                 for &(local, value) in items {
                     self.processed += 1;
@@ -685,27 +563,18 @@ impl Worker {
                     // journaled NaN replays as the same no-op). The
                     // fault clock above still ticks for them.
                     if !value.is_finite() {
-                        rejected += 1;
+                        rejected_total += 1;
                         continue;
                     }
                     monitor.append_into(local, value, event_buf);
                 }
                 // Collect this batch's events behind the run's; they
                 // ship once the whole run has applied, in batch order.
-                let n_new = event_buf.len() as u64;
-                if n_new > 0 {
-                    match emitted_by.iter_mut().find(|(g, _)| *g == group) {
-                        Some((_, n)) => *n += n_new,
-                        None => emitted_by.push((group, n_new)),
-                    }
-                }
                 for ev in event_buf.drain(..) {
-                    run_events.push(remap_event(group, self.n_groups, ev));
+                    run_events.push(remap_event(self.slot, self.n_shards, ev));
                 }
             }
-            gs.appends += items.len() as u64;
             self.counters.appends.fetch_add(items.len() as u64, Ordering::Relaxed);
-            rejected_total += rejected;
             let ns = submitted.elapsed().as_nanos().min(u64::MAX as u128) as u64;
             self.counters.note_batch(ns);
             self.telemetry.batch_latency.observe(ns);
@@ -713,12 +582,12 @@ impl Worker {
             // idempotent, so publishing inside the run keeps the
             // exchange on the same per-batch schedule as before.
             publish_sketches_if_due(
-                gs.monitor.as_ref(),
-                group,
-                self.n_groups,
+                self.monitor.as_ref(),
+                self.slot,
+                self.n_shards,
                 &self.sketches,
                 self.sketch_cadence,
-                &mut gs.last_shipped,
+                &mut self.last_shipped,
                 &self.telemetry,
             );
         }
@@ -735,30 +604,21 @@ impl Worker {
             // under way); keep draining so producers unblock.
             let _ = self.events.send(run_events.split_off(0));
             self.counters.events.fetch_add(emitted, Ordering::Relaxed);
-            for &(group, n) in &emitted_by {
-                let gs = self.groups.get_mut(&group).expect("group applied above");
-                gs.emitted += n;
-                if let Some(rec) = &gs.recovery {
-                    // The events are out; ack the cumulative count to
-                    // the durable WAL so a process-level recovery
-                    // suppresses exactly these.
-                    rec.note_emitted_n(n);
-                    rec.ack_emitted();
-                }
+            if let Some(rec) = &self.recovery {
+                // The events are out; ack the cumulative count to the
+                // durable WAL so a process-level recovery suppresses
+                // exactly these.
+                rec.note_emitted_n(emitted);
+                rec.ack_emitted();
             }
         }
         // Snapshot only at run boundaries: the journal suffix holds
         // whole batches from the write-ahead step, and a snapshot must
         // not cover appends that have not been applied yet.
-        if self.snapshot_every > 0 {
-            for &g in &touched {
-                let gs = self.groups.get(&g).expect("group applied above");
-                if let Some(rec) = &gs.recovery {
-                    if rec.suffix_len() as u64 >= self.snapshot_every {
-                        let _span = self.telemetry.snapshot.span();
-                        rec.record_snapshot(gs.monitor.as_ref().map(|m| m.snapshot()));
-                    }
-                }
+        if let Some(rec) = &self.recovery {
+            if self.snapshot_every > 0 && rec.suffix_len() as u64 >= self.snapshot_every {
+                let _span = self.telemetry.snapshot.span();
+                rec.record_snapshot(self.monitor.as_ref().map(|m| m.snapshot()));
             }
         }
     }

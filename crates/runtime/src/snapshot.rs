@@ -179,30 +179,25 @@ impl ShardRecovery {
         }
     }
 
-    /// Events delivered to the collector over this group's lifetime.
+    /// Events delivered to the collector over this shard's lifetime.
     pub(crate) fn emitted(&self) -> u64 {
         self.emitted.load(Ordering::Relaxed)
     }
 
-    /// Rebuilds the monitor of a dead-or-migrating group and replays
-    /// the journaled suffix, delivering only the events the previous
-    /// owner had not yet sent (one grouped send) and firing the
-    /// sketch-exchange cadence for every boundary the replay crosses —
-    /// batches a dead worker drained into a commit group but never
-    /// applied exist only in the journal, so their publications must
-    /// happen here. Returns the warm monitor and the number of appends
-    /// it has processed (the new owner's fault clock) — or `None` when
-    /// the group's durable WAL is wedged, in which case the group must
-    /// stay down: an in-memory rebuild would accept appends the disk
-    /// can no longer journal.
+    /// Rebuilds the monitor of a dead shard and replays the journaled
+    /// suffix, delivering only the events the dead worker had not yet
+    /// sent (one grouped send) and firing the sketch-exchange cadence
+    /// for every boundary the replay crosses — batches a dead worker
+    /// drained into a commit group but never applied exist only in the
+    /// journal, so their publications must happen here. Returns the
+    /// warm monitor and the number of appends it has processed (the
+    /// restored worker's fault clock) — or `None` when the shard's
+    /// durable WAL is wedged, in which case the shard must stay down: an
+    /// in-memory rebuild would accept appends the disk can no longer
+    /// journal.
     ///
-    /// Pure with respect to shard accounting: callers (the supervisor
-    /// respawning a worker, the migration coordinator handing a sealed
-    /// group to its destination) apply their own counter/restart
-    /// bookkeeping, because the same rebuild serves both paths.
-    /// Safe to run concurrently with itself (journal mutex): a sealed
-    /// group being adopted may race its destination's respawn — both
-    /// rebuilds resend the same (empty, post-seal) tail.
+    /// Pure with respect to shard accounting: the supervisor applies
+    /// its own counter/restart bookkeeping.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn rebuild_state(
         &self,

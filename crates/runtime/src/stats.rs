@@ -170,29 +170,17 @@ pub struct CrossCorrStats {
     pub confirmed: u64,
 }
 
-/// A point-in-time snapshot of the whole runtime, one entry per worker
-/// slot plus the elastic-routing level readings.
+/// A point-in-time snapshot of the whole runtime, one entry per shard.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuntimeStats {
-    /// Per-slot counters, indexed by worker slot.
+    /// Per-shard counters, indexed by shard.
     pub shards: Vec<ShardStats>,
-    /// Routing epoch: bumped once per completed group migration.
-    pub epoch: u64,
-    /// Worker slots currently owning at least one stream group.
-    pub live_shards: usize,
-    /// Completed group migrations (splits and merges) since launch.
-    pub migrations: u64,
 }
 
 impl RuntimeStats {
     /// Total values appended across shards.
     pub fn total_appends(&self) -> u64 {
         self.shards.iter().map(|s| s.appends).sum()
-    }
-
-    /// Total events emitted across shards.
-    pub fn total_events(&self) -> u64 {
-        self.shards.iter().map(|s| s.events).sum()
     }
 
     /// Total non-finite samples rejected across shards.
@@ -260,19 +248,6 @@ impl RuntimeStats {
                 .set(v);
         };
         let ns = |d: Option<Duration>| d.map(|d| d.as_nanos() as f64).unwrap_or(0.0);
-        registry
-            .gauge("stardust_runtime_epoch", "Routing epoch (bumped per completed migration)")
-            .set(self.epoch as f64);
-        registry
-            .gauge("stardust_runtime_live_shards", "Worker slots owning at least one stream group")
-            .set(self.live_shards as f64);
-        // Named without the `_total` suffix on purpose: the runtime's
-        // telemetry layer registers a *counter* of the same quantity as
-        // `stardust_runtime_migrations_total`, and both may share one
-        // registry.
-        registry
-            .gauge("stardust_runtime_migrations", "Completed group migrations since launch")
-            .set(self.migrations as f64);
         for (i, s) in self.shards.iter().enumerate() {
             gauge("stardust_shard_appends", "Values appended into the shard's monitor", i, {
                 s.appends as f64
@@ -408,27 +383,18 @@ mod tests {
         let c = ShardCounters::new();
         c.appends.fetch_add(7, Ordering::Relaxed);
         c.note_batch(1_000);
-        let stats =
-            RuntimeStats { shards: vec![c.snapshot()], epoch: 3, live_shards: 1, migrations: 3 };
+        let stats = RuntimeStats { shards: vec![c.snapshot()] };
         stats.export(&registry);
         let text = registry.render_prometheus();
         assert!(text.contains("stardust_shard_appends{shard=\"0\"} 7"), "{text}");
         assert!(text.contains("stardust_shard_batches{shard=\"0\"} 1"), "{text}");
-        assert!(text.contains("stardust_runtime_epoch 3"), "{text}");
-        assert!(text.contains("stardust_runtime_live_shards 1"), "{text}");
-        assert!(text.contains("stardust_runtime_migrations 3"), "{text}");
     }
 
     #[test]
     fn restarts_flow_through_snapshot_and_totals() {
         let c = ShardCounters::new();
         c.restarts.fetch_add(2, Ordering::Relaxed);
-        let stats = RuntimeStats {
-            shards: vec![c.snapshot(), ShardCounters::new().snapshot()],
-            epoch: 0,
-            live_shards: 2,
-            migrations: 0,
-        };
+        let stats = RuntimeStats { shards: vec![c.snapshot(), ShardCounters::new().snapshot()] };
         assert_eq!(stats.shards[0].restarts, 2);
         assert_eq!(stats.total_restarts(), 2);
         assert!(stats.render().contains("restarts"));

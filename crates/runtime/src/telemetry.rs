@@ -72,12 +72,6 @@ pub(crate) struct RuntimeTelemetry {
     /// `stardust_cross_corr_confirmed_total` — cross-shard candidates
     /// confirmed by exact verification.
     pub cross_confirmed: Counter,
-    /// `stardust_runtime_migrations_total` — completed group migrations
-    /// (splits and merges).
-    pub migrations: Counter,
-    /// `stardust_runtime_migration_ms` — end-to-end latency of one group
-    /// migration (freeze → promote), in milliseconds.
-    pub migration_ms: Histogram,
 }
 
 impl RuntimeTelemetry {
@@ -166,17 +160,6 @@ impl RuntimeTelemetry {
             cross_confirmed: registry.counter(
                 "stardust_cross_corr_confirmed_total",
                 "Cross-shard candidates confirmed by exact verification",
-            ),
-            migrations: registry.counter(
-                "stardust_runtime_migrations_total",
-                "Completed group migrations (splits and merges)",
-            ),
-            migration_ms: registry.histogram_with(
-                "stardust_runtime_migration_ms",
-                "End-to-end group migration latency (freeze to promote), milliseconds",
-                // Migrations span sub-millisecond to tens of seconds:
-                // power-of-two millisecond buckets up to ~65 s.
-                (0..17).map(|i| 1u64 << i).collect(),
             ),
         }
     }

@@ -16,7 +16,7 @@ use stardust_core::unified::Event;
 use stardust_datagen::random_walk::{observed_r_max, random_walk_streams};
 use stardust_runtime::{
     sort_events, AggregateSpec, Batch, CorrelationSpec, FaultPlan, MonitorSpec, RecoveryPolicy,
-    RuntimeConfig, ShardedRuntime, ShutdownReport, TrendPattern, TrendSpec,
+    RuntimeConfig, RuntimeError, ShardedRuntime, ShutdownReport, TrendPattern, TrendSpec,
 };
 
 const BASE_WINDOW: usize = 16;
@@ -359,6 +359,58 @@ fn grouped_delivery_matches_per_event_delivery() {
             "grouped delivery diverged from per-event delivery at {shards} shard(s)"
         );
     }
+}
+
+/// A shard dying faster than the storm cap allows is fail-stopped with
+/// a typed error instead of an unbounded crash/restore loop. Every
+/// producer path into the failed shard reports the storm — the
+/// non-blocking ones included — while the healthy shard keeps
+/// accepting.
+#[test]
+fn respawn_storm_fail_stops_the_shard() {
+    let (streams, r_max) = workload(42, N_STREAMS);
+    let spec = agg_trend_spec(&streams, r_max);
+    // Three kills land on shard 0 inside one window; the cap allows two.
+    let plan = Arc::new(FaultPlan::new().kill(0, 50).kill(0, 60).kill(0, 70));
+    let rt = ShardedRuntime::launch(
+        &spec,
+        N_STREAMS,
+        RuntimeConfig {
+            shards: 2,
+            queue_capacity: 32,
+            recovery: Some(RecoveryPolicy { snapshot_every: 64 }),
+            fault_plan: Some(Arc::clone(&plan)),
+            max_restarts_in_window: 2,
+            restart_window: Duration::from_secs(30),
+            ..RuntimeConfig::default()
+        },
+    )
+    .unwrap();
+    let mut storm = None;
+    for t in 0..N_VALUES {
+        let batch: Batch = streams.iter().enumerate().map(|(s, x)| (s as StreamId, x[t])).collect();
+        if let Err(e) = rt.submit_blocking(&batch) {
+            storm = Some(e);
+            break;
+        }
+    }
+    match storm {
+        Some(RuntimeError::RespawnStorm { shard: 0, restarts: 3 }) => {}
+        other => panic!("expected RespawnStorm on shard 0 after 3 restarts, got {other:?}"),
+    }
+    assert_eq!(plan.fired_count(), 3, "all three kills must fire before the cap trips");
+    assert_eq!(rt.respawn_storms(), vec![(0, 3)]);
+    // Stream 0 lives on shard 0, stream 1 on shard 1.
+    let storm_on_0 =
+        |e: RuntimeError| matches!(e, RuntimeError::RespawnStorm { shard: 0, restarts: 3 });
+    assert!(storm_on_0(rt.append_blocking(0, 1.0).unwrap_err()), "append_blocking");
+    assert!(storm_on_0(rt.try_append(0, 1.0).unwrap_err()), "try_append");
+    let batch: Batch = [(0, 1.0)].into_iter().collect();
+    assert!(storm_on_0(rt.try_submit(&batch).unwrap_err()), "try_submit");
+    rt.append_blocking(1, 1.0).expect("the healthy shard still accepts");
+    // The runtime tears down cleanly.
+    let report = rt.shutdown();
+    assert!(report.stats.total_appends() > 0);
 }
 
 /// Stress variant for CI's chaos job: more shards, multiple seeds.

@@ -255,11 +255,6 @@ impl Server {
         self.local_addr
     }
 
-    /// Number of currently open client connections.
-    pub fn active_connections(&self) -> usize {
-        self.inner.active.load(Ordering::Relaxed)
-    }
-
     /// Graceful drain: stop accepting, say `Bye` on every connection,
     /// join all threads, then shut the runtime down (draining queued
     /// batches and flushing the WAL). Returns everything the runtime
