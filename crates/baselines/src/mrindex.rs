@@ -74,7 +74,7 @@ impl MrIndex {
 mod tests {
     use super::*;
     use stardust_core::query::pattern::linear_scan_matches;
-    use stardust_core::{MergePrecision, StreamSummary};
+    use stardust_core::StreamSummary;
 
     fn splitmix(seed: &mut u64) -> f64 {
         *seed = seed.wrapping_add(0x9E3779B97F4A7C15);
@@ -158,7 +158,7 @@ mod tests {
         cfg.update = UpdatePolicy::Online;
         cfg.box_capacity = 3;
         cfg.compute = ComputeMode::Direct;
-        let mut s = StreamSummary::with_precision(cfg, MergePrecision::Fast);
+        let mut s = StreamSummary::new(cfg);
         let data: Vec<f64> = (0..200).map(|i| ((i as f64) * 0.37).sin() * 5.0).collect();
         for &x in &data {
             s.push_quiet(x);

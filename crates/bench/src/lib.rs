@@ -8,8 +8,6 @@
 
 use std::time::Instant;
 
-pub mod server_load;
-
 /// `true` if `--full` (paper-scale parameters) was passed.
 pub fn full_scale() -> bool {
     std::env::args().any(|a| a == "--full")

@@ -23,7 +23,7 @@ use crate::config::Config;
 use crate::mbr::FeatureMbr;
 use crate::stream::{StreamId, Time};
 use crate::summarizer::{StreamSummary, SummaryEvent};
-use crate::transform::{MergePrecision, TransformKind};
+use crate::transform::TransformKind;
 
 /// What a tree leaf points back to: a sealed MBR of one stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,11 +61,6 @@ impl Stardust {
     /// # Panics
     /// Panics if the configuration is invalid or not DWT-based.
     pub fn new(config: Config, n_streams: usize) -> Self {
-        Self::with_precision(config, n_streams, MergePrecision::Fast)
-    }
-
-    /// As [`Stardust::new`] with an explicit DWT merge precision.
-    pub fn with_precision(config: Config, n_streams: usize, precision: MergePrecision) -> Self {
         assert!(n_streams > 0, "need at least one stream");
         assert_eq!(
             config.transform,
@@ -74,9 +69,7 @@ impl Stardust {
         );
         config.validate();
         let dims = config.transform.dims(config.dwt_coeffs);
-        let streams = (0..n_streams)
-            .map(|_| StreamSummary::with_precision(config.clone(), precision))
-            .collect();
+        let streams = (0..n_streams).map(|_| StreamSummary::new(config.clone())).collect();
         let trees =
             (0..config.levels).map(|_| RStarTree::with_params(dims, Params::default())).collect();
         Stardust { config, streams, trees, events: Vec::new() }

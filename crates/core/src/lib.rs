@@ -72,4 +72,4 @@ pub use mbr::FeatureMbr;
 pub use sketch::{BlockSketch, SketchDelta, SketchProjection, PRUNE_SLACK};
 pub use stream::{StreamHistory, StreamId, Time};
 pub use summarizer::{StreamSummary, SummaryEvent};
-pub use transform::{MergePrecision, TransformKind};
+pub use transform::TransformKind;

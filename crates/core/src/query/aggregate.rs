@@ -14,7 +14,7 @@ use crate::error::QueryError;
 use crate::snapshot::{Reader, SnapshotError, Writer};
 use crate::stream::Time;
 use crate::summarizer::StreamSummary;
-use crate::transform::{MergePrecision, TransformKind};
+use crate::transform::TransformKind;
 
 /// Binary decomposition of a window (§5.1): the ascending resolution levels
 /// `j` with `Σ 2^j · base = window`. The first entry covers the most recent
@@ -351,7 +351,7 @@ fn compose_interval(
             // Sub-windows are disjoint pieces of the full window; the
             // aggregate merges of Lemma 4.2 are valid for any
             // concatenation, not just equal halves.
-            Some(b) => kind.merge_bounds(&mbr.bounds, &b, MergePrecision::Fast),
+            Some(b) => kind.merge_bounds(&mbr.bounds, &b),
         });
         if i + 1 < levels.len() {
             t_cur = t_cur.checked_sub((base << j) as u64)?;

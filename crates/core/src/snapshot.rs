@@ -17,7 +17,7 @@
 
 use crate::config::{ComputeMode, Config, UpdatePolicy};
 use crate::mbr::FeatureMbr;
-use crate::transform::{MergePrecision, TransformKind};
+use crate::transform::TransformKind;
 use stardust_dsp::mbr_transform::Bounds;
 
 /// Format magic + version.
@@ -233,17 +233,15 @@ pub(crate) fn decode_config(r: &mut Reader<'_>) -> Result<Config, SnapshotError>
     })
 }
 
-pub(crate) fn encode_precision(w: &mut Writer, p: MergePrecision) {
-    w.u8(match p {
-        MergePrecision::Fast => 0,
-        MergePrecision::Tight => 1,
-    });
+/// The DWT interval merge is always Appendix A's Online II; the format
+/// keeps its one-byte tag, always 0, so existing blobs stay byte-identical.
+pub(crate) fn encode_precision(w: &mut Writer) {
+    w.u8(0);
 }
 
-pub(crate) fn decode_precision(r: &mut Reader<'_>) -> Result<MergePrecision, SnapshotError> {
+pub(crate) fn decode_precision(r: &mut Reader<'_>) -> Result<(), SnapshotError> {
     match r.u8()? {
-        0 => Ok(MergePrecision::Fast),
-        1 => Ok(MergePrecision::Tight),
+        0 => Ok(()),
         _ => Err(SnapshotError::Corrupt("precision tag")),
     }
 }

@@ -22,7 +22,7 @@ use crate::mbr::FeatureMbr;
 use crate::snapshot::{self, SnapshotError};
 use crate::stream::{StreamHistory, Time};
 use crate::telemetry::SummarizerTelemetry;
-use crate::transform::{MergePrecision, TransformKind};
+use crate::transform::TransformKind;
 
 /// Change notification emitted by [`StreamSummary::push`].
 #[derive(Debug, Clone, PartialEq)]
@@ -109,7 +109,6 @@ impl MonotonicDeques {
 #[derive(Debug, Clone)]
 pub struct StreamSummary {
     config: Config,
-    precision: MergePrecision,
     history: StreamHistory,
     levels: Vec<LevelState>,
     deques: MonotonicDeques,
@@ -127,12 +126,6 @@ pub struct StreamSummary {
 impl StreamSummary {
     /// A fresh summary for the given configuration (validated here).
     pub fn new(config: Config) -> Self {
-        Self::with_precision(config, MergePrecision::Fast)
-    }
-
-    /// A fresh summary with an explicit DWT merge precision (Appendix A
-    /// ablation).
-    pub fn with_precision(config: Config, precision: MergePrecision) -> Self {
         config.validate();
         let levels = (0..config.levels)
             .map(|j| LevelState {
@@ -147,7 +140,6 @@ impl StreamSummary {
         let history = StreamHistory::new(config.history + 1);
         StreamSummary {
             config,
-            precision,
             history,
             levels,
             deques: MonotonicDeques::default(),
@@ -208,7 +200,7 @@ impl StreamSummary {
     pub fn snapshot(&self) -> Vec<u8> {
         let mut w = snapshot::Writer::new();
         snapshot::encode_config(&mut w, &self.config);
-        snapshot::encode_precision(&mut w, self.precision);
+        snapshot::encode_precision(&mut w);
         let (capacity, next, buf) = self.history.raw_parts();
         w.usize(capacity);
         w.u64(next);
@@ -252,7 +244,7 @@ impl StreamSummary {
         let mut r = snapshot::Reader::new(bytes)?;
         let config = snapshot::decode_config(&mut r)?;
         config.check().map_err(|_| SnapshotError::Corrupt("invalid configuration"))?;
-        let precision = snapshot::decode_precision(&mut r)?;
+        snapshot::decode_precision(&mut r)?;
         let capacity = r.usize()?;
         if capacity != config.history + 1 {
             return Err(SnapshotError::Corrupt("history capacity mismatch"));
@@ -330,7 +322,6 @@ impl StreamSummary {
         r.expect_end()?;
         Ok(StreamSummary {
             config,
-            precision,
             history,
             levels,
             deques: MonotonicDeques { maxd, mind },
@@ -393,8 +384,7 @@ impl StreamSummary {
                 let prev = &lower[j - 1];
                 let Some(left) = prev.find(t - half) else { continue };
                 let Some(right) = prev.find(t) else { continue };
-                let merged =
-                    self.config.transform.merge_bounds(&left.bounds, &right.bounds, self.precision);
+                let merged = self.config.transform.merge_bounds(&left.bounds, &right.bounds);
                 let sum = (left.sum.0 + right.sum.0, left.sum.1 + right.sum.1);
                 let sumsq = (left.sumsq.0 + right.sumsq.0, left.sumsq.1 + right.sumsq.1);
                 (merged, sum, sumsq)

@@ -9,8 +9,8 @@
 //! * **exact merge** (Lemma 4.1): the feature of a window from the features
 //!   of its two halves in Θ(f),
 //! * **interval merge** (Lemma 4.2): a bounding interval of the feature
-//!   from the MBRs containing the halves' features, also Θ(f) (or
-//!   Θ(2^{2f}·f) with the tight Online I corner enumeration).
+//!   from the MBRs containing the halves' features, also Θ(f) (the DWT
+//!   uses Appendix A's *Online II* δ-split).
 
 use stardust_dsp::haar;
 use stardust_dsp::mbr_transform::Bounds;
@@ -31,18 +31,6 @@ pub enum TransformKind {
     /// The first `f` Haar approximation coefficients — pattern and
     /// correlation queries.
     Dwt,
-}
-
-/// Accuracy/time trade-off for the DWT interval merge (Appendix A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MergePrecision {
-    /// *Online II*: transform only the low/high corners via the δ-split.
-    /// Θ(f) per merge.
-    #[default]
-    Fast,
-    /// *Online I*: enumerate all corners of the concatenated box.
-    /// Θ(2^{2f}·f) per merge; tightest conservative box.
-    Tight,
 }
 
 impl TransformKind {
@@ -97,7 +85,7 @@ impl TransformKind {
     ///
     /// # Panics
     /// Panics on dimensionality mismatches.
-    pub fn merge_bounds(self, left: &Bounds, right: &Bounds, precision: MergePrecision) -> Bounds {
+    pub fn merge_bounds(self, left: &Bounds, right: &Bounds) -> Bounds {
         assert_eq!(left.dims(), right.dims(), "half bounds dimensionality mismatch");
         match self {
             TransformKind::Sum => {
@@ -115,14 +103,7 @@ impl TransformKind {
                 vec![left.lo()[0].max(right.lo()[0]), left.lo()[1].min(right.lo()[1])],
                 vec![left.hi()[0].max(right.hi()[0]), left.hi()[1].min(right.hi()[1])],
             ),
-            TransformKind::Dwt => {
-                let concat = left.concat(right);
-                let bank = FilterBank::haar();
-                match precision {
-                    MergePrecision::Fast => concat.analyze_online2(&bank),
-                    MergePrecision::Tight => concat.analyze_online1(&bank),
-                }
-            }
+            TransformKind::Dwt => left.concat(right).analyze_online2(&FilterBank::haar()),
         }
     }
 
@@ -214,7 +195,7 @@ mod tests {
                 fr.iter().map(|v| v - 0.2).collect(),
                 fr.iter().map(|v| v + 0.6).collect(),
             );
-            let merged = kind.merge_bounds(&bl, &br, MergePrecision::Fast);
+            let merged = kind.merge_bounds(&bl, &br);
             let exact = kind.compute(&full, f);
             assert!(
                 merged.contains(&exact, EPS),
@@ -236,23 +217,13 @@ mod tests {
             let f = 4;
             let fl = kind.compute(&left, f);
             let fr = kind.compute(&right, f);
-            let merged =
-                kind.merge_bounds(&Bounds::point(&fl), &Bounds::point(&fr), MergePrecision::Fast);
+            let merged = kind.merge_bounds(&Bounds::point(&fl), &Bounds::point(&fr));
             let exact = kind.merge_exact(&fl, &fr);
             for i in 0..exact.len() {
                 assert!((merged.lo()[i] - exact[i]).abs() < EPS, "{kind:?}");
                 assert!((merged.hi()[i] - exact[i]).abs() < EPS, "{kind:?}");
             }
         }
-    }
-
-    #[test]
-    fn tight_merge_never_looser_than_fast() {
-        let bl = Bounds::new(vec![-1.0, 0.0, 1.0, 2.0], vec![0.0, 2.0, 1.5, 2.5]);
-        let br = Bounds::new(vec![3.0, -2.0, 0.0, 0.0], vec![4.0, 0.0, 0.25, 1.0]);
-        let fast = TransformKind::Dwt.merge_bounds(&bl, &br, MergePrecision::Fast);
-        let tight = TransformKind::Dwt.merge_bounds(&bl, &br, MergePrecision::Tight);
-        assert!(fast.contains_bounds(&tight, EPS));
     }
 
     #[test]

@@ -74,10 +74,12 @@ fn run_clients(addr: std::net::SocketAddr, streams: &[Vec<f64>], lo: usize, hi: 
 }
 
 /// N concurrent clients over disjoint streams == the direct runtime,
-/// event set compared bit-for-bit.
+/// event set compared bit-for-bit. 32 clients contend for two shards;
+/// `append_all` retries any `Busy` reply, so values admitted after
+/// backpressure are audited too.
 #[test]
 fn multi_client_equivalence() {
-    const N: usize = 8;
+    const N: usize = 32;
     let (streams, r_max) = workload(42, N, 192);
     let spec = spec_for(&streams, r_max);
     let expected = direct_events(&spec, &streams);
@@ -453,6 +455,15 @@ fn append_all_gives_up_typed_when_the_server_stays_busy() {
         },
     )
     .unwrap();
+    // Park the worker inside the stall before any client connects: one
+    // value goes in, and once the queue reads empty again the worker has
+    // drained that batch alone and is stalled on it. Filling the queue
+    // earlier would let a late-waking worker drain several batches into
+    // one group and leave room for `append_all`.
+    rt.append_blocking(0, 0.0).unwrap();
+    while rt.stats().shards[0].queue_depth > 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     let server =
         Server::start("127.0.0.1:0", rt, single_tenant(2), fast_config(), Registry::new()).unwrap();
     let (mut client, _) = Client::connect(server.local_addr(), TOKEN).unwrap();
@@ -466,8 +477,8 @@ fn append_all_gives_up_typed_when_the_server_stays_busy() {
     // Fill the 2-deep queue behind the stalled worker, then ask
     // `append_all` to push one more batch: every round is `Busy`.
     let batch: Vec<(u32, f64)> = (0..8).map(|i| (i % 2, i as f64)).collect();
-    for _ in 0..3 {
-        let _ = client.append(&batch).unwrap();
+    for _ in 0..2 {
+        assert_eq!(client.append(&batch).unwrap(), AppendOutcome::Appended(batch.len() as u32));
     }
     match client.append_all(&batch) {
         Err(ClientError::RetriesExhausted { attempts: 3 }) => {}
