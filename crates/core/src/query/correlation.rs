@@ -435,16 +435,12 @@ impl CorrelationMonitor {
         let level = config.levels - 1;
         let window = config.window_at(level);
         let sketch_block = r.usize()?;
-        if sketch_block == 0 || !window.is_multiple_of(sketch_block) {
+        if sketch_block == 0 || sketch_block > window || !window.is_multiple_of(sketch_block) {
             return Err(SnapshotError::Corrupt("sketch block disagrees with window"));
         }
         let mut sketches = Vec::with_capacity(n_streams);
         for _ in 0..n_streams {
-            let sketch = BlockSketch::read_from(&mut r)?;
-            if sketch.window() != window || sketch.block() != sketch_block {
-                return Err(SnapshotError::Corrupt("sketch geometry disagrees with monitor"));
-            }
-            sketches.push(sketch);
+            sketches.push(BlockSketch::read_from(&mut r, window, sketch_block)?);
         }
         r.expect_end()?;
         Ok(CorrelationMonitor {

@@ -250,11 +250,18 @@ impl BlockSketch {
         w.usize(self.cur_count);
     }
 
-    /// Decodes a sketch written by [`Self::write_into`].
-    pub(crate) fn read_from(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        let window = r.usize()?;
-        let block = r.usize()?;
-        if block == 0 || block > window || !window.is_multiple_of(block) {
+    /// Decodes a sketch written by [`Self::write_into`] whose geometry
+    /// must be `(window, block)` — the owning monitor's, which the
+    /// caller has already validated. The stored geometry is checked
+    /// against it before anything is allocated, and the block deque is
+    /// sized from the decoded count, which the reader bounds by the
+    /// remaining input.
+    pub(crate) fn read_from(
+        r: &mut Reader<'_>,
+        window: usize,
+        block: usize,
+    ) -> Result<Self, SnapshotError> {
+        if r.usize()? != window || r.usize()? != block {
             return Err(SnapshotError::Corrupt("sketch geometry"));
         }
         let next_block = r.u64()?;
@@ -262,7 +269,7 @@ impl BlockSketch {
         if n > window / block || (n as u64) > next_block {
             return Err(SnapshotError::Corrupt("sketch block count"));
         }
-        let mut blocks = std::collections::VecDeque::with_capacity(window / block);
+        let mut blocks = std::collections::VecDeque::with_capacity(n);
         for _ in 0..n {
             blocks.push_back((r.f64()?, r.f64()?));
         }
@@ -510,7 +517,7 @@ mod tests {
         sk.write_into(&mut w);
         let bytes = w.finish();
         let mut r = Reader::new(&bytes).expect("magic");
-        let back = BlockSketch::read_from(&mut r).expect("decodes");
+        let back = BlockSketch::read_from(&mut r, 16, 4).expect("decodes");
         r.expect_end().expect("fully consumed");
         assert_eq!(back, sk);
         // Continuing to push stays bit-identical.
@@ -536,7 +543,29 @@ mod tests {
         let bytes = w.finish();
         let mut r = Reader::new(&bytes).unwrap();
         assert!(matches!(
-            BlockSketch::read_from(&mut r),
+            BlockSketch::read_from(&mut r, 8, 4),
+            Err(SnapshotError::Corrupt("sketch geometry"))
+        ));
+    }
+
+    #[test]
+    fn huge_window_field_is_an_error_not_an_allocation() {
+        let mut sk = BlockSketch::new(16, 4);
+        for i in 0..23 {
+            sk.push(i as f64);
+        }
+        let mut w = Writer::new();
+        sk.write_into(&mut w);
+        let mut bytes = w.finish();
+        // The window field follows the magic. A large multiple of the
+        // block passes a divisibility check, and sizing the deque from
+        // it would ask for 2^62 bytes.
+        let huge = 4usize << 58;
+        let at = crate::snapshot::MAGIC.len();
+        bytes[at..at + 8].copy_from_slice(&(huge as u64).to_le_bytes());
+        let mut r = Reader::new(&bytes).unwrap();
+        assert!(matches!(
+            BlockSketch::read_from(&mut r, 16, 4),
             Err(SnapshotError::Corrupt("sketch geometry"))
         ));
     }

@@ -32,13 +32,18 @@
 //! merge order. See [`ShardedRuntime`] for the exact semantics and the
 //! backpressure contract.
 //!
-//! **Fault tolerance.** Each shard's queue outlives its worker thread.
-//! With [`RuntimeConfig::recovery`] enabled (the default), batches are
-//! journaled ahead of processing, monitors are snapshotted on a
-//! cadence, and a supervisor thread restores any crashed worker from
-//! its shard's last snapshot — replaying the journaled suffix with
-//! exactly-once event delivery. [`FaultPlan`] injects deterministic
-//! crashes, stalls, and slow drains for testing this machinery.
+//! **Fault tolerance.** Every shard's monitor comes from one rebuild:
+//! restore the shard's last snapshot (or build from the spec when there
+//! is none), replay the journaled suffix, and suppress the events that
+//! were already delivered. [`ShardedRuntime::launch`] runs it over an
+//! empty journal, [`ShardedRuntime::open`] over the journal it recovers
+//! from disk, and the supervisor over a crashed worker's in-memory
+//! journal — so thread and process crashes recover with the same
+//! exactly-once arithmetic. With [`RuntimeConfig::recovery`] enabled
+//! (the default), batches are journaled ahead of processing, monitors
+//! are snapshotted on a cadence, and each shard's queue outlives its
+//! worker thread. [`FaultPlan`] injects deterministic crashes, stalls,
+//! and slow drains for testing this machinery.
 //!
 //! # Example
 //!

@@ -45,6 +45,7 @@ use std::sync::Arc;
 use stardust_core::stream::StreamId;
 
 use crate::fault::{DiskFaultKind, DiskFile, FaultPlan};
+use crate::snapshot::Journal;
 use crate::telemetry::RuntimeTelemetry;
 
 use wal::{scan_wal, WalFile, WalWriter};
@@ -371,19 +372,16 @@ pub(crate) fn apply_open_faults(
     Ok(())
 }
 
-/// Byte-level recovery inputs for one shard, assembled from the
-/// snapshot chain and WAL segments.
-#[derive(Debug)]
-pub(crate) struct RecoveredShard {
-    /// Monitor bytes of the base snapshot (`None`: rebuild from spec).
-    pub snapshot: Option<Vec<u8>>,
-    /// Appends the base snapshot covers.
-    pub snapshot_appends: u64,
-    /// Events delivered when the base snapshot was taken.
-    pub emitted_at_snapshot: u64,
-    /// WAL appends after the base snapshot, in log order.
-    pub suffix: Vec<(StreamId, f64)>,
-    /// Highest acked delivered-event count (≥ `emitted_at_snapshot`).
+/// What the scan of one shard's files found: the journal `open()`
+/// rebuilds the shard from, plus what its report and open-time
+/// rotation need.
+#[derive(Debug, Default)]
+pub(crate) struct ShardScan {
+    /// Base snapshot (`None`: rebuild from spec) and the WAL appends
+    /// after it, in log order.
+    pub journal: Journal,
+    /// Highest acked delivered-event count (≥ the journal's
+    /// `emitted_at_snapshot`): the shard's resumed `emitted`.
     pub last_ack: u64,
     /// Highest generation the on-disk chain reached; the open-time
     /// rotation writes `max_gen + 1`.
@@ -395,32 +393,19 @@ pub(crate) struct RecoveredShard {
     pub used_fallback: bool,
 }
 
-impl RecoveredShard {
-    fn empty() -> Self {
-        RecoveredShard {
-            snapshot: None,
-            snapshot_appends: 0,
-            emitted_at_snapshot: 0,
-            suffix: Vec::new(),
-            last_ack: 0,
-            max_gen: 0,
-            truncated_bytes: 0,
-            used_fallback: false,
-        }
-    }
-
+impl ShardScan {
     fn base(&mut self, gen: u64, snap: snapfile::SnapFile) {
         self.max_gen = gen;
-        self.snapshot = snap.monitor;
-        self.snapshot_appends = snap.appends;
-        self.emitted_at_snapshot = snap.emitted;
+        self.journal.snapshot = snap.monitor;
+        self.journal.snapshot_appends = snap.appends;
+        self.journal.emitted_at_snapshot = snap.emitted;
         self.last_ack = snap.emitted;
     }
 
     /// Folds the shard's *final* WAL segment in, truncating its torn
     /// tail (the expected residue of a crash mid-write).
     fn fold_final(&mut self, scan: wal::WalScan, path: &Path) -> Result<(), RecoveryError> {
-        self.suffix.extend_from_slice(&scan.items);
+        self.journal.suffix.extend_from_slice(&scan.items);
         if let Some(ack) = scan.last_ack {
             self.last_ack = self.last_ack.max(ack);
         }
@@ -464,7 +449,7 @@ impl RecoveredShard {
                         offset: v.valid_len,
                     });
                 }
-                self.suffix.extend_from_slice(&v.items);
+                self.journal.suffix.extend_from_slice(&v.items);
                 if let Some(ack) = v.last_ack {
                     self.last_ack = self.last_ack.max(ack);
                 }
@@ -482,7 +467,7 @@ impl RecoveredShard {
 /// chain, truncates torn tails, and falls back to the previous snapshot
 /// generation if the current one is damaged. Never panics; anything it
 /// cannot recover from exactly is a typed [`RecoveryError`].
-pub(crate) fn recover_shard(dir: &Path, shard: usize) -> Result<RecoveredShard, RecoveryError> {
+pub(crate) fn recover_shard(dir: &Path, shard: usize) -> Result<ShardScan, RecoveryError> {
     let paths = ShardPaths::new(dir, shard);
     // Tolerate only at-rest corruption here; real I/O errors abort.
     let read_soft = |path: &Path| match snapfile::read_snapshot(path) {
@@ -522,7 +507,7 @@ pub(crate) fn recover_shard(dir: &Path, shard: usize) -> Result<RecoveredShard, 
         }
     };
 
-    let mut out = RecoveredShard::empty();
+    let mut out = ShardScan::default();
     match snap {
         Ok(Some(s)) => {
             let snap_gen = s.gen;
@@ -949,7 +934,7 @@ mod tests {
         d.append_ack(1);
         append_one(&mut d, &[(2, 3.0)]).unwrap();
         let r = recover_shard(&dir, 0).unwrap();
-        assert_eq!(r.suffix, vec![(0, 1.0), (1, 2.0), (2, 3.0)]);
+        assert_eq!(r.journal.suffix, vec![(0, 1.0), (1, 2.0), (2, 3.0)]);
         assert_eq!(r.last_ack, 1);
         assert_eq!(r.max_gen, 1, "open-time rotation advanced the chain");
         assert!(!r.used_fallback);
@@ -958,9 +943,9 @@ mod tests {
         assert!(d.rotate(3, 1, Some(b"mon")).unwrap());
         append_one(&mut d, &[(0, 4.0)]).unwrap();
         let r = recover_shard(&dir, 0).unwrap();
-        assert_eq!(r.snapshot.as_deref(), Some(b"mon".as_slice()));
-        assert_eq!((r.snapshot_appends, r.emitted_at_snapshot), (3, 1));
-        assert_eq!(r.suffix, vec![(0, 4.0)]);
+        assert_eq!(r.journal.snapshot.as_deref(), Some(b"mon".as_slice()));
+        assert_eq!((r.journal.snapshot_appends, r.journal.emitted_at_snapshot), (3, 1));
+        assert_eq!(r.journal.suffix, vec![(0, 4.0)]);
         assert_eq!(r.max_gen, 2);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -985,7 +970,7 @@ mod tests {
         assert!(r.used_fallback);
         // Base is the gen-1 snapshot (taken by the open-time rotation,
         // covering zero appends); both batches replay from the WALs.
-        assert_eq!(r.suffix, vec![(0, 1.0), (0, 2.0)]);
+        assert_eq!(r.journal.suffix, vec![(0, 1.0), (0, 2.0)]);
         assert_eq!(r.max_gen, 2);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1026,7 +1011,7 @@ mod tests {
             Some(plan),
             RuntimeTelemetry::default(),
             rec.max_gen,
-            rec.snapshot_appends + rec.suffix.len() as u64,
+            rec.journal.snapshot_appends + rec.journal.suffix.len() as u64,
             rec.last_ack,
             None,
         )
@@ -1034,7 +1019,11 @@ mod tests {
         assert!(!d.wedged);
         append_one(&mut d, &[(0, 2.0)]).unwrap();
         let r = recover_shard(&dir, 0).unwrap();
-        assert_eq!(r.suffix, vec![(0, 1.0), (0, 2.0)], "appends landed on the resumed segment");
+        assert_eq!(
+            r.journal.suffix,
+            vec![(0, 1.0), (0, 2.0)],
+            "appends landed on the resumed segment"
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1050,7 +1039,7 @@ mod tests {
         assert!(d.wedged);
         assert!(append_one(&mut d, &[(0, 9.0)]).is_err(), "wedged handles fail stop");
         let r = recover_shard(&dir, 0).unwrap();
-        assert_eq!(r.suffix, vec![(0, 1.0)], "pre-tear prefix survives");
+        assert_eq!(r.journal.suffix, vec![(0, 1.0)], "pre-tear prefix survives");
         assert!(r.truncated_bytes > 0);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1066,10 +1055,10 @@ mod tests {
         let f = snapfile::write_snapshot(&paths.snap_tmp, 2, 1, 0, Some(b"newest")).unwrap();
         f.sync_all().unwrap();
         let r = recover_shard(&dir, 0).unwrap();
-        assert_eq!(r.snapshot.as_deref(), Some(b"newest".as_slice()));
+        assert_eq!(r.journal.snapshot.as_deref(), Some(b"newest".as_slice()));
         assert_eq!(r.max_gen, 2);
         assert!(
-            r.suffix.is_empty(),
+            r.journal.suffix.is_empty(),
             "the live gen-1 segment is superseded by the adopted snapshot"
         );
         assert!(paths.wal_prev.exists(), "superseded segment was archived, not deleted");

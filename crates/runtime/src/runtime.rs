@@ -3,6 +3,7 @@
 //! recovery, and drain-then-join shutdown.
 
 use std::collections::VecDeque;
+use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -15,12 +16,15 @@ use stardust_core::stream::StreamId;
 use stardust_core::unified::{Event, UnifiedMonitor};
 
 use crate::fault::FaultPlan;
-use crate::persist::{self, PersistConfig, RecoveryError, RecoveryReport, ShardRecoveryReport};
+use crate::persist::{
+    self, PersistConfig, RecoveryError, RecoveryReport, ShardDisk, ShardRecoveryReport,
+};
 use crate::queue::{BoundedQueue, PushError};
 use crate::shard::{
-    remap_event, Board, DeathNotice, QueryReply, QueryRequest, ShardMsg, SketchBoard, Worker,
+    publish_sketches_if_due, remap_event, Board, DeathNotice, QueryReply, QueryRequest, ShardMsg,
+    SketchBoard, Worker,
 };
-use crate::snapshot::ShardRecovery;
+use crate::snapshot::{Journal, ShardRecovery};
 use crate::spec::MonitorSpec;
 use crate::stats::{CrossCorrStats, RuntimeStats, ShardCounters};
 use crate::telemetry::RuntimeTelemetry;
@@ -186,15 +190,15 @@ pub struct ShutdownReport {
 }
 
 /// State shared by producers, workers, and the supervisor. Everything
-/// a restored worker needs to resume a dead shard lives here.
+/// a shard's rebuild needs lives here.
 struct Shared {
     spec: MonitorSpec,
     /// Streams per shard.
     n_locals: Vec<usize>,
     snapshot_every: u64,
     fault_plan: Option<Arc<FaultPlan>>,
-    /// Registry monitors re-attach to after a crash restore; `None`
-    /// when telemetry is off.
+    /// Registry every rebuilt monitor attaches to; `None` when
+    /// telemetry is off.
     telemetry: Option<stardust_telemetry::Registry>,
     /// Runtime-level handles (batch latency, recovery timings); fully
     /// detached when telemetry is off.
@@ -218,6 +222,9 @@ struct Shared {
     sketch_cadence: u64,
     /// Per-shard recovery journals; `None` when recovery is disabled.
     recovery: Option<Vec<Arc<ShardRecovery>>>,
+    /// The persistence directory of an [`ShardedRuntime::open`]ed
+    /// runtime (names the snapshot a failed decode came from).
+    persist_dir: Option<PathBuf>,
     board: Arc<Board>,
     handles: Mutex<Vec<Option<JoinHandle<()>>>>,
     /// The collector sender respawned workers clone; dropped (set to
@@ -230,6 +237,116 @@ struct Shared {
 impl Shared {
     fn n_shards(&self) -> usize {
         self.n_locals.len()
+    }
+
+    /// The one way a shard's monitor comes into existence. Restores the
+    /// journal's snapshot, or builds from the spec when there is none;
+    /// replays the journaled suffix, delivering in one grouped send only
+    /// the events past the first `emitted − emitted_at_snapshot` (those
+    /// were delivered before) and firing the sketch-exchange cadence at
+    /// every boundary the replay crosses; then attaches telemetry and
+    /// stores the shard's counters. [`ShardedRuntime::launch`] rebuilds
+    /// over an empty journal, [`ShardedRuntime::open`] over the journal
+    /// its disk scan assembled, and [`Self::restore_shard`] over the dead
+    /// worker's.
+    ///
+    /// Returns the monitor (`None` when the spec builds none) and the
+    /// replay's half of the shard's [`ShardRecoveryReport`]:
+    /// `durable_appends` is every append the monitor has absorbed — the
+    /// worker's fault clock resumes there — and the disk scan's fields
+    /// are left for `open()` to fill.
+    ///
+    /// # Errors
+    /// A spec the monitor rejects, or a snapshot that fails to decode.
+    fn rebuild(
+        &self,
+        slot: usize,
+    ) -> Result<(Option<UnifiedMonitor>, ShardRecoveryReport), RuntimeError> {
+        let n_shards = self.n_shards();
+        let rec = self.recovery.as_ref().map(|r| &*r[slot]);
+        let emitted = rec.map_or(0, ShardRecovery::emitted);
+        let empty = Journal::default();
+        let guard = rec.map(ShardRecovery::journal);
+        let journal = guard.as_deref().unwrap_or(&empty);
+        let mut monitor = match &journal.snapshot {
+            Some(bytes) => Some(UnifiedMonitor::restore(bytes).map_err(|_| {
+                RuntimeError::Recovery(RecoveryError::CorruptSnapshot {
+                    path: self
+                        .persist_dir
+                        .as_deref()
+                        .map(|dir| persist::ShardPaths::new(dir, slot).snap)
+                        .unwrap_or_default(),
+                    detail: "checksummed monitor payload failed to decode \
+                             (spec or version mismatch?)",
+                })
+            })?),
+            None => self.spec.build(self.n_locals[slot])?,
+        };
+        let already = emitted - journal.emitted_at_snapshot;
+        let mut regenerated = 0u64;
+        let mut resend = Vec::new();
+        if let Some(m) = monitor.as_mut() {
+            let mut buf = Vec::new();
+            // Like a respawned worker's, the replay's ship frontier
+            // starts at zero: the first crossed boundary re-publishes
+            // state the board may already hold (absorbed idempotently).
+            let mut last_shipped = 0u64;
+            for &(local, value) in &journal.suffix {
+                buf.clear();
+                m.append_into(local, value, &mut buf);
+                for ev in buf.drain(..) {
+                    regenerated += 1;
+                    if regenerated > already {
+                        resend.push(remap_event(slot, n_shards, ev));
+                    }
+                }
+                publish_sketches_if_due(
+                    Some(m),
+                    slot,
+                    n_shards,
+                    &self.sketches,
+                    self.sketch_cadence,
+                    &mut last_shipped,
+                    &self.runtime_telemetry,
+                );
+            }
+        }
+        let replayed = journal.suffix.len() as u64;
+        let durable_appends = journal.snapshot_appends + replayed;
+        drop(guard);
+        let re_emitted = resend.len() as u64;
+        if re_emitted > 0 {
+            if let Some(events) = &*self.events_tx.lock().expect("events sender poisoned") {
+                let _ = events.send(resend);
+            }
+        }
+        if let Some(rec) = rec {
+            rec.note_emitted_n(re_emitted);
+            // Ack what the replay delivered (no-op until a disk is
+            // attached, so only a respawn writes this record).
+            rec.ack_emitted();
+        }
+        // The replay ran detached (a restored monitor never counts
+        // replayed appends twice); attach for the live phase.
+        if let (Some(registry), Some(m)) = (&self.telemetry, monitor.as_mut()) {
+            m.attach_telemetry(registry);
+        }
+        // Absolute stores, not deltas: the journal covers batches a dead
+        // worker drained but never applied.
+        let counters = &self.counters[slot];
+        counters.appends.store(durable_appends, Ordering::Relaxed);
+        counters.events.store(rec.map_or(0, ShardRecovery::emitted), Ordering::Relaxed);
+        let report = ShardRecoveryReport {
+            shard: slot,
+            durable_appends,
+            replayed,
+            re_emitted,
+            suppressed: already.min(regenerated),
+            truncated_bytes: 0,
+            used_fallback: false,
+            generation: 0,
+        };
+        Ok((monitor, report))
     }
 
     /// Spawns the worker for `slot` over `monitor`, which has already
@@ -297,9 +414,9 @@ impl Shared {
         }
     }
 
-    /// Supervisor path: joins the dead worker, rebuilds the shard's
-    /// monitor from its journal (replaying undelivered events), and
-    /// spawns a replacement that resumes draining the same queue.
+    /// Supervisor path: joins the dead worker, rebuilds the shard from
+    /// its journal (replaying undelivered events), and spawns a
+    /// replacement that resumes draining the same queue.
     fn restore_shard(self: &Arc<Self>, slot: usize) {
         if let Some(handle) = self.handles.lock().expect("handles poisoned")[slot].take() {
             let _ = handle.join();
@@ -321,45 +438,25 @@ impl Shared {
                 return;
             }
         }
+        // A wedged durable WAL (torn write or failed rotation) keeps the
+        // shard down: an in-memory rebuild would accept appends the disk
+        // can no longer journal.
         let rec = &self.recovery.as_ref().expect("supervisor requires recovery")[slot];
-        let events = self
-            .events_tx
-            .lock()
-            .expect("events sender poisoned")
-            .clone()
-            .expect("restore after shutdown");
+        if rec.journal().disk.as_ref().is_some_and(|d| d.wedged) {
+            self.fail_slot(slot, None);
+            return;
+        }
         let restore_span = self.runtime_telemetry.restore.span();
-        let rebuilt = rec.rebuild_state(
-            &self.spec,
-            self.n_locals[slot],
-            slot,
-            self.n_shards(),
-            &events,
-            &self.sketches,
-            self.sketch_cadence,
-            &self.runtime_telemetry,
-        );
+        let rebuilt = self.rebuild(slot);
         drop(restore_span);
-        let Some((mut monitor, appends)) = rebuilt else {
-            // The shard's durable WAL is wedged (torn write or failed
-            // rotation): an in-memory rebuild would accept appends the
-            // disk can no longer journal, so the shard fails stop.
+        // A journal this runtime wrote always rebuilds; should one not,
+        // the shard fails stop rather than the supervisor.
+        let Ok((monitor, rebuilt)) = rebuilt else {
             self.fail_slot(slot, None);
             return;
         };
-        // The replay above ran detached (a restored monitor never
-        // counts replayed appends twice); re-attach for the shard's
-        // second life.
-        if let (Some(registry), Some(m)) = (&self.telemetry, monitor.as_mut()) {
-            m.attach_telemetry(registry);
-        }
-        // Absolute stores, not deltas: the journal covers batches the
-        // dead worker drained but never applied.
-        let counters = &self.counters[slot];
-        counters.appends.store(appends, Ordering::Relaxed);
-        counters.events.store(rec.emitted(), Ordering::Relaxed);
-        counters.restarts.fetch_add(1, Ordering::Relaxed);
-        match self.spawn_worker(slot, monitor, appends) {
+        self.counters[slot].restarts.fetch_add(1, Ordering::Relaxed);
+        match self.spawn_worker(slot, monitor, rebuilt.durable_appends) {
             Ok(handle) => {
                 self.handles.lock().expect("handles poisoned")[slot] = Some(handle);
             }
@@ -406,11 +503,13 @@ impl Shared {
 /// default), every batch is journaled before it is applied and each
 /// shard's monitor is snapshotted on a configurable cadence. A
 /// supervisor thread watches for dead workers; when one dies it
-/// restores the monitor from the last snapshot, replays the journaled
-/// suffix (suppressing the events the dead worker already delivered),
-/// and spawns a replacement that resumes draining the *same* queue — no
-/// queued batch or query is lost, no event is delivered twice, and the
-/// recovered event stream is bit-identical to an unfaulted run. A shard
+/// restores the monitor from the last snapshot and replays the
+/// journaled suffix, suppressing the events the dead worker already
+/// delivered — the same rebuild [`Self::launch`] and [`Self::open`]
+/// start every shard with. A replacement worker then resumes draining
+/// the *same* queue: no queued batch or query is lost, no event is
+/// delivered twice, and the recovered event stream is bit-identical to
+/// an unfaulted run. A shard
 /// that keeps dying faster than [`RuntimeConfig::max_restarts_in_window`]
 /// allows is fail-stopped instead: its queue closes, and every producer
 /// and query path into it reports [`RuntimeError::RespawnStorm`].
@@ -452,38 +551,15 @@ impl ShardedRuntime {
             return Err(RuntimeError::NoStreams);
         }
         let (n_shards, n_locals) = sizing(n_streams, config.shards);
-        let with_recovery = config.recovery.is_some();
-        let mut seeds: Vec<(Option<UnifiedMonitor>, u64)> = Vec::with_capacity(n_shards);
-        for &n_local in &n_locals {
-            let mut monitor = spec.build(n_local)?;
-            if let (Some(registry), Some(m)) = (&config.telemetry, monitor.as_mut()) {
-                m.attach_telemetry(registry);
-            }
-            seeds.push((monitor, 0));
-        }
-        let runtime_telemetry =
-            config.telemetry.as_ref().map(RuntimeTelemetry::new).unwrap_or_default();
-
-        let (events_tx, events_rx) = mpsc::channel();
-        let shared = Self::assemble(
-            spec,
-            n_locals,
-            config,
-            events_tx,
-            runtime_telemetry,
-            (0..n_shards).map(|_| Arc::new(ShardCounters::new())).collect(),
-            with_recovery
-                .then(|| (0..n_shards).map(|_| Arc::new(ShardRecovery::new(None))).collect()),
-        );
-        Self::start_workers(&shared, seeds)?;
-        let supervisor = if with_recovery { Some(Self::start_supervisor(&shared)?) } else { None };
-        Ok(ShardedRuntime {
-            n_streams,
-            shared,
-            events_rx: Mutex::new(events_rx),
-            supervisor,
-            finished: false,
-        })
+        let recovery = config
+            .recovery
+            .is_some()
+            .then(|| (0..n_shards).map(|_| ShardRecovery::new(Journal::default(), 0)).collect());
+        let (shared, events_rx) = Self::assemble(spec, n_locals, config, None, recovery);
+        let seeds = (0..n_shards)
+            .map(|slot| shared.rebuild(slot).map(|(monitor, r)| (monitor, r.durable_appends)))
+            .collect::<Result<_, _>>()?;
+        Self::start(n_streams, shared, events_rx, seeds)
     }
 
     /// Opens (or creates) a durable runtime backed by `persist.dir`.
@@ -503,7 +579,8 @@ impl ShardedRuntime {
     /// supervisor would lose the WAL's exactly-once arithmetic). The
     /// caller must open with the same spec and stream count the
     /// directory was written under — the shard-file layout is checked,
-    /// the spec is not.
+    /// the spec is not: a shard with a snapshot is restored from it, and
+    /// only a shard without one is built from the spec.
     ///
     /// # Errors
     /// [`RuntimeError::Recovery`] when the directory cannot be
@@ -522,172 +599,119 @@ impl ShardedRuntime {
             config.recovery = Some(RecoveryPolicy::default());
         }
         let (n_shards, n_locals) = sizing(n_streams, config.shards);
-        let recovery_err = |e: RecoveryError| RuntimeError::Recovery(e);
+        let recovery_err = RuntimeError::Recovery;
         std::fs::create_dir_all(&persist.dir)
             .map_err(|e| recovery_err(RecoveryError::io(&persist.dir, e)))?;
         persist::check_shard_layout(&persist.dir, n_shards).map_err(recovery_err)?;
-        let runtime_telemetry =
-            config.telemetry.as_ref().map(RuntimeTelemetry::new).unwrap_or_default();
-        let (events_tx, events_rx) = mpsc::channel();
 
-        let mut seeds = Vec::with_capacity(n_shards);
-        let mut recoveries = Vec::with_capacity(n_shards);
-        let mut report = RecoveryReport { shards: Vec::with_capacity(n_shards) };
-        let counters: Vec<Arc<ShardCounters>> =
-            (0..n_shards).map(|_| Arc::new(ShardCounters::new())).collect();
+        // Scan every shard's files into the journal it is rebuilt from.
+        let mut scans = Vec::with_capacity(n_shards);
+        let mut recovery = Vec::with_capacity(n_shards);
         for shard in 0..n_shards {
-            let span = runtime_telemetry.disk_recovery.span();
+            let started = Instant::now();
             persist::apply_open_faults(&persist.dir, shard, &config.fault_plan)
                 .map_err(recovery_err)?;
-            let rec = persist::recover_shard(&persist.dir, shard).map_err(recovery_err)?;
-            // Build from the spec first — this validates the spec for
-            // every shard even when a snapshot overrides the state.
-            let mut monitor = spec.build(n_locals[shard])?;
-            if let Some(bytes) = &rec.snapshot {
-                let restored = UnifiedMonitor::restore(bytes).map_err(|_| {
-                    recovery_err(RecoveryError::CorruptSnapshot {
-                        path: persist::ShardPaths::new(&persist.dir, shard).snap,
-                        detail: "checksummed monitor payload failed to decode \
-                                 (spec or version mismatch?)",
-                    })
-                })?;
-                monitor = Some(restored);
-            }
-            // Replay the WAL suffix. The first `already` regenerated
-            // events were delivered (and acked) by the previous process;
-            // the rest go to the collector now.
-            let already = rec.last_ack - rec.emitted_at_snapshot;
-            let mut regenerated = 0u64;
-            let mut re_emitted = 0u64;
-            if let Some(monitor) = monitor.as_mut() {
-                let mut buf = Vec::new();
-                let mut resend = Vec::new();
-                for &(local, value) in &rec.suffix {
-                    buf.clear();
-                    monitor.append_into(local, value, &mut buf);
-                    for ev in buf.drain(..) {
-                        regenerated += 1;
-                        if regenerated > already {
-                            resend.push(remap_event(shard, n_shards, ev));
-                        }
-                    }
-                }
-                if !resend.is_empty() {
-                    re_emitted = resend.len() as u64;
-                    let _ = events_tx.send(resend);
-                }
-            }
-            runtime_telemetry.replayed.add(rec.suffix.len() as u64);
-            if rec.truncated_bytes > 0 {
-                runtime_telemetry.torn_truncations.inc();
-            }
-            if rec.used_fallback {
-                runtime_telemetry.snapshot_fallbacks.inc();
-            }
-            // The replay ran detached; attach for the live phase.
-            if let (Some(registry), Some(m)) = (&config.telemetry, monitor.as_mut()) {
-                m.attach_telemetry(registry);
-            }
-            let durable_appends = rec.snapshot_appends + rec.suffix.len() as u64;
-            let emitted = rec.emitted_at_snapshot + regenerated.max(already);
-            let snap_bytes = monitor.as_ref().map(|m| m.snapshot());
-            let disk = persist::ShardDisk::create(
-                &persist.dir,
-                shard,
-                persist.sync,
-                config.fault_plan.clone(),
-                runtime_telemetry.clone(),
-                rec.max_gen,
-                durable_appends,
-                emitted,
-                snap_bytes.as_deref(),
-            )
-            .map_err(|e| recovery_err(RecoveryError::io(&persist.dir, e)))?;
-            drop(span);
-            report.shards.push(ShardRecoveryReport {
-                shard,
-                durable_appends,
-                replayed: rec.suffix.len() as u64,
-                re_emitted,
-                suppressed: already.min(regenerated),
-                truncated_bytes: rec.truncated_bytes,
-                used_fallback: rec.used_fallback,
-                generation: disk.generation(),
-            });
-            counters[shard].appends.store(durable_appends, Ordering::Relaxed);
-            counters[shard].events.store(emitted, Ordering::Relaxed);
-            recoveries.push(Arc::new(ShardRecovery::resumed(
-                snap_bytes,
-                durable_appends,
-                emitted,
-                Some(disk),
-            )));
-            seeds.push((monitor, durable_appends));
+            let mut scan = persist::recover_shard(&persist.dir, shard).map_err(recovery_err)?;
+            recovery.push(ShardRecovery::new(std::mem::take(&mut scan.journal), scan.last_ack));
+            scans.push((scan, started.elapsed()));
         }
+        let (shared, events_rx) =
+            Self::assemble(spec, n_locals, config, Some(persist.dir.clone()), Some(recovery));
 
-        let shared = Self::assemble(
-            spec,
-            n_locals,
-            config,
-            events_tx,
-            runtime_telemetry,
-            counters,
-            Some(recoveries),
-        );
-        Self::start_workers(&shared, seeds)?;
-        let supervisor = Some(Self::start_supervisor(&shared)?);
-        let rt = ShardedRuntime {
-            n_streams,
-            shared,
-            events_rx: Mutex::new(events_rx),
-            supervisor,
-            finished: false,
-        };
-        Ok((rt, report))
+        let tel = &shared.runtime_telemetry;
+        let mut report = RecoveryReport { shards: Vec::with_capacity(n_shards) };
+        let mut seeds = Vec::with_capacity(n_shards);
+        for (shard, (scan, scan_time)) in scans.into_iter().enumerate() {
+            let started = Instant::now();
+            let (monitor, rebuilt) = shared.rebuild(shard)?;
+            // Open-time rotation: the rebuilt state becomes generation
+            // `max_gen + 1`, the pristine chain the worker journals on.
+            let rec = &shared.recovery.as_ref().expect("open forces recovery")[shard];
+            rec.record_snapshot(monitor.as_ref().map(|m| m.snapshot()));
+            let generation = rec
+                .attach_disk(|journal| {
+                    ShardDisk::create(
+                        &persist.dir,
+                        shard,
+                        persist.sync,
+                        shared.fault_plan.clone(),
+                        tel.clone(),
+                        scan.max_gen,
+                        journal.snapshot_appends,
+                        journal.emitted_at_snapshot,
+                        journal.snapshot.as_deref(),
+                    )
+                })
+                .map_err(|e| recovery_err(RecoveryError::io(&persist.dir, e)))?;
+            tel.disk_recovery.observe_duration(scan_time + started.elapsed());
+            tel.replayed.add(rebuilt.replayed);
+            if scan.truncated_bytes > 0 {
+                tel.torn_truncations.inc();
+            }
+            if scan.used_fallback {
+                tel.snapshot_fallbacks.inc();
+            }
+            seeds.push((monitor, rebuilt.durable_appends));
+            report.shards.push(ShardRecoveryReport {
+                truncated_bytes: scan.truncated_bytes,
+                used_fallback: scan.used_fallback,
+                generation,
+                ..rebuilt
+            });
+        }
+        Ok((Self::start(n_streams, shared, events_rx, seeds)?, report))
     }
 
     /// Builds the shared state common to [`Self::launch`] and
-    /// [`Self::open`].
+    /// [`Self::open`], plus the collector receiver.
     fn assemble(
         spec: &MonitorSpec,
         n_locals: Vec<usize>,
         config: RuntimeConfig,
-        events_tx: Sender<Vec<Event>>,
-        runtime_telemetry: RuntimeTelemetry,
-        counters: Vec<Arc<ShardCounters>>,
-        recovery: Option<Vec<Arc<ShardRecovery>>>,
-    ) -> Arc<Shared> {
+        persist_dir: Option<PathBuf>,
+        recovery: Option<Vec<ShardRecovery>>,
+    ) -> (Arc<Shared>, Receiver<Vec<Event>>) {
         let n_shards = n_locals.len();
         let n_streams: usize = n_locals.iter().sum();
         let queue_capacity = config.queue_capacity.max(1);
-        Arc::new(Shared {
+        let (events_tx, events_rx) = mpsc::channel();
+        let shared = Arc::new(Shared {
             spec: spec.clone(),
             n_locals,
             snapshot_every: config.recovery.map(|r| r.snapshot_every).unwrap_or(0),
             fault_plan: config.fault_plan,
+            runtime_telemetry: config
+                .telemetry
+                .as_ref()
+                .map(RuntimeTelemetry::new)
+                .unwrap_or_default(),
             telemetry: config.telemetry,
-            runtime_telemetry,
             queues: (0..n_shards).map(|_| Arc::new(BoundedQueue::new(queue_capacity))).collect(),
-            counters,
+            counters: (0..n_shards).map(|_| Arc::new(ShardCounters::new())).collect(),
             storms: Mutex::new(Vec::new()),
             restart_history: Mutex::new(vec![VecDeque::new(); n_shards]),
             max_restarts_in_window: config.max_restarts_in_window,
             restart_window: config.restart_window,
             sketches: Arc::new(SketchBoard::new(n_streams)),
             sketch_cadence: config.sketch_cadence,
-            recovery,
+            recovery: recovery.map(|r| r.into_iter().map(Arc::new).collect()),
+            persist_dir,
             board: Arc::new(Board::new(n_shards)),
             handles: Mutex::new((0..n_shards).map(|_| None).collect()),
             events_tx: Mutex::new(Some(events_tx)),
-        })
+        });
+        (shared, events_rx)
     }
 
-    /// Spawns one worker per shard; `seeds[shard]` is the shard's
-    /// monitor and the appends it has already processed.
-    fn start_workers(
-        shared: &Arc<Shared>,
+    /// Spawns one worker per shard — `seeds[shard]` is the shard's
+    /// rebuilt monitor and the appends it has processed — plus the
+    /// supervisor when recovery is on.
+    fn start(
+        n_streams: usize,
+        shared: Arc<Shared>,
+        events_rx: Receiver<Vec<Event>>,
         seeds: Vec<(Option<UnifiedMonitor>, u64)>,
-    ) -> Result<(), RuntimeError> {
+    ) -> Result<Self, RuntimeError> {
         for (slot, (monitor, processed)) in seeds.into_iter().enumerate() {
             match shared.spawn_worker(slot, monitor, processed) {
                 Ok(handle) => shared.handles.lock().expect("handles poisoned")[slot] = Some(handle),
@@ -701,7 +725,15 @@ impl ShardedRuntime {
                 }
             }
         }
-        Ok(())
+        let supervisor =
+            if shared.recovery.is_some() { Some(Self::start_supervisor(&shared)?) } else { None };
+        Ok(ShardedRuntime {
+            n_streams,
+            shared,
+            events_rx: Mutex::new(events_rx),
+            supervisor,
+            finished: false,
+        })
     }
 
     fn start_supervisor(shared: &Arc<Shared>) -> Result<JoinHandle<()>, RuntimeError> {

@@ -616,7 +616,7 @@ impl Worker {
         // whole batches from the write-ahead step, and a snapshot must
         // not cover appends that have not been applied yet.
         if let Some(rec) = &self.recovery {
-            if self.snapshot_every > 0 && rec.suffix_len() as u64 >= self.snapshot_every {
+            if self.snapshot_every > 0 && rec.journal().suffix.len() as u64 >= self.snapshot_every {
                 let _span = self.telemetry.snapshot.span();
                 rec.record_snapshot(self.monitor.as_ref().map(|m| m.snapshot()));
             }

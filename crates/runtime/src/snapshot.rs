@@ -1,18 +1,28 @@
-//! Per-shard crash recovery: write-ahead journal, periodic monitor
-//! snapshots, and deterministic suffix replay.
+//! Per-shard crash recovery: the write-ahead [`Journal`] and the
+//! [`ShardRecovery`] that owns it.
 //!
-//! Every shard owns a [`ShardRecovery`] that outlives any one worker
-//! thread. The worker journals each batch *before* applying it, counts
-//! every event it delivers, and periodically stores a full
-//! [`UnifiedMonitor::snapshot`], truncating the journal. When the
-//! supervisor finds the worker dead it rebuilds the monitor from the
-//! last snapshot, replays the journaled suffix — monitor output is a
-//! pure function of the append sequence, so the replay regenerates
-//! exactly the events the dead worker produced — and suppresses the
-//! first `emitted − emitted_at_snapshot` of them, which were already
-//! delivered. The combination yields exactly-once event delivery across
-//! worker crashes: nothing lost (the journal is written ahead of
-//! processing), nothing duplicated (the suppression count is exact).
+//! A journal is a shard's recoverable state: the last monitor snapshot,
+//! the counts it covers, and the appends journaled after it. Every
+//! shard's monitor comes into existence through one rebuild over a
+//! journal (`Shared::rebuild` in `runtime.rs`): restore the snapshot
+//! (or build from the spec when there is none), replay the suffix, and
+//! suppress the first `emitted − emitted_at_snapshot` regenerated
+//! events, which were already delivered. Monitor output is a pure
+//! function of the append sequence, so the replay regenerates exactly
+//! the events the previous incarnation produced. The rebuild has three
+//! callers, which differ only in the journal they hand it:
+//!
+//! - `launch`: an empty journal, so the rebuild is a plain build;
+//! - supervisor respawn: the in-memory journal of the dead worker;
+//! - `open()`: a journal assembled from the on-disk snapshot chain and
+//!   WAL (`persist::recover_shard`), with the WAL's last ack as the
+//!   delivered-event count.
+//!
+//! While a worker lives it journals each batch *before* applying it,
+//! counts every event it delivers, and periodically stores a full
+//! [`stardust_core::unified::UnifiedMonitor::snapshot`], truncating the
+//! suffix. Nothing is lost (the journal is written ahead of processing)
+//! and nothing is duplicated (the suppression count is exact).
 //!
 //! With [`crate::PersistConfig`] the journal additionally owns a
 //! [`ShardDisk`]: every batch is appended to the on-disk WAL *before*
@@ -29,32 +39,31 @@
 //! each write, so the supervisor recovers the inner value with
 //! [`PoisonError::into_inner`] rather than cascading the panic.
 
+use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::Sender;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use stardust_core::stream::StreamId;
-use stardust_core::unified::{Event, UnifiedMonitor};
 
 use crate::persist::ShardDisk;
-use crate::shard::{publish_sketches_if_due, remap_event, SketchBoard};
-use crate::spec::MonitorSpec;
-use crate::telemetry::RuntimeTelemetry;
 
-/// The journaled, not-yet-snapshotted tail of one shard's input.
-struct Journal {
+/// A shard's recoverable state: the last snapshot plus the appends
+/// journaled after it.
+#[derive(Debug, Default)]
+pub(crate) struct Journal {
     /// Last stored monitor snapshot (`None` until the first cadence
     /// boundary, or for shards whose spec builds no monitor).
-    snapshot: Option<Vec<u8>>,
+    pub snapshot: Option<Vec<u8>>,
     /// Appends covered by `snapshot`.
-    snapshot_appends: u64,
-    /// Value of `emitted` when `snapshot` was taken.
-    emitted_at_snapshot: u64,
+    pub snapshot_appends: u64,
+    /// Delivered-event count when `snapshot` was taken.
+    pub emitted_at_snapshot: u64,
     /// Appends journaled after `snapshot`, in processing order
     /// (local stream ids). Written ahead of processing.
-    suffix: Vec<(StreamId, f64)>,
-    /// Durable mirror of this journal (absent without persistence).
-    disk: Option<ShardDisk>,
+    pub suffix: Vec<(StreamId, f64)>,
+    /// Durable mirror of this journal (absent without persistence, and
+    /// during `open()`'s rebuild, before the open-time rotation).
+    pub disk: Option<ShardDisk>,
 }
 
 /// One shard's recovery state, shared by the worker (journaling) and
@@ -69,39 +78,15 @@ pub(crate) struct ShardRecovery {
 }
 
 impl ShardRecovery {
-    pub(crate) fn new(disk: Option<ShardDisk>) -> Self {
-        ShardRecovery {
-            journal: Mutex::new(Journal {
-                snapshot: None,
-                snapshot_appends: 0,
-                emitted_at_snapshot: 0,
-                suffix: Vec::new(),
-                disk,
-            }),
-            emitted: AtomicU64::new(0),
-        }
+    /// A shard whose history is `journal`, with `emitted` of the
+    /// events that history produces already delivered.
+    pub(crate) fn new(journal: Journal, emitted: u64) -> Self {
+        ShardRecovery { journal: Mutex::new(journal), emitted: AtomicU64::new(emitted) }
     }
 
-    /// Warm constructor for `open()`: the journal starts at the state
-    /// the open-time rotation just made durable — `snapshot` covering
-    /// `snapshot_appends` appends with `emitted` events delivered, and
-    /// an empty suffix.
-    pub(crate) fn resumed(
-        snapshot: Option<Vec<u8>>,
-        snapshot_appends: u64,
-        emitted: u64,
-        disk: Option<ShardDisk>,
-    ) -> Self {
-        ShardRecovery {
-            journal: Mutex::new(Journal {
-                snapshot,
-                snapshot_appends,
-                emitted_at_snapshot: emitted,
-                suffix: Vec::new(),
-                disk,
-            }),
-            emitted: AtomicU64::new(emitted),
-        }
+    /// The journal, for the rebuild that replays it.
+    pub(crate) fn journal(&self) -> MutexGuard<'_, Journal> {
+        self.journal.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Group-commit write-ahead step: journals a run of batches before
@@ -123,7 +108,7 @@ impl ShardRecovery {
     where
         I: Iterator<Item = &'a [(StreamId, f64)]> + Clone,
     {
-        let mut journal = self.journal.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut journal = self.journal();
         let journal = &mut *journal;
         if let Some(disk) = journal.disk.as_mut() {
             if let Err(e) = disk.append_group(batches.clone()) {
@@ -145,15 +130,10 @@ impl ShardRecovery {
     /// handed to the collector, so a process-level recovery can
     /// suppress exactly the events that were already out.
     pub(crate) fn ack_emitted(&self) {
-        let mut journal = self.journal.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut journal = self.journal();
         if let Some(disk) = journal.disk.as_mut() {
             disk.append_ack(self.emitted.load(Ordering::Relaxed));
         }
-    }
-
-    /// Appends journaled since the last snapshot.
-    pub(crate) fn suffix_len(&self) -> usize {
-        self.journal.lock().unwrap_or_else(PoisonError::into_inner).suffix.len()
     }
 
     /// Stores a snapshot (taken *after* the worker fully applied every
@@ -163,7 +143,7 @@ impl ShardRecovery {
     /// chain at the previous generation, which stays self-consistent
     /// because the WAL segment keeps growing.
     pub(crate) fn record_snapshot(&self, snapshot: Option<Vec<u8>>) {
-        let mut journal = self.journal.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut journal = self.journal();
         journal.snapshot_appends += journal.suffix.len() as u64;
         journal.suffix.clear();
         journal.emitted_at_snapshot = self.emitted.load(Ordering::Relaxed);
@@ -179,90 +159,23 @@ impl ShardRecovery {
         }
     }
 
+    /// Hands `open()`'s durable handle to the journal. `create` writes
+    /// the journal's snapshot state — just folded in by
+    /// [`Self::record_snapshot`] — as the next on-disk generation.
+    /// Returns the handle's generation.
+    pub(crate) fn attach_disk(
+        &self,
+        create: impl FnOnce(&Journal) -> io::Result<ShardDisk>,
+    ) -> io::Result<u64> {
+        let mut journal = self.journal();
+        let disk = create(&journal)?;
+        let generation = disk.generation();
+        journal.disk = Some(disk);
+        Ok(generation)
+    }
+
     /// Events delivered to the collector over this shard's lifetime.
     pub(crate) fn emitted(&self) -> u64 {
         self.emitted.load(Ordering::Relaxed)
-    }
-
-    /// Rebuilds the monitor of a dead shard and replays the journaled
-    /// suffix, delivering only the events the dead worker had not yet
-    /// sent (one grouped send) and firing the sketch-exchange cadence
-    /// for every boundary the replay crosses — batches a dead worker
-    /// drained into a commit group but never applied exist only in the
-    /// journal, so their publications must happen here. Returns the
-    /// warm monitor and the number of appends it has processed (the
-    /// restored worker's fault clock) — or `None` when the shard's
-    /// durable WAL is wedged, in which case the shard must stay down: an
-    /// in-memory rebuild would accept appends the disk can no longer
-    /// journal.
-    ///
-    /// Pure with respect to shard accounting: the supervisor applies
-    /// its own counter/restart bookkeeping.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn rebuild_state(
-        &self,
-        spec: &MonitorSpec,
-        n_local: usize,
-        shard: usize,
-        n_shards: usize,
-        events: &Sender<Vec<Event>>,
-        sketches: &SketchBoard,
-        sketch_cadence: u64,
-        telemetry: &RuntimeTelemetry,
-    ) -> Option<(Option<UnifiedMonitor>, u64)> {
-        let journal = self.journal.lock().unwrap_or_else(PoisonError::into_inner);
-        if journal.disk.as_ref().is_some_and(|d| d.wedged) {
-            return None;
-        }
-        let mut monitor = match &journal.snapshot {
-            Some(bytes) => {
-                Some(UnifiedMonitor::restore(bytes).expect("self-written snapshot decodes"))
-            }
-            // No snapshot yet: rebuild from scratch and replay the full
-            // journal (which then spans the shard's whole history).
-            None => spec.build(n_local).expect("spec validated at launch"),
-        };
-        let already = self.emitted.load(Ordering::Relaxed) - journal.emitted_at_snapshot;
-        let mut regenerated = 0u64;
-        if let Some(monitor) = monitor.as_mut() {
-            let mut buf = Vec::new();
-            let mut resend = Vec::new();
-            // Like a respawned worker's, the replay's ship frontier
-            // starts at zero: the first crossed boundary re-publishes
-            // state the board may already hold (absorbed idempotently).
-            let mut last_shipped = 0u64;
-            for &(local, value) in &journal.suffix {
-                buf.clear();
-                monitor.append_into(local, value, &mut buf);
-                for ev in buf.drain(..) {
-                    regenerated += 1;
-                    if regenerated > already {
-                        resend.push(remap_event(shard, n_shards, ev));
-                    }
-                }
-                publish_sketches_if_due(
-                    Some(monitor),
-                    shard,
-                    n_shards,
-                    sketches,
-                    sketch_cadence,
-                    &mut last_shipped,
-                    telemetry,
-                );
-            }
-            if !resend.is_empty() {
-                self.note_emitted_n(resend.len() as u64);
-                let _ = events.send(resend);
-            }
-        }
-        debug_assert!(
-            regenerated >= already,
-            "replay regenerated {regenerated} events but {already} were already delivered"
-        );
-        let processed = journal.snapshot_appends + journal.suffix.len() as u64;
-        drop(journal);
-        // The replay delivered events the dead worker had not acked.
-        self.ack_emitted();
-        Some((monitor, processed))
     }
 }

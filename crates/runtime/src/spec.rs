@@ -55,10 +55,11 @@ pub struct CorrelationSpec {
     pub radius: f64,
 }
 
-/// A cloneable description of a [`UnifiedMonitor`]: everything
-/// [`stardust_core::unified::Builder`] consumes, plus the trend patterns
-/// to register. `build` can be called repeatedly — once per shard —
-/// with different stream counts.
+/// A cloneable description of a [`UnifiedMonitor`]: its builder
+/// parameters plus the trend patterns to register. The runtime's shard
+/// rebuild calls [`Self::build`] for every shard it has no snapshot
+/// for — at launch, on a fresh directory, and for a shard that dies
+/// before its first snapshot — with that shard's stream count.
 #[derive(Debug, Clone)]
 pub struct MonitorSpec {
     /// Base window `W`.
@@ -119,7 +120,7 @@ impl MonitorSpec {
     }
 
     /// Whether any query class is enabled.
-    pub fn any_class(&self) -> bool {
+    fn any_class(&self) -> bool {
         self.aggregate.is_some() || self.trend.is_some() || self.correlation.is_some()
     }
 

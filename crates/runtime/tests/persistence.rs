@@ -21,9 +21,9 @@ use stardust_core::transform::TransformKind;
 use stardust_core::unified::Event;
 use stardust_datagen::random_walk::{observed_r_max, random_walk_streams};
 use stardust_runtime::{
-    sort_events, AggregateSpec, Batch, DiskFaultKind, DiskFile, FaultPlan, MonitorSpec,
-    PersistConfig, RecoveryPolicy, RuntimeConfig, ShardedRuntime, SyncPolicy, TrendPattern,
-    TrendSpec,
+    sort_events, AggregateSpec, Batch, CorrelationSpec, DiskFaultKind, DiskFile, FaultPlan,
+    MonitorSpec, PersistConfig, RecoveryPolicy, RuntimeConfig, ShardedRuntime, SyncPolicy,
+    TrendPattern, TrendSpec,
 };
 use stardust_telemetry::Registry;
 
@@ -186,8 +186,12 @@ fn crash_reopen_resubmit(
     all_events
 }
 
-/// Baseline: no faults at all. Kill the process mid-stream, reopen,
-/// keep feeding — the event set matches the unfaulted single monitor.
+/// Baseline: kill the process mid-stream, reopen, keep feeding — the
+/// event set matches the unfaulted single monitor. The second pass at
+/// each shard count also kills shard 0's worker in the reopened
+/// runtime, after the appends `open()` recovered and before the first
+/// new snapshot, so the supervisor respawns it from the journal
+/// `open()` seeded from disk.
 #[test]
 fn crash_and_reopen_recover_the_exact_event_set() {
     let n_values = 384;
@@ -196,8 +200,8 @@ fn crash_and_reopen_recover_the_exact_event_set() {
     let reference = reference_events(&spec, &streams, n_values);
     assert!(!reference.is_empty(), "workload must produce events");
 
-    for shards in [1usize, 3] {
-        let dir = tempdir(&format!("reopen-{shards}"));
+    for (shards, kill_second_life) in [(1usize, false), (3, false), (1, true), (3, true)] {
+        let dir = tempdir(&format!("reopen-{shards}-{kill_second_life}"));
         let persist = PersistConfig::new(&dir).sync(SyncPolicy::EveryN(64));
         let (rt, report) =
             ShardedRuntime::open(&spec, streams.len(), config(shards, None, 64), persist.clone())
@@ -211,22 +215,96 @@ fn crash_and_reopen_recover_the_exact_event_set() {
         }
         let mut all_events = rt.crash().events;
 
+        // Shard 0 resumes at its durable ordinal and snapshots again 64
+        // appends later; the kill lands 20 appends in.
+        let shard0_durable = shard_feed(&streams, half, 0, shards).len() as u64;
+        let kill =
+            kill_second_life.then(|| Arc::new(FaultPlan::new().kill(0, shard0_durable + 20)));
         let (rt, report) =
-            ShardedRuntime::open(&spec, streams.len(), config(shards, None, 64), persist).unwrap();
+            ShardedRuntime::open(&spec, streams.len(), config(shards, kill.clone(), 64), persist)
+                .unwrap();
         assert_eq!(
             report.total_durable_appends(),
             (streams.len() * half) as u64,
             "crash() drains accepted batches, so everything submitted is durable"
         );
+        assert_eq!(report.shards[0].durable_appends, shard0_durable);
         all_events.extend(rt.drain_events());
         for t in half..n_values {
             let batch: Batch =
                 streams.iter().enumerate().map(|(s, x)| (s as StreamId, x[t])).collect();
             rt.submit_blocking(&batch).unwrap();
         }
-        all_events.extend(rt.shutdown().events);
+        let report = rt.shutdown();
+        if let Some(plan) = &kill {
+            assert_eq!(plan.fired_count(), 1, "the second-life kill must fire");
+            assert_eq!(report.stats.total_restarts(), 1, "the killed worker was respawned");
+        }
+        all_events.extend(report.events);
         sort_events(&mut all_events);
         assert_eq!(all_events, reference, "event set diverged at {shards} shards");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The correlation class through `open()`: the reopened runtime's
+/// first pulled answer is bit-identical to the crashed runtime's last,
+/// and the WAL replay itself republishes the shards' sketches to the
+/// collector board, as a respawn's replay does. Each shard snapshots
+/// exactly once, after the first 80 rows, so the replayed suffix holds
+/// 40 rows per stream and crosses at least two 16-value sketch blocks.
+#[test]
+fn reopened_correlation_answer_is_bit_identical() {
+    let (rows_before_snapshot, rows_after) = (80, 40);
+    let n_values = rows_before_snapshot + rows_after;
+    let n_streams = 6;
+    let (streams, r_max) = workload(16, n_streams, n_values);
+    let spec = MonitorSpec::new(BASE_WINDOW, LEVELS, r_max)
+        .with_correlations(CorrelationSpec { coeffs: 4, radius: 0.5 });
+    let feed_rows = |rt: &ShardedRuntime, rows: std::ops::Range<usize>| {
+        for t in rows {
+            let batch: Batch =
+                streams.iter().enumerate().map(|(s, x)| (s as StreamId, x[t])).collect();
+            rt.submit_blocking(&batch).unwrap();
+        }
+    };
+
+    for shards in [2usize, 3] {
+        let dir = tempdir(&format!("corr-{shards}"));
+        let persist = PersistConfig::new(&dir).sync(SyncPolicy::EveryN(64));
+        // Each shard reaches the cadence exactly at the last batch
+        // before the barrier query, and never again.
+        let snapshot_every = (n_streams / shards * rows_before_snapshot) as u64;
+        let cfg = || config(shards, None, snapshot_every);
+        let (rt, _) = ShardedRuntime::open(&spec, n_streams, cfg(), persist.clone()).unwrap();
+        feed_rows(&rt, 0..rows_before_snapshot);
+        // Queries ride the shard queues: once this answers, every batch
+        // before it has committed, and its snapshot with it.
+        rt.class_stats().unwrap();
+        feed_rows(&rt, rows_before_snapshot..n_values);
+        let before = rt.correlated_pairs().unwrap();
+        assert!(!before.is_empty(), "workload must produce correlated pairs");
+        drop(rt.crash());
+
+        let (rt, report) = ShardedRuntime::open(&spec, n_streams, cfg(), persist).unwrap();
+        for shard in &report.shards {
+            assert_eq!(
+                shard.replayed as usize,
+                n_streams / shards * rows_after,
+                "shard {} must replay exactly the post-snapshot rows",
+                shard.shard
+            );
+        }
+        let after = rt.correlated_pairs().unwrap();
+        let bits = |pairs: &[(StreamId, StreamId, f64)]| -> Vec<(StreamId, StreamId, u64)> {
+            pairs.iter().map(|&(a, b, c)| (a, b, c.to_bits())).collect()
+        };
+        assert_eq!(bits(&after), bits(&before), "reopened answer diverged at {shards} shards");
+        assert!(
+            rt.cross_corr_stats().exchanges > 0,
+            "open()'s replay must publish sketches at {shards} shards"
+        );
+        drop(rt.shutdown());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -635,7 +713,7 @@ fn crash_mid_group_prefix_sweep() {
 }
 
 /// Exhaustive sweep: every byte offset, both damage modes. Run with
-/// `cargo test -- --ignored` (the CI persistence job does).
+/// `cargo test -- --ignored` (the CI `ignored` job does).
 #[test]
 #[ignore = "exhaustive; minutes of runtime"]
 fn exhaustive_wal_damage_sweep() {
