@@ -407,6 +407,16 @@ impl CorrelationMonitor {
         if lag_periods == 0 {
             return Err(SnapshotError::Corrupt("zero lag periods"));
         }
+        let level = config.levels - 1;
+        let window = config.window_at(level);
+        // Verifying a lagged partner reads its full window, up to
+        // `lag_periods − 1` periods back, from the raw history, which
+        // `with_lag_periods` sizes to exactly that horizon.
+        let period = config.base_window as u64;
+        let horizon = (lag_periods - 1).checked_mul(config.base_window).map(|n| n + window);
+        if horizon.is_none_or(|n| config.history < n) {
+            return Err(SnapshotError::Corrupt("history shorter than the lag horizon"));
+        }
         let verify = match r.u8()? {
             0 => false,
             1 => true,
@@ -418,8 +428,21 @@ impl CorrelationMonitor {
             _ => return Err(SnapshotError::Corrupt("round tag")),
         };
         let stats = CorrelationStats { reported: r.u64()?, true_pairs: r.u64()? };
+        // Whether another stream's next feature query could report an
+        // entry of `stream` taken at `t` (the query's lag horizon, and in
+        // synchronized mode the round it does not clear).
+        let reportable = |stream: usize, t: Time| {
+            summaries.iter().enumerate().any(|(s, other)| {
+                let next = other.now().map_or(0, |now| now + 1).max(window as u64 - 1);
+                let at = (next + 1).div_ceil(period) * period - 1;
+                s != stream
+                    && t > at.saturating_sub(lag_periods as u64 * period)
+                    && (lag_periods > 1 || round == Some(at))
+            })
+        };
         let n_entries = r.count(24)?;
         let mut table = PointTable::new(f, radius.max(MIN_BAND_WIDTH));
+        let mut raw = Vec::new();
         for _ in 0..n_entries {
             let coords = r.f64_vec()?;
             if coords.len() != f {
@@ -430,10 +453,22 @@ impl CorrelationMonitor {
             if stream as usize >= n_streams {
                 return Err(SnapshotError::Corrupt("entry stream out of range"));
             }
-            table.push(&coords, (stream, r.u64()?));
+            let t = r.u64()?;
+            // An indexed feature was taken at one of its stream's feature
+            // times, and while a partner can still report it, the window
+            // ending there must still be in the history: the report
+            // re-reads it.
+            let summary = &summaries[stream as usize];
+            if summary.now().is_none_or(|now| t > now)
+                || !(t + 1).is_multiple_of(period)
+                || t + 1 < window as u64
+                || (!summary.history().copy_window(t, window, &mut raw)
+                    && reportable(stream as usize, t))
+            {
+                return Err(SnapshotError::Corrupt("entry window outside its stream's history"));
+            }
+            table.push(&coords, (stream, t));
         }
-        let level = config.levels - 1;
-        let window = config.window_at(level);
         let sketch_block = r.usize()?;
         if sketch_block == 0 || sketch_block > window || !window.is_multiple_of(sketch_block) {
             return Err(SnapshotError::Corrupt("sketch block disagrees with window"));
@@ -623,6 +658,30 @@ mod tests {
             reports.push(batch);
         }
         reports
+    }
+
+    #[test]
+    fn restore_rejects_an_entry_a_partner_cannot_verify() {
+        let mut mon = CorrelationMonitor::new(4, 2, 2, 0.8, 3);
+        feed(&mut mon, 43);
+        assert!(CorrelationMonitor::restore(&mon.snapshot()).is_ok());
+        let entries: Vec<(Vec<f64>, (StreamId, Time))> =
+            mon.table.iter().map(|(coords, &key)| (coords.to_vec(), key)).collect();
+        assert!(!entries.is_empty(), "the feed must index features");
+        // Move one entry's time past its stream's history: the next
+        // append that reports it would find no window to verify.
+        let mut moved = CorrelationMonitor::restore(&mon.snapshot()).unwrap();
+        moved.table.clear();
+        for (i, (coords, (stream, t))) in entries.iter().enumerate() {
+            let t = if i == 0 { t + 4 * mon.summaries[0].config().base_window as Time } else { *t };
+            moved.table.push(coords, (*stream, t));
+        }
+        assert!(CorrelationMonitor::restore(&moved.snapshot()).is_err());
+        // A lag horizon the history was not sized for (the lag a
+        // corrupted snapshot claims) is rejected the same way.
+        let mut lagged = CorrelationMonitor::restore(&mon.snapshot()).unwrap();
+        lagged.lag_periods = 3;
+        assert!(CorrelationMonitor::restore(&lagged.snapshot()).is_err());
     }
 
     #[test]

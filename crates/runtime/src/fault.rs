@@ -2,12 +2,15 @@
 //!
 //! A [`FaultPlan`] is a list of one-shot faults, each pinned to a shard
 //! and an append ordinal: "kill shard 2 when it applies its 1 000th
-//! value". Because shards process their queues sequentially, the append
-//! ordinal is a deterministic clock — the same plan over the same
-//! workload reproduces the same crash point on every run, regardless of
-//! thread scheduling. Plans are injected through
-//! [`crate::RuntimeConfig::fault_plan`] and cost one `Option` check per
-//! append when absent.
+//! value". The ordinal is the processed-append clock of the shard's
+//! core (`ShardCore`), which the worker thread consults before every
+//! append it applies; a rebuild's replay never consults it, so a fault
+//! fires once, mid-group, at the same ordinal on every run, regardless
+//! of thread scheduling. Disk faults fire in the shard's file log: torn
+//! writes and failed fsyncs on the live write path, bit flips and
+//! truncations when `open()` next scans the directory. Plans are
+//! injected through [`crate::RuntimeConfig::fault_plan`] and cost one
+//! `Option` check per append when absent.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -31,7 +34,7 @@ pub enum DiskFile {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DiskFaultKind {
     /// Stop the WAL write that crosses byte `at_byte` mid-frame — the
-    /// partial record a power cut leaves behind. The shard's journal is
+    /// partial record a power cut leaves behind. The shard's file log is
     /// wedged afterwards and the shard fails stop (a durable log that
     /// can no longer be appended to must not accept writes it cannot
     /// journal). Injected on batch records, the write-ahead path.
@@ -118,36 +121,23 @@ impl FaultPlan {
     }
 
     /// Adds a worker panic on `shard` at its `at_append`-th value.
-    pub fn kill(mut self, shard: usize, at_append: u64) -> Self {
-        self.faults.push(Fault {
-            shard,
-            at_append,
-            kind: FaultKind::Panic,
-            fired: AtomicBool::new(false),
-        });
-        self
+    pub fn kill(self, shard: usize, at_append: u64) -> Self {
+        self.with(shard, at_append, FaultKind::Panic)
     }
 
     /// Adds an in-place stall on `shard` at its `at_append`-th value.
-    pub fn stall(mut self, shard: usize, at_append: u64, pause: Duration) -> Self {
-        self.faults.push(Fault {
-            shard,
-            at_append,
-            kind: FaultKind::Stall(pause),
-            fired: AtomicBool::new(false),
-        });
-        self
+    pub fn stall(self, shard: usize, at_append: u64, pause: Duration) -> Self {
+        self.with(shard, at_append, FaultKind::Stall(pause))
     }
 
     /// Adds a delayed drain on `shard` starting at its `at_append`-th
     /// value.
-    pub fn delay_drain(mut self, shard: usize, at_append: u64, pause: Duration) -> Self {
-        self.faults.push(Fault {
-            shard,
-            at_append,
-            kind: FaultKind::DelayDrain(pause),
-            fired: AtomicBool::new(false),
-        });
+    pub fn delay_drain(self, shard: usize, at_append: u64, pause: Duration) -> Self {
+        self.with(shard, at_append, FaultKind::DelayDrain(pause))
+    }
+
+    fn with(mut self, shard: usize, at_append: u64, kind: FaultKind) -> Self {
+        self.faults.push(Fault { shard, at_append, kind, fired: AtomicBool::new(false) });
         self
     }
 

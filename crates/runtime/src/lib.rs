@@ -32,18 +32,22 @@
 //! merge order. See [`ShardedRuntime`] for the exact semantics and the
 //! backpressure contract.
 //!
-//! **Fault tolerance.** Every shard's monitor comes from one rebuild:
-//! restore the shard's last snapshot (or build from the spec when there
-//! is none), replay the journaled suffix, and suppress the events that
-//! were already delivered. [`ShardedRuntime::launch`] runs it over an
-//! empty journal, [`ShardedRuntime::open`] over the journal it recovers
-//! from disk, and the supervisor over a crashed worker's in-memory
-//! journal — so thread and process crashes recover with the same
-//! exactly-once arithmetic. With [`RuntimeConfig::recovery`] enabled
-//! (the default), batches are journaled ahead of processing, monitors
-//! are snapshotted on a cadence, and each shard's queue outlives its
-//! worker thread. [`FaultPlan`] injects deterministic crashes, stalls,
-//! and slow drains for testing this machinery.
+//! **Fault tolerance.** Each shard is one step function, `ShardCore`,
+//! driven by three shells: the worker thread commits live groups, and
+//! the supervisor (after a worker crash) and [`ShardedRuntime::open`]
+//! (after a process crash) construct it by one rebuild — restore the
+//! shard's last snapshot (or build from the spec when there is none),
+//! replay the logged suffix through the same apply path, and suppress
+//! the events that were already delivered. Each shard has one log: an
+//! in-memory journal, or, for a runtime opened on a directory, its
+//! checksummed on-disk WAL and snapshot chain, which a respawn reads
+//! back through the same scan `open()` uses. So thread and process
+//! crashes recover with the same exactly-once arithmetic. With
+//! [`RuntimeConfig::recovery`] enabled (the default), batches are
+//! logged ahead of processing, monitors are snapshotted on a cadence,
+//! and each shard's queue and log outlive its worker thread.
+//! [`FaultPlan`] injects deterministic crashes, stalls, and slow drains
+//! for testing this machinery.
 //!
 //! # Example
 //!
@@ -78,13 +82,14 @@ use stardust_core::error::QueryError;
 use stardust_core::stream::StreamId;
 
 mod fault;
+mod log;
 mod persist;
 mod queue;
 mod runtime;
 mod shard;
-mod snapshot;
 mod spec;
 mod stats;
+mod step;
 mod telemetry;
 
 pub use fault::{DiskFault, DiskFaultKind, DiskFile, Fault, FaultKind, FaultPlan};

@@ -1,4 +1,6 @@
-//! Durable on-disk persistence for the sharded runtime.
+//! Durable on-disk persistence for the sharded runtime: the file
+//! backend of a shard's log ([`crate::log::ShardLog::File`]), and the
+//! scan that reads it back for `open()` and for a respawned worker.
 //!
 //! Layout of a persistence directory for `S` shards:
 //!
@@ -45,7 +47,7 @@ use std::sync::Arc;
 use stardust_core::stream::StreamId;
 
 use crate::fault::{DiskFaultKind, DiskFile, FaultPlan};
-use crate::snapshot::Journal;
+use crate::log::Journal;
 use crate::telemetry::RuntimeTelemetry;
 
 use wal::{scan_wal, WalFile, WalWriter};
@@ -508,16 +510,61 @@ pub(crate) fn recover_shard(dir: &Path, shard: usize) -> Result<ShardScan, Recov
     };
 
     let mut out = ShardScan::default();
-    match snap {
-        Ok(Some(s)) => {
-            let snap_gen = s.gen;
-            out.base(snap_gen, s);
+    match (snap, prev) {
+        // The current snapshot is corrupt with nothing to fall back to,
+        // or the previous one cannot be read.
+        (Err(e), Ok(None) | Err(_)) | (Ok(None), Err(e)) => return Err(e),
+        (snap_state @ (Err(_) | Ok(None)), Ok(Some(p))) => {
+            out.used_fallback = snap_state.is_err();
+            let prev_gen = p.gen;
+            out.base(prev_gen, p);
             match scan_wal(&paths.wal)? {
                 WalFile::Valid(w) => {
                     shard_check(&w, &paths.wal)?;
-                    if w.gen == snap_gen {
+                    if w.gen == prev_gen {
+                        // Crash before the WAL rename: the live segment
+                        // still extends the previous snapshot directly;
+                        // any `.wal.prev` is an older generation the
+                        // snapshot already covers.
                         out.fold_final(w, &paths.wal)?;
-                    } else if w.gen + 1 == snap_gen {
+                    } else if w.gen == prev_gen + 1 {
+                        out.max_gen = prev_gen + 1;
+                        out.fold_prev(&paths, prev_gen, shard)?;
+                        out.fold_final(w, &paths.wal)?;
+                    } else {
+                        return Err(RecoveryError::GenerationMismatch {
+                            path: paths.wal,
+                            expected: prev_gen + 1,
+                            found: w.gen,
+                        });
+                    }
+                }
+                WalFile::Missing => {
+                    out.max_gen = prev_gen + 1;
+                    out.fold_prev(&paths, prev_gen, shard)?;
+                }
+                WalFile::TornHeader { .. } => {
+                    return Err(RecoveryError::bad_header(
+                        &paths.wal,
+                        "WAL header torn with a fallback pending",
+                    ));
+                }
+            }
+        }
+        // The live WAL extends the current snapshot — or, in a fresh
+        // directory or after a crash before the first snapshot, the
+        // empty generation 0.
+        (Ok(current), _) => {
+            let gen = current.as_ref().map_or(0, |s| s.gen);
+            if let Some(s) = current {
+                out.base(gen, s);
+            }
+            match scan_wal(&paths.wal)? {
+                WalFile::Valid(w) => {
+                    shard_check(&w, &paths.wal)?;
+                    if w.gen == gen {
+                        out.fold_final(w, &paths.wal)?;
+                    } else if w.gen + 1 == gen {
                         // The crash hit after the new snapshot landed
                         // but before the old segment was archived: its
                         // records are covered by the snapshot. Archive
@@ -531,7 +578,7 @@ pub(crate) fn recover_shard(dir: &Path, shard: usize) -> Result<ShardScan, Recov
                     } else {
                         return Err(RecoveryError::GenerationMismatch {
                             path: paths.wal,
-                            expected: snap_gen,
+                            expected: gen,
                             found: w.gen,
                         });
                     }
@@ -543,77 +590,6 @@ pub(crate) fn recover_shard(dir: &Path, shard: usize) -> Result<ShardScan, Recov
                     out.truncated_bytes += torn_bytes;
                     fs::remove_file(&paths.wal).map_err(|e| RecoveryError::io(&paths.wal, e))?;
                 }
-            }
-        }
-        snap_state => {
-            let snap_err = snap_state.err();
-            match prev {
-                Ok(Some(p)) => {
-                    out.used_fallback = snap_err.is_some();
-                    let prev_gen = p.gen;
-                    out.base(prev_gen, p);
-                    match scan_wal(&paths.wal)? {
-                        WalFile::Valid(w) => {
-                            shard_check(&w, &paths.wal)?;
-                            if w.gen == prev_gen {
-                                // Crash before the WAL rename: the live
-                                // segment still extends the previous
-                                // snapshot directly; any `.wal.prev` is
-                                // an older generation the snapshot
-                                // already covers.
-                                out.fold_final(w, &paths.wal)?;
-                            } else if w.gen == prev_gen + 1 {
-                                out.max_gen = prev_gen + 1;
-                                out.fold_prev(&paths, prev_gen, shard)?;
-                                out.fold_final(w, &paths.wal)?;
-                            } else {
-                                return Err(RecoveryError::GenerationMismatch {
-                                    path: paths.wal,
-                                    expected: prev_gen + 1,
-                                    found: w.gen,
-                                });
-                            }
-                        }
-                        WalFile::Missing => {
-                            out.max_gen = prev_gen + 1;
-                            out.fold_prev(&paths, prev_gen, shard)?;
-                        }
-                        WalFile::TornHeader { .. } => {
-                            return Err(RecoveryError::bad_header(
-                                &paths.wal,
-                                "WAL header torn with a fallback pending",
-                            ));
-                        }
-                    }
-                }
-                Ok(None) => {
-                    if let Some(e) = snap_err {
-                        // Current snapshot corrupt, nothing to fall
-                        // back to.
-                        return Err(e);
-                    }
-                    // Fresh directory or pre-first-snapshot crash.
-                    match scan_wal(&paths.wal)? {
-                        WalFile::Valid(w) => {
-                            shard_check(&w, &paths.wal)?;
-                            if w.gen != 0 {
-                                return Err(RecoveryError::GenerationMismatch {
-                                    path: paths.wal,
-                                    expected: 0,
-                                    found: w.gen,
-                                });
-                            }
-                            out.fold_final(w, &paths.wal)?;
-                        }
-                        WalFile::Missing => {}
-                        WalFile::TornHeader { torn_bytes } => {
-                            out.truncated_bytes += torn_bytes;
-                            fs::remove_file(&paths.wal)
-                                .map_err(|e| RecoveryError::io(&paths.wal, e))?;
-                        }
-                    }
-                }
-                Err(e) => return Err(snap_err.unwrap_or(e)),
             }
         }
     }
@@ -646,8 +622,9 @@ fn fault_fsync(
 }
 
 /// One shard's live durable-write handle: appends to the WAL and
-/// rotates snapshot generations. Owned by the shard's recovery journal,
-/// so all writes are serialized under the journal lock.
+/// rotates snapshot generations. It is the shard's file log
+/// ([`crate::log::ShardLog::File`]), so all writes are serialized under
+/// the log's lock.
 #[derive(Debug)]
 pub(crate) struct ShardDisk {
     paths: ShardPaths,
@@ -662,9 +639,14 @@ pub(crate) struct ShardDisk {
     pub wedged: bool,
     faults: Option<Arc<FaultPlan>>,
     tel: RuntimeTelemetry,
-    /// Scratch for coalesced group writes, reused across groups so the
+    /// Scratch for framed records, reused across writes so the
     /// steady-state ingest path performs no per-group allocation.
     group_buf: Vec<u8>,
+    /// The last rotated snapshot's bytes, never read, only held until
+    /// the next rotation replaces them: dropped right after its
+    /// rotation, a snapshot's pages go back to the system and the next
+    /// snapshot faults them all in again.
+    pub(crate) held: Option<Vec<u8>>,
 }
 
 impl ShardDisk {
@@ -698,6 +680,7 @@ impl ShardDisk {
             faults,
             tel,
             group_buf: Vec::new(),
+            held: None,
         };
         if !disk.rotate(appends, emitted, monitor)? {
             disk.wal = Some(match fs::metadata(&disk.paths.wal) {
@@ -710,20 +693,41 @@ impl ShardDisk {
 
     /// Appends a run of batch records as one coalesced `write(2)`
     /// followed by at most one fsync — the group-commit write-ahead
-    /// step (a one-batch group is the degenerate case; this is the only
-    /// batch-record write path). The on-disk bytes are identical to
-    /// framing and appending each record separately (same framed
-    /// records, same order), so recovery is unchanged: a tear anywhere
-    /// inside the group leaves a clean prefix of complete records plus
-    /// a truncatable tail. Under [`SyncPolicy::Always`] the single
-    /// `maybe_sync` at the end covers every record in the group; the
-    /// caller must not apply or ack any batch of the group before this
-    /// returns `Ok`. A failure — including an injected torn write —
-    /// wedges the handle; the caller must fail stop.
+    /// step (a one-batch group is the degenerate case). The on-disk
+    /// bytes are identical to framing and appending each record
+    /// separately, so a tear anywhere inside the group leaves a clean
+    /// prefix of complete records plus a truncatable tail. Under
+    /// [`SyncPolicy::Always`] the single `maybe_sync` at the end covers
+    /// every record in the group; the caller must not apply or ack any
+    /// batch of the group before this returns `Ok`. A failure —
+    /// including an injected torn write — wedges the handle; the caller
+    /// must fail stop.
     pub fn append_group<'a, I>(&mut self, batches: I) -> io::Result<()>
     where
         I: Iterator<Item = &'a [(StreamId, f64)]>,
     {
+        self.group_buf.clear();
+        let mut records = 0u64;
+        for items in batches {
+            wal::frame_record_into(&mut self.group_buf, |buf| wal::encode_batch_into(buf, items));
+            records += 1;
+        }
+        self.write_records(records, true)
+    }
+
+    /// Appends an ack record carrying the cumulative delivered-event
+    /// count. Errors wedge the handle silently — the events are already
+    /// delivered, and the next batch append fail-stops.
+    pub fn append_ack(&mut self, emitted: u64) {
+        self.group_buf.clear();
+        wal::frame_record_into(&mut self.group_buf, |buf| wal::encode_ack_into(buf, emitted));
+        let _ = self.write_records(1, false);
+    }
+
+    /// Writes the `records` framed in `group_buf`. Only batch records
+    /// (`batches`) are subject to injected tears and are timed and
+    /// counted as group writes.
+    fn write_records(&mut self, records: u64, batches: bool) -> io::Result<()> {
         if self.wedged {
             // A prior failure may have left partial bytes on disk;
             // appending after them would bury them mid-log.
@@ -733,24 +737,24 @@ impl ShardDisk {
             self.wedged = true;
             return Err(io::Error::other("shard WAL is wedged"));
         };
-        self.group_buf.clear();
-        let mut records = 0u64;
-        for items in batches {
-            wal::frame_record_into(&mut self.group_buf, |buf| wal::encode_batch_into(buf, items));
-            records += 1;
-        }
         if records == 0 {
             return Ok(());
         }
         let group_end = w.bytes + self.group_buf.len() as u64;
-        let tear = self.faults.as_ref().and_then(|p| p.tear_wal(self.shard, w.bytes, group_end));
-        let span = self.tel.wal_append.span();
-        match w.append_coalesced(&self.group_buf, tear) {
+        let tear = self
+            .faults
+            .as_ref()
+            .filter(|_| batches)
+            .and_then(|p| p.tear_wal(self.shard, w.bytes, group_end));
+        let span = batches.then(|| self.tel.wal_append.span());
+        match w.append(&self.group_buf, tear) {
             Ok(n) => {
                 drop(span);
                 self.tel.wal_records.add(records);
                 self.tel.wal_bytes.add(n);
-                self.tel.wal_group_writes.inc();
+                if batches {
+                    self.tel.wal_group_writes.inc();
+                }
                 self.records_since_sync += records;
                 self.maybe_sync();
                 Ok(())
@@ -759,28 +763,6 @@ impl ShardDisk {
                 self.wedged = true;
                 Err(e)
             }
-        }
-    }
-
-    /// Appends an ack record carrying the cumulative delivered-event
-    /// count. Errors wedge the handle silently — the events are already
-    /// delivered, and the next batch append fail-stops.
-    pub fn append_ack(&mut self, emitted: u64) {
-        if self.wedged {
-            return;
-        }
-        let Some(w) = self.wal.as_mut() else {
-            self.wedged = true;
-            return;
-        };
-        match w.append(&wal::encode_ack(emitted), None) {
-            Ok(n) => {
-                self.tel.wal_records.inc();
-                self.tel.wal_bytes.add(n);
-                self.records_since_sync += 1;
-                self.maybe_sync();
-            }
-            Err(_) => self.wedged = true,
         }
     }
 
@@ -811,6 +793,11 @@ impl ShardDisk {
     /// The generation the live chain is currently on.
     pub fn generation(&self) -> u64 {
         self.gen
+    }
+
+    /// Reads the shard's chain back through the scan `open()` uses.
+    pub fn scan(&self) -> Result<ShardScan, RecoveryError> {
+        recover_shard(&self.paths.dir, self.shard)
     }
 
     /// Rotates to a new snapshot generation: `snap.tmp` written and

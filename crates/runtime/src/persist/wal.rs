@@ -68,22 +68,10 @@ pub(crate) fn encode_batch_into(buf: &mut Vec<u8>, items: &[(StreamId, f64)]) {
     }
 }
 
-/// Encodes a batch payload (tag + count + items). Production framing
-/// goes through [`frame_record_into`]; this allocation-per-payload
-/// variant remains for tests that build WALs record by record.
-#[cfg(test)]
-pub(crate) fn encode_batch(items: &[(StreamId, f64)]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(5 + items.len() * 12);
-    encode_batch_into(&mut buf, items);
-    buf
-}
-
-/// Encodes an ack payload (tag + cumulative emitted count).
-pub(crate) fn encode_ack(emitted: u64) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(9);
+/// Encodes an ack payload (tag + cumulative emitted count) into `buf`.
+pub(crate) fn encode_ack_into(buf: &mut Vec<u8>, emitted: u64) {
     buf.push(TAG_ACK);
     buf.extend_from_slice(&emitted.to_le_bytes());
-    buf
 }
 
 /// Decodes a payload whose checksum already verified. `None` means the
@@ -113,15 +101,6 @@ fn decode_payload(payload: &[u8]) -> Option<WalEntry> {
     }
 }
 
-/// Frames a payload as `len | crc | payload`.
-fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(8 + payload.len());
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&crc32(payload).to_le_bytes());
-    buf.extend_from_slice(payload);
-    buf
-}
-
 /// Appends one framed record to `buf`, with the payload produced in
 /// place by `encode` — no intermediate payload allocation. The 8-byte
 /// frame head is reserved up front and backpatched with the payload's
@@ -138,7 +117,7 @@ pub(crate) fn frame_record_into(buf: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<
 
 /// Append handle over one shard's live WAL file. Writes go straight to
 /// the file descriptor (no userspace buffering), so a record survives
-/// process death the moment `append` returns; `sync` is only needed to
+/// process death the moment [`Self::append`] returns; `sync` is only needed to
 /// survive machine/power loss, which is what [`super::SyncPolicy`]
 /// paces.
 #[derive(Debug)]
@@ -177,33 +156,14 @@ impl WalWriter {
         &self.file
     }
 
-    /// Appends one framed record. `tear_at` (an absolute file offset
-    /// inside this record's frame, injected by the disk fault plan)
-    /// stops the write mid-frame and reports an error — simulating the
-    /// torn tail a power cut mid-write leaves behind.
-    pub fn append(&mut self, payload: &[u8], tear_at: Option<u64>) -> io::Result<u64> {
-        let framed = frame(payload);
-        if let Some(at) = tear_at {
-            let keep = at.saturating_sub(self.bytes).min(framed.len() as u64) as usize;
-            self.file.write_all(&framed[..keep])?;
-            return Err(io::Error::other(format!(
-                "injected torn write at byte {at} ({keep} of {} frame bytes hit disk)",
-                framed.len()
-            )));
-        }
-        self.file.write_all(&framed)?;
-        self.bytes += framed.len() as u64;
-        Ok(framed.len() as u64)
-    }
-
-    /// Appends a pre-framed run of records (built with
-    /// [`frame_record_into`]) as one `write(2)` — the group-commit
-    /// coalesced write. Tear semantics match [`Self::append`]: `tear_at`
-    /// is an absolute file offset anywhere inside the coalesced span;
-    /// the bytes before it hit disk (a clean prefix of complete records
-    /// plus at most one partial frame), the write errors, and `bytes`
-    /// does not advance.
-    pub fn append_coalesced(&mut self, framed: &[u8], tear_at: Option<u64>) -> io::Result<u64> {
+    /// Appends a run of framed records (built with
+    /// [`frame_record_into`]) as one `write(2)`. `tear_at` (an absolute
+    /// file offset inside the run, injected by the disk fault plan)
+    /// stops the write there and reports an error, simulating the torn
+    /// tail a power cut mid-write leaves behind: the bytes before it hit
+    /// disk (a clean prefix of complete records plus at most one partial
+    /// frame), and `bytes` does not advance.
+    pub fn append(&mut self, framed: &[u8], tear_at: Option<u64>) -> io::Result<u64> {
         if let Some(at) = tear_at {
             let keep = at.saturating_sub(self.bytes).min(framed.len() as u64) as usize;
             self.file.write_all(&framed[..keep])?;
@@ -347,12 +307,24 @@ mod tests {
         (0..n).map(|i| (i as StreamId % 7, i as f64 * 0.5 - 3.0)).collect()
     }
 
+    fn batch(items: &[(StreamId, f64)]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        frame_record_into(&mut buf, |out| encode_batch_into(out, items));
+        buf
+    }
+
+    fn ack(emitted: u64) -> Vec<u8> {
+        let mut buf = Vec::new();
+        frame_record_into(&mut buf, |out| encode_ack_into(out, emitted));
+        buf
+    }
+
     fn write_sample(path: &Path) -> WalWriter {
         let mut w = WalWriter::create(path, 3, 1).unwrap();
-        w.append(&encode_batch(&sample_items(4)), None).unwrap();
-        w.append(&encode_ack(2), None).unwrap();
-        w.append(&encode_batch(&sample_items(5)), None).unwrap();
-        w.append(&encode_ack(6), None).unwrap();
+        w.append(&batch(&sample_items(4)), None).unwrap();
+        w.append(&ack(2), None).unwrap();
+        w.append(&batch(&sample_items(5)), None).unwrap();
+        w.append(&ack(6), None).unwrap();
         w
     }
 
@@ -418,9 +390,9 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("shard-0.wal");
         let mut w = WalWriter::create(&path, 0, 0).unwrap();
-        w.append(&encode_batch(&sample_items(3)), None).unwrap();
+        w.append(&batch(&sample_items(3)), None).unwrap();
         let tear = w.bytes + 5;
-        let err = w.append(&encode_batch(&sample_items(8)), Some(tear)).unwrap_err();
+        let err = w.append(&batch(&sample_items(8)), Some(tear)).unwrap_err();
         assert!(err.to_string().contains("torn write"), "{err}");
         let WalFile::Valid(scan) = scan_wal(&path).unwrap() else { panic!("valid") };
         assert_eq!(scan.items.len(), 3, "only the pre-tear record survives");
@@ -437,14 +409,14 @@ mod tests {
         let batches = [sample_items(4), sample_items(1), sample_items(9)];
         let mut w = WalWriter::create(&seq, 2, 0).unwrap();
         for b in &batches {
-            w.append(&encode_batch(b), None).unwrap();
+            w.append(&batch(b), None).unwrap();
         }
         let mut w = WalWriter::create(&grp, 2, 0).unwrap();
         let mut buf = Vec::new();
         for b in &batches {
             frame_record_into(&mut buf, |out| encode_batch_into(out, b));
         }
-        w.append_coalesced(&buf, None).unwrap();
+        w.append(&buf, None).unwrap();
         assert_eq!(
             std::fs::read(&seq).unwrap(),
             std::fs::read(&grp).unwrap(),
@@ -468,7 +440,7 @@ mod tests {
         // Tear inside the second record of the group: the first record
         // is a complete prefix, the second is a torn tail.
         let tear = w.bytes + first_len + 6;
-        let err = w.append_coalesced(&buf, Some(tear)).unwrap_err();
+        let err = w.append(&buf, Some(tear)).unwrap_err();
         assert!(err.to_string().contains("torn write"), "{err}");
         let WalFile::Valid(scan) = scan_wal(&path).unwrap() else { panic!("valid") };
         assert_eq!(scan.items, first, "exactly the pre-tear records survive");

@@ -6,27 +6,25 @@ use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use stardust_core::normalize;
 use stardust_core::sketch::{SketchProjection, PRUNE_SLACK};
 use stardust_core::stream::StreamId;
-use stardust_core::unified::{Event, UnifiedMonitor};
+use stardust_core::unified::Event;
 
 use crate::fault::FaultPlan;
+use crate::log::{Journal, ShardLog};
 use crate::persist::{
     self, PersistConfig, RecoveryError, RecoveryReport, ShardDisk, ShardRecoveryReport,
 };
 use crate::queue::{BoundedQueue, PushError};
-use crate::shard::{
-    publish_sketches_if_due, remap_event, Board, DeathNotice, QueryReply, QueryRequest, ShardMsg,
-    SketchBoard, Worker,
-};
-use crate::snapshot::{Journal, ShardRecovery};
+use crate::shard::{Board, DeathNotice, QueryReply, QueryRequest, ShardMsg, SketchBoard, Worker};
 use crate::spec::MonitorSpec;
 use crate::stats::{CrossCorrStats, RuntimeStats, ShardCounters};
+use crate::step::{CoreConfig, ShardCore};
 use crate::telemetry::RuntimeTelemetry;
 use crate::{ClassStats, RuntimeError};
 
@@ -192,21 +190,15 @@ pub struct ShutdownReport {
 /// State shared by producers, workers, and the supervisor. Everything
 /// a shard's rebuild needs lives here.
 struct Shared {
-    spec: MonitorSpec,
-    /// Streams per shard.
-    n_locals: Vec<usize>,
-    snapshot_every: u64,
+    /// What every shard core is built from.
+    core: Arc<CoreConfig>,
     fault_plan: Option<Arc<FaultPlan>>,
-    /// Registry every rebuilt monitor attaches to; `None` when
-    /// telemetry is off.
-    telemetry: Option<stardust_telemetry::Registry>,
-    /// Runtime-level handles (batch latency, recovery timings); fully
-    /// detached when telemetry is off.
-    runtime_telemetry: RuntimeTelemetry,
     /// Per-shard queues. They live outside any worker so a worker crash
     /// loses no queued message — the restored worker resumes draining.
     /// A closed queue is the one "shard is gone" signal producers see.
     queues: Vec<Arc<BoundedQueue<ShardMsg>>>,
+    /// Per-shard counters. `events` is also the exact delivered-event
+    /// count a respawned shard resumes from.
     counters: Vec<Arc<ShardCounters>>,
     /// Shards the supervisor fail-stopped for restarting too fast,
     /// with the restart count that tripped the cap.
@@ -215,16 +207,9 @@ struct Shared {
     restart_history: Mutex<Vec<VecDeque<Instant>>>,
     max_restarts_in_window: u32,
     restart_window: Duration,
-    /// Collector-side sketch mirrors for the cross-shard correlation
-    /// path, keyed by global stream id.
-    sketches: Arc<SketchBoard>,
-    /// Sketch-exchange cadence in sealed blocks (`0` = disabled).
-    sketch_cadence: u64,
-    /// Per-shard recovery journals; `None` when recovery is disabled.
-    recovery: Option<Vec<Arc<ShardRecovery>>>,
-    /// The persistence directory of an [`ShardedRuntime::open`]ed
-    /// runtime (names the snapshot a failed decode came from).
-    persist_dir: Option<PathBuf>,
+    /// Per-shard logs, outliving their workers; `None` when recovery
+    /// is disabled.
+    logs: Option<Vec<Arc<Mutex<ShardLog>>>>,
     board: Arc<Board>,
     handles: Mutex<Vec<Option<JoinHandle<()>>>>,
     /// The collector sender respawned workers clone; dropped (set to
@@ -236,126 +221,49 @@ struct Shared {
 
 impl Shared {
     fn n_shards(&self) -> usize {
-        self.n_locals.len()
+        self.core.n_locals.len()
     }
 
-    /// The one way a shard's monitor comes into existence. Restores the
-    /// journal's snapshot, or builds from the spec when there is none;
-    /// replays the journaled suffix, delivering in one grouped send only
-    /// the events past the first `emitted − emitted_at_snapshot` (those
-    /// were delivered before) and firing the sketch-exchange cadence at
-    /// every boundary the replay crosses; then attaches telemetry and
-    /// stores the shard's counters. [`ShardedRuntime::launch`] rebuilds
-    /// over an empty journal, [`ShardedRuntime::open`] over the journal
-    /// its disk scan assembled, and [`Self::restore_shard`] over the dead
-    /// worker's.
-    ///
-    /// Returns the monitor (`None` when the spec builds none) and the
-    /// replay's half of the shard's [`ShardRecoveryReport`]:
-    /// `durable_appends` is every append the monitor has absorbed — the
-    /// worker's fault clock resumes there — and the disk scan's fields
-    /// are left for `open()` to fill.
-    ///
-    /// # Errors
-    /// A spec the monitor rejects, or a snapshot that fails to decode.
-    fn rebuild(
-        &self,
-        slot: usize,
-    ) -> Result<(Option<UnifiedMonitor>, ShardRecoveryReport), RuntimeError> {
-        let n_shards = self.n_shards();
-        let rec = self.recovery.as_ref().map(|r| &*r[slot]);
-        let emitted = rec.map_or(0, ShardRecovery::emitted);
-        let empty = Journal::default();
-        let guard = rec.map(ShardRecovery::journal);
-        let journal = guard.as_deref().unwrap_or(&empty);
-        let mut monitor = match &journal.snapshot {
-            Some(bytes) => Some(UnifiedMonitor::restore(bytes).map_err(|_| {
-                RuntimeError::Recovery(RecoveryError::CorruptSnapshot {
-                    path: self
-                        .persist_dir
-                        .as_deref()
-                        .map(|dir| persist::ShardPaths::new(dir, slot).snap)
-                        .unwrap_or_default(),
-                    detail: "checksummed monitor payload failed to decode \
-                             (spec or version mismatch?)",
-                })
-            })?),
-            None => self.spec.build(self.n_locals[slot])?,
-        };
-        let already = emitted - journal.emitted_at_snapshot;
-        let mut regenerated = 0u64;
-        let mut resend = Vec::new();
-        if let Some(m) = monitor.as_mut() {
-            let mut buf = Vec::new();
-            // Like a respawned worker's, the replay's ship frontier
-            // starts at zero: the first crossed boundary re-publishes
-            // state the board may already hold (absorbed idempotently).
-            let mut last_shipped = 0u64;
-            for &(local, value) in &journal.suffix {
-                buf.clear();
-                m.append_into(local, value, &mut buf);
-                for ev in buf.drain(..) {
-                    regenerated += 1;
-                    if regenerated > already {
-                        resend.push(remap_event(slot, n_shards, ev));
-                    }
-                }
-                publish_sketches_if_due(
-                    Some(m),
-                    slot,
-                    n_shards,
-                    &self.sketches,
-                    self.sketch_cadence,
-                    &mut last_shipped,
-                    &self.runtime_telemetry,
-                );
+    fn log(&self, slot: usize) -> MutexGuard<'_, ShardLog> {
+        let logs = self.logs.as_ref().expect("recovery is enabled");
+        logs[slot].lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Rebuilds `slot`'s core over its log ([`ShardCore::rebuild`]):
+    /// the memory journal, or the file log's chain read back through
+    /// the recovery scan. The shard's `events` counter is the resumed
+    /// delivered-event count — 0 at [`ShardedRuntime::launch`], the
+    /// WAL's last ack at [`ShardedRuntime::open`], and the exact
+    /// in-process count at a respawn. Delivers the replayed events that
+    /// were not delivered before and stores the shard's counters.
+    fn rebuild(&self, slot: usize) -> Result<(ShardCore, ShardRecoveryReport), RuntimeError> {
+        let counters = &self.counters[slot];
+        let emitted = counters.events.load(Ordering::Relaxed);
+        let (core, resend, report) = match self.logs {
+            None => ShardCore::rebuild(&self.core, slot, &Journal::default(), emitted)?,
+            Some(_) => {
+                let log = self.log(slot);
+                let journal = log.journal().map_err(RuntimeError::Recovery)?;
+                ShardCore::rebuild(&self.core, slot, &journal, emitted)?
             }
-        }
-        let replayed = journal.suffix.len() as u64;
-        let durable_appends = journal.snapshot_appends + replayed;
-        drop(guard);
-        let re_emitted = resend.len() as u64;
-        if re_emitted > 0 {
+        };
+        if !resend.is_empty() {
             if let Some(events) = &*self.events_tx.lock().expect("events sender poisoned") {
                 let _ = events.send(resend);
             }
         }
-        if let Some(rec) = rec {
-            rec.note_emitted_n(re_emitted);
-            // Ack what the replay delivered (no-op until a disk is
-            // attached, so only a respawn writes this record).
-            rec.ack_emitted();
-        }
-        // The replay ran detached (a restored monitor never counts
-        // replayed appends twice); attach for the live phase.
-        if let (Some(registry), Some(m)) = (&self.telemetry, monitor.as_mut()) {
-            m.attach_telemetry(registry);
-        }
-        // Absolute stores, not deltas: the journal covers batches a dead
+        // Absolute stores, not deltas: the log covers batches a dead
         // worker drained but never applied.
-        let counters = &self.counters[slot];
-        counters.appends.store(durable_appends, Ordering::Relaxed);
-        counters.events.store(rec.map_or(0, ShardRecovery::emitted), Ordering::Relaxed);
-        let report = ShardRecoveryReport {
-            shard: slot,
-            durable_appends,
-            replayed,
-            re_emitted,
-            suppressed: already.min(regenerated),
-            truncated_bytes: 0,
-            used_fallback: false,
-            generation: 0,
-        };
-        Ok((monitor, report))
+        counters.appends.store(report.durable_appends, Ordering::Relaxed);
+        counters.events.store(core.emitted(), Ordering::Relaxed);
+        Ok((core, report))
     }
 
-    /// Spawns the worker for `slot` over `monitor`, which has already
-    /// processed `processed` appends.
+    /// Spawns the worker for `slot` over its rebuilt `core`.
     fn spawn_worker(
         self: &Arc<Self>,
         slot: usize,
-        monitor: Option<UnifiedMonitor>,
-        processed: u64,
+        core: ShardCore,
     ) -> std::io::Result<JoinHandle<()>> {
         let events = self
             .events_tx
@@ -365,27 +273,20 @@ impl Shared {
             .expect("worker spawned after shutdown");
         let worker = Worker {
             slot,
-            n_shards: self.n_shards(),
-            n_locals: self.n_locals[slot],
-            monitor,
-            recovery: self.recovery.as_ref().map(|r| Arc::clone(&r[slot])),
+            core,
+            log: self.logs.as_ref().map(|logs| Arc::clone(&logs[slot])),
             inbox: Arc::clone(&self.queues[slot]),
             events,
             counters: Arc::clone(&self.counters[slot]),
             faults: self.fault_plan.clone(),
-            processed,
-            snapshot_every: self.snapshot_every,
-            sketches: Arc::clone(&self.sketches),
-            sketch_cadence: self.sketch_cadence,
-            last_shipped: 0,
-            telemetry: self.runtime_telemetry.clone(),
+            telemetry: self.core.telemetry.clone(),
         };
         let board = Arc::clone(&self.board);
         // Without a supervisor a death is terminal: the dying worker
         // must close its queue so producers fail fast instead of
         // parking forever.
         let close_on_death =
-            if self.recovery.is_none() { Some(Arc::clone(&self.queues[slot])) } else { None };
+            if self.logs.is_none() { Some(Arc::clone(&self.queues[slot])) } else { None };
         std::thread::Builder::new().name(format!("stardust-shard-{slot}")).spawn(move || {
             let mut notice = DeathNotice { shard: slot, board, clean: false, close_on_death };
             worker.run(&mut notice);
@@ -400,7 +301,7 @@ impl Shared {
             self.storms.lock().unwrap_or_else(PoisonError::into_inner).push((slot, restarts));
         }
         self.queues[slot].close();
-        self.board.mark_failed(slot);
+        self.board.report_dead(slot, true);
     }
 
     /// The error a producer or query sees when `slot`'s queue is
@@ -414,9 +315,9 @@ impl Shared {
         }
     }
 
-    /// Supervisor path: joins the dead worker, rebuilds the shard from
-    /// its journal (replaying undelivered events), and spawns a
-    /// replacement that resumes draining the same queue.
+    /// Supervisor path: joins the dead worker, rebuilds the shard over
+    /// its log (replaying undelivered events), and spawns a replacement
+    /// that resumes draining the same queue.
     fn restore_shard(self: &Arc<Self>, slot: usize) {
         if let Some(handle) = self.handles.lock().expect("handles poisoned")[slot].take() {
             let _ = handle.join();
@@ -438,25 +339,26 @@ impl Shared {
                 return;
             }
         }
-        // A wedged durable WAL (torn write or failed rotation) keeps the
-        // shard down: an in-memory rebuild would accept appends the disk
-        // can no longer journal.
-        let rec = &self.recovery.as_ref().expect("supervisor requires recovery")[slot];
-        if rec.journal().disk.as_ref().is_some_and(|d| d.wedged) {
+        // A wedged file log (torn write or failed rotation) keeps the
+        // shard down: a rebuilt worker would accept appends the disk can
+        // no longer journal.
+        if self.log(slot).wedged() {
             self.fail_slot(slot, None);
             return;
         }
-        let restore_span = self.runtime_telemetry.restore.span();
+        let restore_span = self.core.telemetry.restore.span();
         let rebuilt = self.rebuild(slot);
         drop(restore_span);
-        // A journal this runtime wrote always rebuilds; should one not,
-        // the shard fails stop rather than the supervisor.
-        let Ok((monitor, rebuilt)) = rebuilt else {
+        // A log this runtime wrote always rebuilds; should one not, the
+        // shard fails stop rather than the supervisor.
+        let Ok((core, _)) = rebuilt else {
             self.fail_slot(slot, None);
             return;
         };
+        // Ack what the replay delivered.
+        self.log(slot).ack(core.emitted());
         self.counters[slot].restarts.fetch_add(1, Ordering::Relaxed);
-        match self.spawn_worker(slot, monitor, rebuilt.durable_appends) {
+        match self.spawn_worker(slot, core) {
             Ok(handle) => {
                 self.handles.lock().expect("handles poisoned")[slot] = Some(handle);
             }
@@ -531,7 +433,7 @@ impl std::fmt::Debug for ShardedRuntime {
         f.debug_struct("ShardedRuntime")
             .field("n_streams", &self.n_streams)
             .field("n_shards", &self.shared.n_shards())
-            .field("recovery", &self.shared.recovery.is_some())
+            .field("recovery", &self.shared.logs.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -551,15 +453,15 @@ impl ShardedRuntime {
             return Err(RuntimeError::NoStreams);
         }
         let (n_shards, n_locals) = sizing(n_streams, config.shards);
-        let recovery = config
+        let logs = config
             .recovery
             .is_some()
-            .then(|| (0..n_shards).map(|_| ShardRecovery::new(Journal::default(), 0)).collect());
-        let (shared, events_rx) = Self::assemble(spec, n_locals, config, None, recovery);
-        let seeds = (0..n_shards)
-            .map(|slot| shared.rebuild(slot).map(|(monitor, r)| (monitor, r.durable_appends)))
+            .then(|| (0..n_shards).map(|_| ShardLog::Memory(Journal::default())).collect());
+        let (shared, events_rx) = Self::assemble(spec, n_locals, config, None, logs);
+        let cores = (0..n_shards)
+            .map(|slot| shared.rebuild(slot).map(|(core, _)| core))
             .collect::<Result<_, _>>()?;
-        Self::start(n_streams, shared, events_rx, seeds)
+        Self::start(n_streams, shared, events_rx, cores)
     }
 
     /// Opens (or creates) a durable runtime backed by `persist.dir`.
@@ -573,7 +475,7 @@ impl ShardedRuntime {
     /// in the next [`Self::drain_events`]; delivered ones are
     /// suppressed. Each shard then rotates to a fresh snapshot
     /// generation and resumes journaling every batch to its
-    /// `shard-N.wal`.
+    /// `shard-N.wal`, which is then its only log.
     ///
     /// Crash recovery is forced on (a durable runtime without a
     /// supervisor would lose the WAL's exactly-once arithmetic). The
@@ -604,45 +506,46 @@ impl ShardedRuntime {
             .map_err(|e| recovery_err(RecoveryError::io(&persist.dir, e)))?;
         persist::check_shard_layout(&persist.dir, n_shards).map_err(recovery_err)?;
 
-        // Scan every shard's files into the journal it is rebuilt from.
+        // Scan every shard's files before rebuilding any. Until its
+        // open-time rotation, a shard's log is the journal its scan
+        // assembled.
         let mut scans = Vec::with_capacity(n_shards);
-        let mut recovery = Vec::with_capacity(n_shards);
+        let mut logs = Vec::with_capacity(n_shards);
         for shard in 0..n_shards {
             let started = Instant::now();
             persist::apply_open_faults(&persist.dir, shard, &config.fault_plan)
                 .map_err(recovery_err)?;
             let mut scan = persist::recover_shard(&persist.dir, shard).map_err(recovery_err)?;
-            recovery.push(ShardRecovery::new(std::mem::take(&mut scan.journal), scan.last_ack));
+            logs.push(ShardLog::Memory(std::mem::take(&mut scan.journal)));
             scans.push((scan, started.elapsed()));
         }
         let (shared, events_rx) =
-            Self::assemble(spec, n_locals, config, Some(persist.dir.clone()), Some(recovery));
+            Self::assemble(spec, n_locals, config, Some(persist.dir.clone()), Some(logs));
 
-        let tel = &shared.runtime_telemetry;
+        let tel = &shared.core.telemetry;
         let mut report = RecoveryReport { shards: Vec::with_capacity(n_shards) };
-        let mut seeds = Vec::with_capacity(n_shards);
+        let mut cores = Vec::with_capacity(n_shards);
         for (shard, (scan, scan_time)) in scans.into_iter().enumerate() {
             let started = Instant::now();
-            let (monitor, rebuilt) = shared.rebuild(shard)?;
+            shared.counters[shard].events.store(scan.last_ack, Ordering::Relaxed);
+            let (mut core, rebuilt) = shared.rebuild(shard)?;
             // Open-time rotation: the rebuilt state becomes generation
             // `max_gen + 1`, the pristine chain the worker journals on.
-            let rec = &shared.recovery.as_ref().expect("open forces recovery")[shard];
-            rec.record_snapshot(monitor.as_ref().map(|m| m.snapshot()));
-            let generation = rec
-                .attach_disk(|journal| {
-                    ShardDisk::create(
-                        &persist.dir,
-                        shard,
-                        persist.sync,
-                        shared.fault_plan.clone(),
-                        tel.clone(),
-                        scan.max_gen,
-                        journal.snapshot_appends,
-                        journal.emitted_at_snapshot,
-                        journal.snapshot.as_deref(),
-                    )
-                })
-                .map_err(|e| recovery_err(RecoveryError::io(&persist.dir, e)))?;
+            let (appends, emitted, snapshot) = core.snapshot();
+            let disk = ShardDisk::create(
+                &persist.dir,
+                shard,
+                persist.sync,
+                shared.fault_plan.clone(),
+                tel.clone(),
+                scan.max_gen,
+                appends,
+                emitted,
+                snapshot.as_deref(),
+            )
+            .map_err(|e| recovery_err(RecoveryError::io(&persist.dir, e)))?;
+            let generation = disk.generation();
+            *shared.log(shard) = ShardLog::File(Box::new(disk));
             tel.disk_recovery.observe_duration(scan_time + started.elapsed());
             tel.replayed.add(rebuilt.replayed);
             if scan.truncated_bytes > 0 {
@@ -651,7 +554,7 @@ impl ShardedRuntime {
             if scan.used_fallback {
                 tel.snapshot_fallbacks.inc();
             }
-            seeds.push((monitor, rebuilt.durable_appends));
+            cores.push(core);
             report.shards.push(ShardRecoveryReport {
                 truncated_bytes: scan.truncated_bytes,
                 used_fallback: scan.used_fallback,
@@ -659,7 +562,7 @@ impl ShardedRuntime {
                 ..rebuilt
             });
         }
-        Ok((Self::start(n_streams, shared, events_rx, seeds)?, report))
+        Ok((Self::start(n_streams, shared, events_rx, cores)?, report))
     }
 
     /// Builds the shared state common to [`Self::launch`] and
@@ -669,33 +572,31 @@ impl ShardedRuntime {
         n_locals: Vec<usize>,
         config: RuntimeConfig,
         persist_dir: Option<PathBuf>,
-        recovery: Option<Vec<ShardRecovery>>,
+        logs: Option<Vec<ShardLog>>,
     ) -> (Arc<Shared>, Receiver<Vec<Event>>) {
         let n_shards = n_locals.len();
         let n_streams: usize = n_locals.iter().sum();
         let queue_capacity = config.queue_capacity.max(1);
         let (events_tx, events_rx) = mpsc::channel();
         let shared = Arc::new(Shared {
-            spec: spec.clone(),
-            n_locals,
-            snapshot_every: config.recovery.map(|r| r.snapshot_every).unwrap_or(0),
+            core: Arc::new(CoreConfig {
+                spec: spec.clone(),
+                n_locals,
+                snapshot_every: config.recovery.map(|r| r.snapshot_every).unwrap_or(0),
+                sketches: Arc::new(SketchBoard::new(n_streams)),
+                sketch_cadence: config.sketch_cadence,
+                telemetry: config.telemetry.as_ref().map(RuntimeTelemetry::new).unwrap_or_default(),
+                registry: config.telemetry,
+                persist_dir,
+            }),
             fault_plan: config.fault_plan,
-            runtime_telemetry: config
-                .telemetry
-                .as_ref()
-                .map(RuntimeTelemetry::new)
-                .unwrap_or_default(),
-            telemetry: config.telemetry,
             queues: (0..n_shards).map(|_| Arc::new(BoundedQueue::new(queue_capacity))).collect(),
             counters: (0..n_shards).map(|_| Arc::new(ShardCounters::new())).collect(),
             storms: Mutex::new(Vec::new()),
             restart_history: Mutex::new(vec![VecDeque::new(); n_shards]),
             max_restarts_in_window: config.max_restarts_in_window,
             restart_window: config.restart_window,
-            sketches: Arc::new(SketchBoard::new(n_streams)),
-            sketch_cadence: config.sketch_cadence,
-            recovery: recovery.map(|r| r.into_iter().map(Arc::new).collect()),
-            persist_dir,
+            logs: logs.map(|l| l.into_iter().map(|log| Arc::new(Mutex::new(log))).collect()),
             board: Arc::new(Board::new(n_shards)),
             handles: Mutex::new((0..n_shards).map(|_| None).collect()),
             events_tx: Mutex::new(Some(events_tx)),
@@ -703,17 +604,16 @@ impl ShardedRuntime {
         (shared, events_rx)
     }
 
-    /// Spawns one worker per shard — `seeds[shard]` is the shard's
-    /// rebuilt monitor and the appends it has processed — plus the
-    /// supervisor when recovery is on.
+    /// Spawns one worker per rebuilt shard core, plus the supervisor
+    /// when recovery is on.
     fn start(
         n_streams: usize,
         shared: Arc<Shared>,
         events_rx: Receiver<Vec<Event>>,
-        seeds: Vec<(Option<UnifiedMonitor>, u64)>,
+        cores: Vec<ShardCore>,
     ) -> Result<Self, RuntimeError> {
-        for (slot, (monitor, processed)) in seeds.into_iter().enumerate() {
-            match shared.spawn_worker(slot, monitor, processed) {
+        for (slot, core) in cores.into_iter().enumerate() {
+            match shared.spawn_worker(slot, core) {
                 Ok(handle) => shared.handles.lock().expect("handles poisoned")[slot] = Some(handle),
                 Err(e) => {
                     // Unblock the workers already spawned; they drain
@@ -726,7 +626,7 @@ impl ShardedRuntime {
             }
         }
         let supervisor =
-            if shared.recovery.is_some() { Some(Self::start_supervisor(&shared)?) } else { None };
+            if shared.logs.is_some() { Some(Self::start_supervisor(&shared)?) } else { None };
         Ok(ShardedRuntime {
             n_streams,
             shared,
@@ -1019,7 +919,7 @@ impl ShardedRuntime {
     /// # Errors
     /// [`RuntimeError::Disconnected`] if a shard failed terminally.
     pub fn correlated_pairs(&self) -> Result<Vec<(StreamId, StreamId, f64)>, RuntimeError> {
-        let Some(corr_spec) = self.shared.spec.correlation.clone() else {
+        let Some(corr_spec) = self.shared.core.spec.correlation.clone() else {
             return Ok(Vec::new());
         };
 
@@ -1039,7 +939,7 @@ impl ShardedRuntime {
         // exactly at t* — anything stale goes to exact verification.
         // Each mirror is projected once (Θ(m), amortizing the moment
         // normalization out of the O(n²) pair loop).
-        let mirrors = self.shared.sketches.mirrors();
+        let mirrors = self.shared.core.sketches.mirrors();
         let s = self.shared.n_shards();
         let radius = corr_spec.radius;
         let projections: Vec<Option<SketchProjection>> = mirrors
@@ -1064,10 +964,10 @@ impl ShardedRuntime {
                 }
             }
         }
-        self.shared.sketches.pruned.fetch_add(pruned, Ordering::Relaxed);
-        self.shared.sketches.candidates.fetch_add(candidates.len() as u64, Ordering::Relaxed);
-        self.shared.runtime_telemetry.cross_pruned.add(pruned);
-        self.shared.runtime_telemetry.cross_candidates.add(candidates.len() as u64);
+        self.shared.core.sketches.pruned.fetch_add(pruned, Ordering::Relaxed);
+        self.shared.core.sketches.candidates.fetch_add(candidates.len() as u64, Ordering::Relaxed);
+        self.shared.core.telemetry.cross_pruned.add(pruned);
+        self.shared.core.telemetry.cross_candidates.add(candidates.len() as u64);
 
         // Phase 3: exact same-shard pairs at t* plus the raw windows of
         // every candidate. Requests differ per shard.
@@ -1115,8 +1015,8 @@ impl ShardedRuntime {
                 confirmed += 1;
             }
         }
-        self.shared.sketches.confirmed.fetch_add(confirmed, Ordering::Relaxed);
-        self.shared.runtime_telemetry.cross_confirmed.add(confirmed);
+        self.shared.core.sketches.confirmed.fetch_add(confirmed, Ordering::Relaxed);
+        self.shared.core.telemetry.cross_confirmed.add(confirmed);
         merged.sort_by_key(|x| (x.0, x.1));
         Ok(merged)
     }
@@ -1125,7 +1025,7 @@ impl ShardedRuntime {
     /// publications absorbed by the collector board and the fate of
     /// every cross-shard pair [`Self::correlated_pairs`] has considered.
     pub fn cross_corr_stats(&self) -> CrossCorrStats {
-        let b = &self.shared.sketches;
+        let b = &self.shared.core.sketches;
         CrossCorrStats {
             exchanges: b.exchanges.load(Ordering::Relaxed),
             candidates: b.candidates.load(Ordering::Relaxed),

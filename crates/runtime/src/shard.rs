@@ -1,12 +1,13 @@
-//! The per-shard worker: drains batches into the shard's
-//! [`UnifiedMonitor`], remaps local stream ids back to global ones, and
-//! answers scatter-gather queries in queue order. Also hosts the
-//! fault-injection hooks and the crash-reporting [`Board`] the
-//! supervisor watches.
+//! The worker thread: the live shell over a shard's
+//! [`ShardCore`]. It drains its bounded queue, commits each run of
+//! batches as one group through the core (supplying the fault hooks,
+//! the counters and the collector send), and answers scatter-gather
+//! queries in queue order. Also hosts the collector's [`SketchBoard`]
+//! and the crash-reporting [`Board`] the supervisor watches.
 
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use stardust_core::query::aggregate::AlarmStats;
@@ -14,12 +15,13 @@ use stardust_core::query::correlation::CorrelationStats;
 use stardust_core::query::trend::TrendStats;
 use stardust_core::sketch::{BlockSketch, SketchDelta};
 use stardust_core::stream::{StreamId, Time};
-use stardust_core::unified::{Event, UnifiedMonitor};
+use stardust_core::unified::Event;
 
 use crate::fault::{FaultKind, FaultPlan};
+use crate::log::ShardLog;
 use crate::queue::BoundedQueue;
-use crate::snapshot::ShardRecovery;
 use crate::stats::ShardCounters;
+use crate::step::{ShardCore, Shell};
 use crate::telemetry::RuntimeTelemetry;
 
 /// Messages a shard's bounded queue carries. Queries ride the same
@@ -158,75 +160,6 @@ impl ClassStats {
     }
 }
 
-/// Local stream id → global stream id on `shard` of `n_shards`
-/// (the inverse of `stream % S` / `stream / S`).
-fn global_id(shard: usize, n_shards: usize, local: StreamId) -> StreamId {
-    local * n_shards as StreamId + shard as StreamId
-}
-
-/// Frontier-driven sketch publication, shared by the live worker loop
-/// and the recovery replay: once the slowest local stream has sealed
-/// `cadence` new blocks past `last_shipped`, every local sketch ships
-/// to the collector board (absorbed idempotently — re-publication after
-/// a crash restore is a no-op on the mirrors). The recovery replay must
-/// drive this too: batches a dead worker drained but never applied are
-/// replayed from the journal rather than re-popped, and any cadence
-/// boundary they cross has to fire exactly as it would have on the live
-/// path.
-pub(crate) fn publish_sketches_if_due(
-    monitor: Option<&UnifiedMonitor>,
-    shard: usize,
-    n_shards: usize,
-    sketches: &SketchBoard,
-    cadence: u64,
-    last_shipped: &mut u64,
-    telemetry: &RuntimeTelemetry,
-) {
-    if cadence == 0 {
-        return;
-    }
-    let Some(corr) = monitor.and_then(|m| m.correlation_monitor()) else {
-        return;
-    };
-    let frontier = (0..corr.n_streams() as StreamId)
-        .map(|s| {
-            let sk = corr.sketch(s);
-            sk.end_time().map_or(0, |t| (t + 1) / sk.block() as u64)
-        })
-        .min()
-        .unwrap_or(0);
-    if frontier < last_shipped.saturating_add(cadence) {
-        return;
-    }
-    let start = Instant::now();
-    for local in 0..corr.n_streams() as StreamId {
-        let sk = corr.sketch(local);
-        sketches.publish(global_id(shard, n_shards, local), sk.window(), sk.block(), &sk.delta());
-    }
-    *last_shipped = frontier;
-    let ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-    telemetry.sketch_exchange.observe(ns);
-    telemetry.sketch_exchanges.inc();
-}
-
-/// Rewrites an event's shard-local stream ids back to global ids.
-pub(crate) fn remap_event(shard: usize, n_shards: usize, ev: Event) -> Event {
-    match ev {
-        Event::Aggregate { stream, alarm } => {
-            Event::Aggregate { stream: global_id(shard, n_shards, stream), alarm }
-        }
-        Event::Trend(mut m) => {
-            m.stream = global_id(shard, n_shards, m.stream);
-            Event::Trend(m)
-        }
-        Event::Correlation(mut p) => {
-            p.a = global_id(shard, n_shards, p.a);
-            p.b = global_id(shard, n_shards, p.b);
-            Event::Correlation(p)
-        }
-    }
-}
-
 /// What the board records for each shard.
 struct BoardState {
     /// Shards whose workers died and await restoration, in death order.
@@ -266,7 +199,9 @@ impl Board {
         self.cv.notify_all();
     }
 
-    fn report_dead(&self, shard: usize, terminal: bool) {
+    /// A shard's worker died. `terminal`: no worker will be restored
+    /// for it (its queue is closed).
+    pub(crate) fn report_dead(&self, shard: usize, terminal: bool) {
         let mut st = self.state.lock().expect("board poisoned");
         if terminal {
             st.failed[shard] = true;
@@ -274,13 +209,6 @@ impl Board {
             st.dead.push(shard);
         }
         drop(st);
-        self.cv.notify_all();
-    }
-
-    /// Marks a shard unrecoverable (the supervisor could not respawn a
-    /// worker for it).
-    pub(crate) fn mark_failed(&self, shard: usize) {
-        self.state.lock().expect("board poisoned").failed[shard] = true;
         self.cv.notify_all();
     }
 
@@ -352,129 +280,39 @@ impl Drop for DeathNotice {
 /// capacity; a longer backlog simply commits as consecutive groups.
 const MAX_GROUP_BATCHES: usize = 256;
 
-/// Everything one worker thread owns: the shard identity, its monitor,
-/// and the handles it shares with producers and the supervisor.
+/// Everything one worker thread owns: the shard's core and the handles
+/// it shares with producers and the supervisor.
 pub(crate) struct Worker {
     /// Shard index (stable across restarts).
     pub slot: usize,
-    /// Total shards in the runtime (the placement modulus).
-    pub n_shards: usize,
-    /// Local streams on this shard.
-    pub n_locals: usize,
-    /// The shard's monitor (`None` when the spec builds none).
-    pub monitor: Option<UnifiedMonitor>,
-    /// The shard's crash-recovery journal; `None` disables journaling.
-    pub recovery: Option<Arc<ShardRecovery>>,
+    pub core: ShardCore,
+    /// The shard's log; `None` disables journaling.
+    pub log: Option<Arc<Mutex<ShardLog>>>,
     pub inbox: Arc<BoundedQueue<ShardMsg>>,
     pub events: Sender<Vec<Event>>,
     pub counters: Arc<ShardCounters>,
     /// Injected faults; `None` costs nothing on the append path.
     pub faults: Option<Arc<FaultPlan>>,
-    /// Lifetime appends applied to this shard (including rejected
-    /// non-finite samples — they are journaled and tick the clock):
-    /// the deterministic fault clock.
-    pub processed: u64,
-    /// Snapshot cadence in appends; `0` never snapshots.
-    pub snapshot_every: u64,
-    /// Collector-side sketch mirrors this worker publishes to.
-    pub sketches: Arc<SketchBoard>,
-    /// Publish sketches every this many sealed blocks of the slowest
-    /// local stream; `0` disables the exchange entirely.
-    pub sketch_cadence: u64,
-    /// Sealed-block frontier at the last sketch publication.
-    /// Deliberately `0` on every (re)spawn: the re-publication it causes
-    /// is absorbed idempotently by the board.
-    pub last_shipped: u64,
     /// Runtime-level metric handles; detached when telemetry is off.
     pub telemetry: RuntimeTelemetry,
 }
 
 impl Worker {
-    fn answer(&self, req: QueryRequest) -> QueryReply {
-        let global = |local: StreamId| global_id(self.slot, self.n_shards, local);
-        let Some(monitor) = &self.monitor else {
-            return match req {
-                QueryRequest::AggregateInterval { .. } => QueryReply::AggregateInterval(None),
-                QueryRequest::ClassStats => QueryReply::ClassStats(ClassStats::default()),
-                QueryRequest::CorrClock => QueryReply::CorrClock(Vec::new()),
-                QueryRequest::CorrVerify { windows_for, .. } => QueryReply::CorrVerify {
-                    pairs: Vec::new(),
-                    windows: windows_for.iter().map(|&s| (global(s), None)).collect(),
-                },
-            };
-        };
-        match req {
-            QueryRequest::AggregateInterval { stream, window } => QueryReply::AggregateInterval(
-                monitor.aggregate_monitor(stream).and_then(|m| m.window_interval(window)),
-            ),
-            QueryRequest::ClassStats => {
-                let mut stats = ClassStats::default();
-                // Aggregate stats live per stream; trend/correlation are
-                // monitor-wide.
-                for local in 0..self.n_locals as StreamId {
-                    let Some(m) = monitor.aggregate_monitor(local) else { break };
-                    let s = m.stats();
-                    stats.aggregate.checks += s.checks;
-                    stats.aggregate.candidates += s.candidates;
-                    stats.aggregate.true_alarms += s.true_alarms;
-                }
-                if let Some(t) = monitor.trend_monitor() {
-                    stats.trend = t.stats();
-                }
-                if let Some(c) = monitor.correlation_monitor() {
-                    stats.correlation = c.stats();
-                }
-                QueryReply::ClassStats(stats)
-            }
-            QueryRequest::CorrClock => {
-                let clocks = monitor
-                    .correlation_monitor()
-                    .map(|corr| {
-                        (0..corr.n_streams() as StreamId).map(|s| corr.summary(s).now()).collect()
-                    })
-                    .unwrap_or_default();
-                QueryReply::CorrClock(clocks)
-            }
-            QueryRequest::CorrVerify { t, windows_for } => {
-                let Some(corr) = monitor.correlation_monitor() else {
-                    return QueryReply::CorrVerify {
-                        pairs: Vec::new(),
-                        windows: windows_for.iter().map(|&s| (global(s), None)).collect(),
-                    };
-                };
-                let pairs = corr
-                    .linear_scan_pairs(t)
-                    .into_iter()
-                    .map(|(a, b, c)| (global(a), global(b), c))
-                    .collect();
-                let n = corr.window();
-                let windows = windows_for
-                    .iter()
-                    .map(|&local| (global(local), corr.summary(local).history().window(t, n)))
-                    .collect();
-                QueryReply::CorrVerify { pairs, windows }
-            }
-        }
-    }
-
     /// The worker loop: drain message runs until `Shutdown` or the
     /// queue is closed and empty, whichever comes first. A contiguous
     /// run of batches commits as one group ([`Self::commit_group`]);
     /// queries and shutdown break runs and are handled singly, at their
     /// queue position — they are never buffered in worker-local state,
-    /// so a crash mid-group cannot lose a query reply (journaled batches
-    /// are the only messages the recovery protocol can replay).
+    /// so a crash mid-group cannot lose a query reply (logged batches
+    /// are the only messages a rebuild can replay).
     /// `notice` reports the exit (or a panic's unwind) to the board.
     pub fn run(mut self, notice: &mut DeathNotice) {
         let mut pending_delay: Option<Duration> = None;
-        // Buffers reused across commit groups: the drained run, the
-        // per-batch monitor output, and the run's remapped events.
-        // Steady state allocates nothing per run — the one exception
-        // is the exact-sized Vec that hands a non-empty run's events
-        // to the collector (ownership crosses the channel).
+        // The drained run is reused across groups, as the core reuses
+        // its event buffers: steady state allocates nothing per run but
+        // the exact-sized Vec that hands a non-empty run's events to
+        // the collector (ownership crosses the channel).
         let mut msgs: Vec<ShardMsg> = Vec::new();
-        let mut event_buf: Vec<Event> = Vec::new();
-        let mut run_events: Vec<Event> = Vec::new();
         loop {
             if let Some(pause) = pending_delay.take() {
                 std::thread::sleep(pause);
@@ -488,11 +326,11 @@ impl Worker {
                 return;
             }
             if matches!(msgs[0], ShardMsg::Batch(..)) {
-                self.commit_group(&msgs, &mut event_buf, &mut run_events, &mut pending_delay);
+                self.commit_group(&msgs, &mut pending_delay);
             } else {
                 match msgs.pop().expect("drained run is non-empty") {
                     ShardMsg::Query(req, reply) => {
-                        let _ = reply.send(self.answer(req));
+                        let _ = reply.send(self.core.answer(req));
                     }
                     ShardMsg::Shutdown => {
                         notice.clean = true;
@@ -504,122 +342,88 @@ impl Worker {
         }
     }
 
-    /// Commits one drained run of batches as a group commit: the
-    /// queue's high-water mark was sampled at the pre-drain depth, the
-    /// whole run is journaled under one coalesced WAL write before any
-    /// batch is applied, and the run's events leave in one channel send
-    /// followed by one durable ack.
+    /// Commits one drained run of batches as a group through the core.
+    /// The queue's high-water mark was sampled at the pre-drain depth.
     ///
-    /// Crash safety: a panic anywhere past the journal step loses
-    /// nothing — every batch of the run is already journaled, so the
-    /// recovery replay regenerates exactly the journaled prefix's
-    /// events, suppressing the ones this worker already sent (none
-    /// mid-run: the send is a single all-or-nothing handoff after the
-    /// last batch applied).
-    fn commit_group(
-        &mut self,
-        msgs: &[ShardMsg],
-        event_buf: &mut Vec<Event>,
-        run_events: &mut Vec<Event>,
-        pending_delay: &mut Option<Duration>,
-    ) {
-        fn batch(m: &ShardMsg) -> (&[(StreamId, f64)], Instant) {
-            match m {
-                ShardMsg::Batch(items, submitted) => (items, *submitted),
-                _ => unreachable!("commit groups contain only batches"),
-            }
-        }
+    /// # Panics
+    /// Panics when the log cannot take the group's write-ahead record:
+    /// the worker dies before applying anything from the group, the
+    /// supervisor sees the wedged log and closes the shard, and
+    /// producers observe `Disconnected` — fail-stop rather than
+    /// divergence between the monitor and its log.
+    fn commit_group(&mut self, msgs: &[ShardMsg], pending_delay: &mut Option<Duration>) {
         // Only batches count toward queue depth; the drain predicate
         // guarantees the run is all batches.
         self.counters.note_drained(msgs.len());
-        // Write-ahead for the whole run, before anything is applied.
-        if let Some(rec) = &self.recovery {
-            let _span = self.telemetry.journal.span();
-            rec.journal_group(msgs.iter().map(|m| batch(m).0));
-        }
         self.telemetry.group_size.observe(msgs.len() as u64);
-        let mut rejected_total = 0u64;
-        for msg in msgs {
-            let (items, submitted) = batch(msg);
-            if let Some(monitor) = &mut self.monitor {
-                event_buf.clear();
-                for &(local, value) in items {
-                    self.processed += 1;
-                    if let Some(plan) = &self.faults {
-                        match plan.fire(self.slot, self.processed) {
-                            Some(FaultKind::Panic) => panic!(
-                                "injected fault: shard {} killed at append {}",
-                                self.slot, self.processed
-                            ),
-                            Some(FaultKind::Stall(pause)) => std::thread::sleep(pause),
-                            Some(FaultKind::DelayDrain(pause)) => {
-                                *pending_delay = Some(pause);
-                            }
-                            None => {}
-                        }
-                    }
-                    // Non-finite samples are rejected at the append
-                    // boundary (the monitor guards identically, so a
-                    // journaled NaN replays as the same no-op). The
-                    // fault clock above still ticks for them.
-                    if !value.is_finite() {
-                        rejected_total += 1;
-                        continue;
-                    }
-                    monitor.append_into(local, value, event_buf);
-                }
-                // Collect this batch's events behind the run's; they
-                // ship once the whole run has applied, in batch order.
-                for ev in event_buf.drain(..) {
-                    run_events.push(remap_event(self.slot, self.n_shards, ev));
-                }
+        let mut log = self.log.as_deref().map(|l| l.lock().unwrap_or_else(PoisonError::into_inner));
+        let mut live = Live {
+            slot: self.slot,
+            msgs,
+            events: &self.events,
+            counters: &self.counters,
+            faults: self.faults.as_deref(),
+            telemetry: &self.telemetry,
+            pending_delay,
+        };
+        let batches = msgs.iter().map(|m| batch(m).0);
+        if let Err(e) = self.core.commit(log.as_deref_mut(), batches, &mut live) {
+            panic!("shard WAL group append failed; failing stop: {e}");
+        }
+    }
+}
+
+fn batch(m: &ShardMsg) -> (&[(StreamId, f64)], Instant) {
+    match m {
+        ShardMsg::Batch(items, submitted) => (items, *submitted),
+        _ => unreachable!("commit groups contain only batches"),
+    }
+}
+
+/// The worker's [`Shell`] for one group.
+struct Live<'a> {
+    slot: usize,
+    msgs: &'a [ShardMsg],
+    events: &'a Sender<Vec<Event>>,
+    counters: &'a ShardCounters,
+    faults: Option<&'a FaultPlan>,
+    telemetry: &'a RuntimeTelemetry,
+    pending_delay: &'a mut Option<Duration>,
+}
+
+impl Shell for Live<'_> {
+    fn tick(&mut self, append: u64) {
+        let Some(plan) = self.faults else { return };
+        match plan.fire(self.slot, append) {
+            Some(FaultKind::Panic) => {
+                panic!("injected fault: shard {} killed at append {append}", self.slot)
             }
-            self.counters.appends.fetch_add(items.len() as u64, Ordering::Relaxed);
-            let ns = submitted.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            self.counters.note_batch(ns);
-            self.telemetry.batch_latency.observe(ns);
-            // Cadence is frontier-driven and board absorption is
-            // idempotent, so publishing inside the run keeps the
-            // exchange on the same per-batch schedule as before.
-            publish_sketches_if_due(
-                self.monitor.as_ref(),
-                self.slot,
-                self.n_shards,
-                &self.sketches,
-                self.sketch_cadence,
-                &mut self.last_shipped,
-                &self.telemetry,
-            );
+            Some(FaultKind::Stall(pause)) => std::thread::sleep(pause),
+            Some(FaultKind::DelayDrain(pause)) => *self.pending_delay = Some(pause),
+            None => {}
         }
-        if rejected_total > 0 {
-            self.counters.rejected.fetch_add(rejected_total, Ordering::Relaxed);
-            self.telemetry.rejected.add(rejected_total);
+    }
+
+    fn applied(&mut self, i: usize, rejected: u64) {
+        let (items, submitted) = batch(&self.msgs[i]);
+        self.counters.appends.fetch_add(items.len() as u64, Ordering::Relaxed);
+        let ns = submitted.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        self.counters.note_batch(ns);
+        self.telemetry.batch_latency.observe(ns);
+        if rejected > 0 {
+            self.counters.rejected.fetch_add(rejected, Ordering::Relaxed);
+            self.telemetry.rejected.add(rejected);
         }
-        let emitted = run_events.len() as u64;
-        if emitted > 0 {
-            // One send per event-bearing run. `split_off(0)` moves the
-            // events into an exact-sized Vec for the collector while the
-            // buffer keeps its capacity for the next run. A send error
-            // means the runtime dropped its receiver (shutdown already
-            // under way); keep draining so producers unblock.
-            let _ = self.events.send(run_events.split_off(0));
-            self.counters.events.fetch_add(emitted, Ordering::Relaxed);
-            if let Some(rec) = &self.recovery {
-                // The events are out; ack the cumulative count to the
-                // durable WAL so a process-level recovery suppresses
-                // exactly these.
-                rec.note_emitted_n(emitted);
-                rec.ack_emitted();
-            }
-        }
-        // Snapshot only at run boundaries: the journal suffix holds
-        // whole batches from the write-ahead step, and a snapshot must
-        // not cover appends that have not been applied yet.
-        if let Some(rec) = &self.recovery {
-            if self.snapshot_every > 0 && rec.journal().suffix.len() as u64 >= self.snapshot_every {
-                let _span = self.telemetry.snapshot.span();
-                rec.record_snapshot(self.monitor.as_ref().map(|m| m.snapshot()));
-            }
-        }
+    }
+
+    fn deliver(&mut self, events: &mut Vec<Event>) {
+        // One send per event-bearing group. `split_off(0)` moves the
+        // events into an exact-sized Vec for the collector while the
+        // buffer keeps its capacity. A send error means the runtime
+        // dropped its receiver (shutdown already under way); keep
+        // draining so producers unblock.
+        let n = events.len() as u64;
+        let _ = self.events.send(events.split_off(0));
+        self.counters.events.fetch_add(n, Ordering::Relaxed);
     }
 }

@@ -198,45 +198,6 @@ impl RuntimeStats {
         self.shards.iter().map(|s| s.restarts).sum()
     }
 
-    /// A small fixed-width table for CLI / log output.
-    ///
-    /// ```text
-    /// shard   appends     events  rejected   batches  restarts  q_depth  q_hwm  lat_min  lat_p50  lat_mean  lat_p95  lat_max
-    ///     0      1024         37         0        64         1        0      9    1.2µs    2.8µs     3.4µs   11.0µs   0.21ms
-    /// ```
-    pub fn render(&self) -> String {
-        fn dur(d: Option<Duration>) -> String {
-            match d {
-                None => "-".to_string(),
-                Some(d) if d.as_secs_f64() >= 1e-3 => {
-                    format!("{:.2}ms", d.as_secs_f64() * 1e3)
-                }
-                Some(d) => format!("{:.1}µs", d.as_secs_f64() * 1e6),
-            }
-        }
-        let mut out = String::from(
-            "shard   appends     events  rejected   batches  restarts  q_depth  q_hwm  lat_min  lat_p50  lat_mean  lat_p95  lat_max\n",
-        );
-        for (i, s) in self.shards.iter().enumerate() {
-            out.push_str(&format!(
-                "{i:>5} {:>9} {:>10} {:>9} {:>9} {:>9} {:>8} {:>6} {:>8} {:>8} {:>9} {:>8} {:>8}\n",
-                s.appends,
-                s.events,
-                s.rejected,
-                s.batches,
-                s.restarts,
-                s.queue_depth,
-                s.queue_high_water,
-                dur(s.batch_latency.min),
-                dur(s.batch_latency.p50),
-                dur(s.batch_latency.mean),
-                dur(s.batch_latency.p95),
-                dur(s.batch_latency.max),
-            ));
-        }
-        out
-    }
-
     /// Publishes the snapshot into `registry` as per-shard gauges
     /// (`stardust_shard_*{shard="N"}`). Gauges rather than counters
     /// because a snapshot is a point-in-time level: queue depth moves
@@ -397,6 +358,5 @@ mod tests {
         let stats = RuntimeStats { shards: vec![c.snapshot(), ShardCounters::new().snapshot()] };
         assert_eq!(stats.shards[0].restarts, 2);
         assert_eq!(stats.total_restarts(), 2);
-        assert!(stats.render().contains("restarts"));
     }
 }

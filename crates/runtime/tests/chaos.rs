@@ -413,10 +413,8 @@ fn respawn_storm_fail_stops_the_shard() {
     assert!(report.stats.total_appends() > 0);
 }
 
-/// Stress variant for CI's chaos job: more shards, multiple seeds.
-/// Run with `cargo test --test chaos -- --ignored`.
+/// Stress variant: more shards, multiple seeds.
 #[test]
-#[ignore = "stress: 8 shards x 4 seeds, run explicitly in CI"]
 fn stress_eight_shards_four_seeds() {
     const STRESS_STREAMS: usize = 8;
     let (streams, r_max) = workload(7, STRESS_STREAMS);

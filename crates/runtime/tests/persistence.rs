@@ -8,9 +8,9 @@
 //! an unfaulted single-threaded run. The proptest at the bottom attacks
 //! the WAL at arbitrary byte offsets: `open()` must either recover
 //! exactly or return a typed [`RecoveryError`] — never panic, never
-//! silently drop a checksummed-complete record. The `--ignored` tests
-//! make that sweep exhaustive (every offset, both damage modes) and add
-//! a multi-seed crash-storm stress.
+//! silently drop a checksummed-complete record. Two more tests make
+//! that sweep exhaustive (every offset, both damage modes) and add a
+//! multi-seed crash-storm stress.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -416,6 +416,36 @@ fn failed_fsync_aborts_rotation_but_loses_nothing() {
     assert_eq!(plan.fired_count(), 2);
     assert_eq!(events, reference, "aborted rotation changed the detected event set");
     let _ = std::fs::remove_dir_all(&dir);
+    // A worker killed while its shard's on-disk chain is a generation
+    // behind the state it reached. Shard 1's `nth: 0` fails its first
+    // fsync, which aborts its open-time rotation (shard 0's `nth: 2`
+    // fails the fresh WAL's header sync instead), so shard 1 journals
+    // on the gen-0 WAL until its first cadence snapshot at append 32.
+    // The kill at append 20 lands in between: the respawn reads the
+    // older generation plus the longer WAL back from disk.
+    let plan = Arc::new(
+        FaultPlan::new()
+            .disk_fault(0, DiskFaultKind::FailFsync { nth: 2 })
+            .disk_fault(1, DiskFaultKind::FailFsync { nth: 0 })
+            .kill(1, 20),
+    );
+    let dir = tempdir("fsync-kill");
+    let persist = PersistConfig::new(&dir).sync(SyncPolicy::EveryN(8));
+    let (rt, _) =
+        ShardedRuntime::open(&spec, streams.len(), config(2, Some(Arc::clone(&plan)), 32), persist)
+            .unwrap();
+    for t in 0..n_values {
+        let batch: Batch = streams.iter().enumerate().map(|(s, x)| (s as StreamId, x[t])).collect();
+        rt.submit_blocking(&batch).unwrap();
+    }
+    let mut events = rt.drain_events();
+    let report = rt.shutdown();
+    assert_eq!(plan.fired_count(), 3, "both fsync failures and the kill must fire");
+    assert_eq!(report.stats.total_restarts(), 1, "the killed worker was respawned once");
+    events.extend(report.events);
+    sort_events(&mut events);
+    assert_eq!(events, reference, "respawn over an aborted rotation changed the event set");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A bit flip in the current snapshot file makes `open()` fall back to
@@ -712,10 +742,8 @@ fn crash_mid_group_prefix_sweep() {
     let _ = std::fs::remove_dir_all(&fx.dir);
 }
 
-/// Exhaustive sweep: every byte offset, both damage modes. Run with
-/// `cargo test -- --ignored` (the CI `ignored` job does).
+/// Exhaustive sweep: every byte offset, both damage modes.
 #[test]
-#[ignore = "exhaustive; minutes of runtime"]
 fn exhaustive_wal_damage_sweep() {
     let fx = WalFixture::build("sweep", 22, 64);
     for offset in 0..fx.clean_wal.len() {
@@ -726,10 +754,8 @@ fn exhaustive_wal_damage_sweep() {
 }
 
 /// Multi-seed stress: random workloads under every disk-fault kind,
-/// crash/reopen/re-submit, full event-set equality each time. Run with
-/// `cargo test -- --ignored`.
+/// crash/reopen/re-submit, full event-set equality each time.
 #[test]
-#[ignore = "multi-seed stress; minutes of runtime"]
 fn multi_seed_disk_fault_storm() {
     for seed in 0..8u64 {
         let n_values = 192 + 16 * seed as usize;
