@@ -5,6 +5,9 @@
 //!   KDD 2003); the Fig. 4 comparator.
 //! * [`statstream`] — grid-based DFT correlation monitoring (Zhu & Shasha,
 //!   VLDB 2002); the Table 1 / Fig. 6 comparator.
+//! * [`dft`] — the sliding-window discrete Fourier transform maintained
+//!   over basic windows, StatStream's summary, with [`complex`], the
+//!   minimal complex-number type it needs.
 //! * [`generalmatch`] — dual-window subsequence matching (Moon, Whang &
 //!   Han, SIGMOD 2002); a Fig. 5 comparator.
 //! * [`mrindex`] — the multi-resolution index of Kahveci & Singh (ICDE
@@ -13,6 +16,8 @@
 //! * [`linear_scan`] — exhaustive ground truth for all three query
 //!   classes.
 
+pub mod complex;
+pub mod dft;
 pub mod generalmatch;
 pub mod linear_scan;
 pub mod mrindex;

@@ -16,7 +16,8 @@ use std::collections::HashMap;
 use stardust_core::normalize;
 use stardust_core::query::correlation::{CorrelatedPair, CorrelationStats};
 use stardust_core::stream::{StreamHistory, StreamId, Time};
-use stardust_dsp::dft::SlidingDft;
+
+use crate::dft::SlidingDft;
 
 struct Current {
     cell: Vec<i64>,

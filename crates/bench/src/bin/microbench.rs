@@ -1,7 +1,6 @@
 //! **Microbenchmarks** — the timings behind the §4 maintenance-cost
 //! claims (Lemmas 4.1 / 4.2: incremental Θ(f) work per level per item
-//! against direct recomputation) and the Appendix A Online I / Online II
-//! ablation.
+//! against direct recomputation).
 //!
 //! * `maintenance` — summarization cost over 4,096 random-walk items at
 //!   W = 64, 5 levels, DWT f = 4: incremental online c = 25, batch,
@@ -9,16 +8,13 @@
 //!   then the crash-recovery index rebuild of one engine's MBR
 //!   population: STR `bulk_load` against incremental replay, plus the
 //!   whole `Stardust::restore`.
-//! * `ablation` — Online I (corner enumeration, Θ(2^d·f)) against
-//!   Online II (δ-split, Θ(f)) MBR transforms, for Haar and db2 at
-//!   d ∈ {4, 8, 16}, with Online II's total box width over Online I's.
 //! * `transforms` — direct Haar at w = 1,024 against the Θ(f)
 //!   `merge_halves_into`, and the SUM / DWT interval merges.
 //!
 //! Each row is the median of repeated [`timed`] samples, taken
 //! round-robin across the rows of its group. A sample runs the operation
 //! often enough to last at least 1 ms, on inputs built outside the
-//! timer. Only the entry count and the width ratios are deterministic.
+//! timer. Only the entry count is deterministic.
 //!
 //! Run: `cargo run --release -p stardust-bench --bin microbench [--full] [--seed N]`
 //! (21 samples per row; `--full` takes 101).
@@ -33,7 +29,6 @@ use stardust_core::StreamSummary;
 use stardust_datagen::random_walk;
 use stardust_dsp::haar;
 use stardust_dsp::mbr_transform::Bounds;
-use stardust_dsp::FilterBank;
 use stardust_index::{bulk_load, Params, RStarTree, Rect};
 
 const MAINTENANCE_ITEMS: usize = 4096;
@@ -207,38 +202,6 @@ fn rebuild(r: &mut Report, seed: u64) {
     ));
 }
 
-fn make_bounds(dims: usize) -> Bounds {
-    let lo: Vec<f64> = (0..dims).map(|i| (i as f64 * 0.7).sin()).collect();
-    let hi: Vec<f64> = lo.iter().enumerate().map(|(i, v)| v + 0.2 + (i % 3) as f64 * 0.1).collect();
-    Bounds::new(lo, hi)
-}
-
-fn ablation(r: &mut Report) {
-    let haar = FilterBank::haar();
-    let db2 = FilterBank::db2();
-    for dims in [4usize, 8, 16] {
-        let b = make_bounds(dims);
-        let ns = r.group(
-            &format!("ablation_d{dims}"),
-            vec![
-                ("online2_haar", 1, repeat(|| black_box(&b).analyze_online2(&haar))),
-                ("online1_haar", 1, repeat(|| black_box(&b).analyze_online1(&haar))),
-                ("online2_db2", 1, repeat(|| black_box(&b).analyze_online2(&db2))),
-                ("online1_db2", 1, repeat(|| black_box(&b).analyze_online1(&db2))),
-            ],
-        );
-        let tight: f64 = b.analyze_online1(&db2).widths().iter().sum();
-        let fast: f64 = b.analyze_online2(&db2).widths().iter().sum();
-        r.notes.push(format!(
-            "# d={dims}: Online I / Online II time = {:.0}x (haar), {:.0}x (db2); \
-             Online II total width / Online I total width = {:.3} (db2)",
-            ns[1] / ns[0],
-            ns[3] / ns[2],
-            fast / tight
-        ));
-    }
-}
-
 fn transforms(r: &mut Report) {
     let window: Vec<f64> = (0..1024).map(|i| (i as f64 * 0.13).sin() * 5.0 + 10.0).collect();
     let left = haar::approx(&window[..512], 4);
@@ -292,7 +255,6 @@ fn main() {
     };
     maintenance(&mut r, seed);
     rebuild(&mut r, seed);
-    ablation(&mut r);
     transforms(&mut r);
     r.table.print();
     for note in &r.notes {

@@ -93,11 +93,20 @@ impl CorrelationStats {
 /// assert!(confirmed > 0);
 /// ```
 ///
-/// Streams must be appended round-robin (`0, 1, …, M−1, 0, 1, …`); each
-/// unordered correlated pair is reported exactly once, when the later of
-/// the two streams produces its feature for that time step. The feature
-/// table holds exactly the current round's features (it is cleared when
-/// the first stream of a round emits), so maintenance is append-only.
+/// Each unordered correlated pair is reported exactly once, when the
+/// later of the two streams produces its feature for that time step. The
+/// feature table holds exactly the current round's features (it is
+/// cleared when the first stream of a round emits), so maintenance is
+/// append-only.
+///
+/// Streams need not be appended round-robin (`0, 1, …, M−1, 0, 1, …`).
+/// Without a lag, a feed in which no stream runs `W` or more values ahead
+/// of another reports and verifies exactly the pairs of the round-robin
+/// feed. A stream that runs a whole round ahead of a partner loses that
+/// round's pairs with it: the partner's next feature clears the table. In
+/// lagged mode ([`Self::with_lag_periods`] > 1) a partner's window that
+/// has already left its history is reported unverified (`correlation:
+/// None`).
 pub struct CorrelationMonitor {
     summaries: Vec<StreamSummary>,
     /// The live features, banded on the first coefficient with a band
@@ -156,7 +165,9 @@ impl Scratch {
 /// A stream's z-normalized raw window, kept after its first verification:
 /// in a synchronized round every later stream that reports this one
 /// compares against the same window, so it is normalized once per round
-/// instead of once per candidate pair.
+/// instead of once per candidate pair. It is also filled just before the
+/// stream pushes past a feature time that a partner has yet to reach,
+/// because the stream's later pushes evict that window from its history.
 #[derive(Default)]
 struct ZWindow {
     /// End time of the cached window.
@@ -167,18 +178,39 @@ struct ZWindow {
 
 impl ZWindow {
     /// Makes the slot hold `summary`'s window of `len` values ending at
-    /// `end`.
-    fn fill(&mut self, summary: &StreamSummary, end: Time, len: usize) {
+    /// `end`; `false` (and an empty slot) if the history no longer holds
+    /// that window.
+    fn fill(&mut self, summary: &StreamSummary, end: Time, len: usize) -> bool {
         if self.end == Some(end) {
-            return;
+            return true;
         }
-        let ok = summary.history().copy_window(end, len, &mut self.z);
-        assert!(ok, "indexed feature implies full window");
+        if !summary.history().copy_window(end, len, &mut self.z) {
+            self.end = None;
+            return false;
+        }
         if !normalize::z_norm_in_place(&mut self.z) {
             self.z.clear();
         }
         self.end = Some(end);
+        true
     }
+}
+
+/// If stream `s` stands at a feature time that some stream has not
+/// reached yet, z-normalizes the window of `len` values ending there into
+/// `s`'s slot before `s` pushes on: the laggard's query at that time may
+/// report `s`, and a synchronized monitor's history holds one value more
+/// than the window. A round-robin feed never gets here with a laggard.
+fn keep_feature_window(summaries: &[StreamSummary], slot: &mut ZWindow, s: usize, len: usize) {
+    let Some(t) = summaries[s].now() else { return };
+    let period = summaries[s].config().base_window as u64;
+    if !(t + 1).is_multiple_of(period)
+        || t + 1 < len as u64
+        || summaries.iter().all(|other| other.now().is_some_and(|now| now >= t))
+    {
+        return;
+    }
+    slot.fill(&summaries[s], t, len);
 }
 
 // Compact by hand: summaries and the feature table carry full state.
@@ -504,6 +536,9 @@ impl CorrelationMonitor {
     pub fn append(&mut self, stream: StreamId, value: f64) -> Vec<CorrelatedPair> {
         let span = self.telemetry.latency_span();
         let s = stream as usize;
+        if self.verify {
+            keep_feature_window(&self.summaries, &mut self.scratch.znormed[s], s, self.window);
+        }
         self.summaries[s].push_quiet(value);
         // The sketch sees every value, before any early return — its
         // clock must stay in lockstep with the summary's.
@@ -572,11 +607,11 @@ impl CorrelationMonitor {
             self.stats.reported += 1;
             self.telemetry.candidates.inc();
             let correlation = if self.verify {
-                znormed[s].fill(&self.summaries[s], t, self.window);
                 let o = other as usize;
-                znormed[o].fill(&self.summaries[o], time_other, self.window);
+                let filled = znormed[s].fill(&self.summaries[s], t, self.window)
+                    && znormed[o].fill(&self.summaries[o], time_other, self.window);
                 let (za, zb) = (&znormed[s].z, &znormed[o].z);
-                let corr = (!za.is_empty() && !zb.is_empty())
+                let corr = (filled && !za.is_empty() && !zb.is_empty())
                     .then(|| normalize::correlation_of_znormed(za, zb));
                 if corr.is_some_and(|c| normalize::correlation_to_distance(c) <= self.radius) {
                     self.stats.true_pairs += 1;
@@ -868,5 +903,97 @@ mod tests {
                 assert!(p.time - p.time_other < 3 * 4, "{p:?}");
             }
         }
+    }
+
+    /// Value `i` of stream `s`: streams 0 and 1 nearly equal, the rest
+    /// independent.
+    fn value(s: StreamId, i: usize) -> f64 {
+        let x = i as f64;
+        match s {
+            0 | 1 => (x * 0.37).sin() * 5.0 + x * 0.1 + 0.01 * f64::from(s) * (i % 5) as f64,
+            _ => (x * 0.91 * f64::from(s)).cos() * 3.0 - x * 0.05,
+        }
+    }
+
+    /// Appends each stream's next value in `order`; returns the reports
+    /// sorted, each as `(min, max, time, time_other, distance bits,
+    /// correlation bits)`, a key that does not depend on which stream
+    /// of a pair came later.
+    fn feed_order(mon: &mut CorrelationMonitor, order: &[StreamId]) -> Vec<[u64; 6]> {
+        let mut next = vec![0; mon.n_streams()];
+        let mut keys = Vec::new();
+        for &s in order {
+            next[s as usize] += 1;
+            for p in mon.append(s, value(s, next[s as usize] - 1)) {
+                let (a, b) = (p.a.min(p.b).into(), p.a.max(p.b).into());
+                let corr = p.correlation.map_or(u64::MAX, f64::to_bits);
+                keys.push([a, b, p.time, p.time_other, p.feature_distance.to_bits(), corr]);
+            }
+        }
+        keys.sort_unstable();
+        keys
+    }
+
+    fn round_robin(n_streams: StreamId, n: usize) -> Vec<StreamId> {
+        (0..n).flat_map(|_| 0..n_streams).collect()
+    }
+
+    /// Stream 1's feature query at 19 reports stream 0's entry at 19
+    /// after stream 0 has pushed on to 21, past the history that held
+    /// that window. It is verified from the window kept before the push.
+    #[test]
+    fn partner_two_values_ahead_is_verified() {
+        let order: Vec<StreamId> = [(0, 17), (1, 16), (0, 5), (1, 4)]
+            .into_iter()
+            .flat_map(|(s, n)| std::iter::repeat_n(s, n))
+            .collect();
+        let keys = feed_order(&mut CorrelationMonitor::new(4, 2, 2, 2.0, 2), &order);
+        let expected =
+            feed_order(&mut CorrelationMonitor::new(4, 2, 2, 2.0, 2), &round_robin(2, 22));
+        // Stream 0 ran whole rounds ahead before time 16, so only the
+        // pair at 19 survives; it must be the round-robin feed's pair.
+        let at_19: Vec<_> = expected.into_iter().filter(|k| k[2] == 19).collect();
+        assert!(at_19.len() == 1 && at_19[0][5] != u64::MAX, "{at_19:?}");
+        assert_eq!(keys, at_19);
+    }
+
+    /// A feed in which no two streams are more than W − 1 values apart
+    /// reports the round-robin feed's pairs, correlations to the bit.
+    #[test]
+    fn skew_below_one_round_matches_round_robin() {
+        const W: usize = 8;
+        const N: usize = 400;
+        let mut seed = 77u64;
+        let mut next = [0usize; 3];
+        let mut order = Vec::new();
+        let mut widest = 0;
+        while next.iter().any(|&n| n < N) {
+            let low = *next.iter().min().expect("three streams");
+            let open: Vec<usize> =
+                (0..3).filter(|&s| next[s] < N && next[s] + 1 - low < W).collect();
+            let s = open[(rng(&mut seed) * open.len() as f64) as usize];
+            next[s] += 1;
+            order.push(s as StreamId);
+            widest = widest.max(next[s] - next.iter().min().expect("three streams"));
+        }
+        assert_eq!(widest, W - 1, "the feed must reach the widest allowed skew");
+        let keys = feed_order(&mut CorrelationMonitor::new(W, 3, 4, 0.5, 3), &order);
+        let expected =
+            feed_order(&mut CorrelationMonitor::new(W, 3, 4, 0.5, 3), &round_robin(3, N));
+        assert!(expected.iter().filter(|k| k[5] != u64::MAX).count() > 10, "{expected:?}");
+        assert_eq!(keys, expected);
+    }
+
+    /// In lagged mode a partner's entry can outlive its window in the
+    /// history: stream 0's history holds 13 values, so at 26 it has lost
+    /// the window ending at 19, whose entry lives until 27. The report
+    /// then carries no correlation.
+    #[test]
+    fn lagged_partner_past_its_history_is_reported_unverified() {
+        let mut mon = CorrelationMonitor::new(4, 2, 2, 2.0, 2).with_lag_periods(2);
+        let order: Vec<StreamId> = [0; 27].into_iter().chain([1; 20]).collect();
+        let keys = feed_order(&mut mon, &order);
+        assert!(keys.iter().any(|k| k[3] == 19 && k[5] == u64::MAX), "{keys:?}");
+        assert!(keys.iter().any(|k| k[5] != u64::MAX), "{keys:?}");
     }
 }

@@ -233,8 +233,9 @@ pub(crate) fn decode_config(r: &mut Reader<'_>) -> Result<Config, SnapshotError>
     })
 }
 
-/// The DWT interval merge is always Appendix A's Online II; the format
-/// keeps its one-byte tag, always 0, so existing blobs stay byte-identical.
+/// The DWT interval merge has one algorithm (Appendix A's box transform);
+/// the format keeps its one-byte tag, always 0, so existing blobs stay
+/// byte-identical.
 pub(crate) fn encode_precision(w: &mut Writer) {
     w.u8(0);
 }

@@ -10,7 +10,7 @@
 //!   of its two halves in Θ(f),
 //! * **interval merge** (Lemma 4.2): a bounding interval of the feature
 //!   from the MBRs containing the halves' features, also Θ(f) (the DWT
-//!   uses Appendix A's *Online II* δ-split).
+//!   pushes the halves' box through one Haar step, Appendix A).
 
 use stardust_dsp::haar;
 use stardust_dsp::mbr_transform::Bounds;

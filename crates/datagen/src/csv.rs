@@ -102,7 +102,7 @@ mod tests {
 
     #[test]
     fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("stardust_csv_test");
+        let dir = std::env::temp_dir().join(format!("stardust_csv_test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("streams.csv");
         let streams = crate::random_walk::random_walk_streams(3, 2, 50);
@@ -114,7 +114,7 @@ mod tests {
                 assert!((x - y).abs() < 1e-12);
             }
         }
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -216,29 +216,6 @@ pub fn merge_halves_into(left: &[f64], right: &[f64], out: &mut [f64]) {
     pairwise_avg_into(right, &mut out[half..]);
 }
 
-/// Energy (squared L2 norm) of a coefficient vector.
-///
-/// The squares are formed in fixed-width chunks (vectorizable) and then
-/// accumulated strictly in element order, so the value is bit-identical to
-/// the naive running sum.
-pub fn energy(x: &[f64]) -> f64 {
-    let (chunks, tail) = x.as_chunks::<LANES>();
-    let mut acc = 0.0;
-    for c in chunks {
-        let mut sq = [0.0; LANES];
-        for i in 0..LANES {
-            sq[i] = c[i] * c[i];
-        }
-        for s in sq {
-            acc += s;
-        }
-    }
-    for v in tail {
-        acc += v * v;
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,6 +245,7 @@ mod tests {
 
     #[test]
     fn dwt_preserves_energy() {
+        let energy = |v: &[f64]| v.iter().map(|c| c * c).sum::<f64>();
         let x = [0.5, 2.5, -1.5, 7.0, 3.25, -2.0, 0.0, 1.0];
         assert!((energy(&dwt(&x)) - energy(&x)).abs() < EPS);
     }

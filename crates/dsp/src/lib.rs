@@ -9,25 +9,18 @@
 //!   approximation coefficients of a window can be computed in Θ(f) from the
 //!   approximation coefficients of its two halves.
 //! * [`filter`] — general two-channel filter banks (circular convolution +
-//!   downsampling) including the δ-split of Lemma A.2 that extends the MBR
-//!   transform to filters with negative taps.
-//! * [`mbr_transform`] — the two approximate MBR transforms of Appendix A:
-//!   *Online I* (corner enumeration, Θ(2^f'·f), tightest) and *Online II*
-//!   (low/high corners with δ-split, Θ(f), looser but fast).
-//! * [`dft`] — the sliding-window discrete Fourier transform maintained over
-//!   basic windows, the substrate of the StatStream baseline.
-//! * [`complex`] — a minimal complex-number type used by the DFT.
+//!   downsampling), with or without negative taps.
+//! * [`mbr_transform`] — the MBR transform of Appendix A: one Θ(taps·d)
+//!   pass that pushes a feature box through one analysis step and returns
+//!   the tightest enclosing box (for any bank shorter than the box).
 //!
 //! All transforms are deterministic and allocation-conscious: the hot merge
 //! paths (`merge_halves`, `Bounds` merges) reuse caller-provided buffers
 //! where it matters.
 
-pub mod complex;
-pub mod dft;
 pub mod filter;
 pub mod haar;
 pub mod mbr_transform;
 
-pub use complex::Complex;
 pub use filter::FilterBank;
 pub use mbr_transform::Bounds;

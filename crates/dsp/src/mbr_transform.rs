@@ -2,19 +2,11 @@
 //!
 //! When the summarizer trades accuracy for space by grouping `c` consecutive
 //! feature vectors into an MBR, computing the next level's feature requires
-//! pushing a *rectangle* (not a point) through one analysis step. Appendix A
-//! gives two algorithms:
-//!
-//! * **Online I** — transform all `2^{f'}` corners of the rectangle and take
-//!   the tightest enclosing box. Exact for the rectangle (tightest possible
-//!   output box) but Θ(2^{f'}·f).
-//! * **Online II** (Lemma A.2) — transform only the low and high corners,
-//!   using the δ-split `h̃ = (h̃+δ) − δ` so monotonicity holds even when the
-//!   filter has negative taps. Θ(f), at the cost of a looser box.
-//!
-//! Both are *conservative*: the output box contains the transform of every
-//! point in the input box, so downstream pruning never causes a false
-//! dismissal.
+//! pushing a *rectangle* (not a point) through one analysis step
+//! (Appendix A). [`Bounds::analyze_online2`] does it in one Θ(taps·d) pass
+//! that yields the tightest enclosing box: the output box contains the
+//! transform of every point in the input box, so downstream pruning never
+//! causes a false dismissal.
 
 use crate::filter::FilterBank;
 
@@ -61,11 +53,6 @@ impl Bounds {
         &self.hi
     }
 
-    /// Center point.
-    pub fn center(&self) -> Vec<f64> {
-        self.lo.iter().zip(&self.hi).map(|(l, h)| (l + h) * 0.5).collect()
-    }
-
     /// Extent `hi − lo` per dimension.
     pub fn widths(&self) -> Vec<f64> {
         self.lo.iter().zip(&self.hi).map(|(l, h)| h - l).collect()
@@ -77,11 +64,6 @@ impl Bounds {
             && p.iter()
                 .zip(self.lo.iter().zip(&self.hi))
                 .all(|(x, (l, h))| *x >= l - eps && *x <= h + eps)
-    }
-
-    /// `true` if `other` lies fully inside `self` (with tolerance `eps`).
-    pub fn contains_bounds(&self, other: &Bounds, eps: f64) -> bool {
-        self.contains(&other.lo, eps) && self.contains(&other.hi, eps)
     }
 
     /// Grows the rectangle to include `p`.
@@ -155,58 +137,48 @@ impl Bounds {
         acc.sqrt()
     }
 
-    /// **Online II** (Lemma A.2): one analysis step applied to the
-    /// rectangle, using only the low and high corners and the δ-split.
+    /// One analysis step applied to the rectangle: a rectangle in
+    /// `R^{d/2}` containing `bank.analyze(x)` for every `x` in `self`.
     ///
-    /// Returns a rectangle in `R^{d/2}` containing `analyze(x)` for every
-    /// `x` in `self`.
+    /// Each output is a sum of `h·x[j]` terms, each extremal at an end of
+    /// `x[j]`'s interval, so summing `h·lo[j]` or `h·hi[j]` by the sign of
+    /// `h` is Θ(taps·d) and gives the tightest box — Appendix A's 2^d-corner
+    /// Online I box — whenever `d ≥ taps`; a filter that wraps around a
+    /// shorter input gets a conservative box. Lemma A.2's δ-split (Online
+    /// II) is ≈ 1.46× wider on db2 and is not used. For nonnegative taps
+    /// (Haar) the box is `(bank.analyze(lo), bank.analyze(hi))` bit for
+    /// bit: the same products, added in the same order from 0.0.
     ///
     /// # Panics
     /// Panics if the dimensionality is odd.
     pub fn analyze_online2(&self, bank: &FilterBank) -> Bounds {
-        let d = bank.delta();
-        if d == 0.0 {
-            // Nonnegative filter (Haar): corners transform monotonically.
-            return Bounds { lo: bank.analyze(&self.lo), hi: bank.analyze(&self.hi) };
+        let n = self.dims();
+        assert!(n > 0 && n.is_multiple_of(2), "analysis needs even, nonzero length");
+        let mut lo = Vec::with_capacity(n / 2);
+        let mut hi = Vec::with_capacity(n / 2);
+        for i in 0..n / 2 {
+            let (mut l, mut h) = (0.0, 0.0);
+            for (k, &tap) in bank.taps().iter().enumerate() {
+                let j = (2 * i + k) % n;
+                if tap < 0.0 {
+                    l += tap * self.hi[j];
+                    h += tap * self.lo[j];
+                } else {
+                    l += tap * self.lo[j];
+                    h += tap * self.hi[j];
+                }
+            }
+            lo.push(l);
+            hi.push(h);
         }
-        // Equations 16–17.
-        let lo_plus = bank.analyze_shifted(&self.lo, d);
-        let hi_plus = bank.analyze_shifted(&self.hi, d);
-        let lo_delta = bank.analyze_delta(&self.lo, d);
-        let hi_delta = bank.analyze_delta(&self.hi, d);
-        let lo: Vec<f64> = lo_plus.iter().zip(&hi_delta).map(|(a, b)| a - b).collect();
-        let hi: Vec<f64> = hi_plus.iter().zip(&lo_delta).map(|(a, b)| a - b).collect();
         Bounds { lo, hi }
-    }
-
-    /// **Online I**: one analysis step applied to the rectangle by
-    /// transforming all `2^d` corners and taking the tightest enclosing box.
-    ///
-    /// # Panics
-    /// Panics if the dimensionality exceeds 24 (corner enumeration would be
-    /// intractable) or is odd.
-    pub fn analyze_online1(&self, bank: &FilterBank) -> Bounds {
-        let d = self.dims();
-        assert!(d <= 24, "Online I enumerates 2^d corners; d={d} is intractable");
-        let mut corner = vec![0.0; d];
-        let mut out: Option<Bounds> = None;
-        for mask in 0u64..(1u64 << d) {
-            for i in 0..d {
-                corner[i] = if mask >> i & 1 == 1 { self.hi[i] } else { self.lo[i] };
-            }
-            let t = bank.analyze(&corner);
-            match &mut out {
-                None => out = Some(Bounds::point(&t)),
-                Some(b) => b.extend(&t),
-            }
-        }
-        out.expect("at least one corner")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::filter::tests::db2;
 
     const EPS: f64 = 1e-9;
 
@@ -267,7 +239,7 @@ mod tests {
 
     #[test]
     fn online2_db2_contains_all_interior_transforms() {
-        let bank = FilterBank::db2();
+        let bank = db2();
         let b = sample_bounds();
         let out = b.analyze_online2(&bank);
         for p in interior_points(&b, 64) {
@@ -276,35 +248,42 @@ mod tests {
         }
     }
 
-    #[test]
-    fn online1_is_tighter_than_online2() {
-        let bank = FilterBank::db2();
+    /// With d ≥ taps no coordinate enters one output twice, so the box
+    /// is the tightest one around the images of all 2^d corners.
+    fn assert_online2_equals_corner_enumeration(bank: &FilterBank) {
         let b = sample_bounds();
-        let tight = b.analyze_online1(&bank);
-        let loose = b.analyze_online2(&bank);
-        assert!(loose.contains_bounds(&tight, EPS));
-        // And strictly looser in at least one dimension for this filter/box.
-        let lw: f64 = loose.widths().iter().sum();
-        let tw: f64 = tight.widths().iter().sum();
-        assert!(lw >= tw - EPS);
-    }
-
-    #[test]
-    fn online1_equals_online2_for_haar() {
-        // With nonnegative taps both reduce to corner transforms.
-        let bank = FilterBank::haar();
-        let b = sample_bounds();
-        let a = b.analyze_online1(&bank);
-        let c = b.analyze_online2(&bank);
-        for i in 0..a.dims() {
-            assert!((a.lo()[i] - c.lo()[i]).abs() < EPS);
-            assert!((a.hi()[i] - c.hi()[i]).abs() < EPS);
+        let out = b.analyze_online2(bank);
+        let mut corners: Option<Bounds> = None;
+        for mask in 0..1u32 << b.dims() {
+            let corner: Vec<f64> = (0..b.dims())
+                .map(|i| if mask >> i & 1 == 1 { b.hi()[i] } else { b.lo()[i] })
+                .collect();
+            let t = bank.analyze(&corner);
+            match &mut corners {
+                None => corners = Some(Bounds::point(&t)),
+                Some(c) => c.extend(&t),
+            }
+        }
+        let corners = corners.expect("at least one corner");
+        for i in 0..out.dims() {
+            assert!((out.lo()[i] - corners.lo()[i]).abs() < EPS);
+            assert!((out.hi()[i] - corners.hi()[i]).abs() < EPS);
         }
     }
 
     #[test]
+    fn online2_equals_corner_enumeration_for_haar() {
+        assert_online2_equals_corner_enumeration(&FilterBank::haar());
+    }
+
+    #[test]
+    fn online2_equals_corner_enumeration_for_db2() {
+        assert_online2_equals_corner_enumeration(&db2());
+    }
+
+    #[test]
     fn degenerate_box_transforms_to_exact_point() {
-        let bank = FilterBank::db2();
+        let bank = db2();
         let p = [0.3, -1.0, 2.2, 0.9];
         let b = Bounds::point(&p);
         let out = b.analyze_online2(&bank);

@@ -2,13 +2,29 @@
 //! conservativeness guarantees that everything above relies on.
 
 use proptest::prelude::*;
-use stardust_dsp::dft::{dft_coefficient, znorm_dft_feature};
 use stardust_dsp::haar;
 use stardust_dsp::mbr_transform::Bounds;
 use stardust_dsp::FilterBank;
 
 fn signal(len: usize) -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(-100.0f64..100.0, len)
+}
+
+/// The Daubechies-4 filter bank, whose last tap is negative.
+fn db2() -> FilterBank {
+    let s3 = 3f64.sqrt();
+    let norm = 4.0 * 2f64.sqrt();
+    FilterBank::from_taps(vec![
+        (1.0 + s3) / norm,
+        (3.0 + s3) / norm,
+        (3.0 - s3) / norm,
+        (1.0 - s3) / norm,
+    ])
+}
+
+/// The `i`-th of the `2^d` corners of `b`: bit `k` of `i` picks `hi[k]`.
+fn corner(b: &Bounds, i: usize) -> Vec<f64> {
+    (0..b.dims()).map(|k| if i >> k & 1 == 1 { b.hi()[k] } else { b.lo()[k] }).collect()
 }
 
 proptest! {
@@ -51,8 +67,8 @@ proptest! {
         prop_assert!(d_app <= d_sig + 1e-8);
     }
 
-    /// Lemma A.2 conservativeness for both filter families: the Online II
-    /// output box contains the transform of every corner and of midpoints.
+    /// Conservativeness for both filter families: the output box
+    /// contains the transform of every corner and of midpoints.
     #[test]
     fn online2_is_conservative(
         lo in proptest::collection::vec(-50.0f64..50.0, 8),
@@ -61,7 +77,7 @@ proptest! {
     ) {
         let hi: Vec<f64> = lo.iter().zip(&widths).map(|(l, w)| l + w).collect();
         let b = Bounds::new(lo.clone(), hi.clone());
-        let bank = if use_db2 { FilterBank::db2() } else { FilterBank::haar() };
+        let bank = if use_db2 { db2() } else { FilterBank::haar() };
         let out = b.analyze_online2(&bank);
         // corners: lo, hi, alternating, midpoint
         let mid: Vec<f64> = lo.iter().zip(&hi).map(|(l, h)| (l + h) / 2.0).collect();
@@ -76,53 +92,70 @@ proptest! {
             prop_assert!(out.contains(&t, 1e-7), "{t:?} outside {out:?}");
         }
     }
+}
 
-    /// Online I is always at least as tight as Online II and still
-    /// conservative.
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// The MBR transform is the exact box of one analysis step, for
+    /// random taps with a negative one, for db2 and for Haar: it holds
+    /// the image of every corner, the midpoint and random interior
+    /// points; where no tap wraps around the input (d ≥ taps) it equals
+    /// the box around the images of all 2^d corners; and for Haar it is
+    /// bit-for-bit the images of the low and high corners.
     #[test]
-    fn online1_tighter_than_online2(
-        lo in proptest::collection::vec(-10.0f64..10.0, 6),
-        widths in proptest::collection::vec(0.0f64..5.0, 6),
+    fn online2_is_the_exact_box(
+        random_taps in proptest::collection::vec(-2.0f64..2.0, 2..7),
+        negative in 0usize..6,
+        use_db2 in any::<bool>(),
+        half_d in 1usize..5,
+        lo in proptest::collection::vec(-50.0f64..50.0, 8),
+        widths in proptest::collection::vec(0.0f64..20.0, 8),
+        interior in proptest::collection::vec(proptest::collection::vec(0.0f64..1.0, 8), 8),
     ) {
+        let d = 2 * half_d;
+        let lo = lo[..d].to_vec();
         let hi: Vec<f64> = lo.iter().zip(&widths).map(|(l, w)| l + w).collect();
-        let b = Bounds::new(lo, hi);
-        let bank = FilterBank::db2();
-        let tight = b.analyze_online1(&bank);
-        let loose = b.analyze_online2(&bank);
-        prop_assert!(loose.contains_bounds(&tight, 1e-7));
-    }
-
-    /// DFT: Parseval over all coefficients, and z-norm feature invariance
-    /// under affine transformations with positive scale.
-    #[test]
-    fn dft_properties(x in signal(16), scale in 0.1f64..10.0, offset in -100.0f64..100.0) {
-        let e_time: f64 = x.iter().map(|v| v * v).sum();
-        let e_freq: f64 = (0..16).map(|k| dft_coefficient(&x, k).norm_sqr()).sum();
-        prop_assert!((e_time - e_freq).abs() < 1e-6 * (1.0 + e_time));
-
-        if let Some(fx) = znorm_dft_feature(&x, 4) {
-            let y: Vec<f64> = x.iter().map(|v| scale * v + offset).collect();
-            let fy = znorm_dft_feature(&y, 4).expect("scaled signal keeps variance");
-            for (a, b) in fx.iter().zip(&fy) {
-                prop_assert!((a - b).abs() < 1e-6);
+        let b = Bounds::new(lo.clone(), hi.clone());
+        let bank = if use_db2 {
+            db2()
+        } else {
+            let mut taps = random_taps;
+            let k = negative % taps.len();
+            taps[k] = -taps[k].abs().max(1e-3);
+            FilterBank::from_taps(taps)
+        };
+        let out = b.analyze_online2(&bank);
+        // The box around the images of all 2^d corners (Appendix A's
+        // Online I): `out` must hold it, and equal it where d ≥ taps.
+        let mut exact = Bounds::point(&bank.analyze(&lo));
+        for i in 1..1usize << d {
+            exact.extend(&bank.analyze(&corner(&b, i)));
+        }
+        let mid: Vec<f64> = lo.iter().zip(&hi).map(|(l, h)| (l + h) / 2.0).collect();
+        let inside = interior.iter().map(|t| {
+            lo.iter().zip(&hi).zip(t).map(|((l, h), t)| l + t * (h - l)).collect::<Vec<f64>>()
+        });
+        for probe in [exact.lo().to_vec(), exact.hi().to_vec()] {
+            prop_assert!(out.contains(&probe, 1e-9), "{probe:?} outside {out:?}");
+        }
+        for probe in inside.chain([mid]) {
+            let t = bank.analyze(&probe);
+            prop_assert!(out.contains(&t, 1e-9), "{t:?} outside {out:?}");
+        }
+        if d >= bank.taps().len() {
+            // Relative to the magnitude of the summed terms.
+            let magnitude = lo.iter().chain(&hi).fold(1.0f64, |m, v| m.max(v.abs()))
+                * bank.taps().iter().map(|h| h.abs()).sum::<f64>();
+            for (x, y) in out.lo().iter().chain(out.hi()).zip(exact.lo().iter().chain(exact.hi())) {
+                prop_assert!((x - y).abs() <= 1e-12 * magnitude, "{out:?} vs {exact:?}");
             }
         }
-    }
 
-    /// The δ-split identity holds for arbitrary filters with negative taps.
-    #[test]
-    fn delta_split_identity(
-        taps in proptest::collection::vec(-2.0f64..2.0, 2..6),
-        x in signal(16),
-    ) {
-        prop_assume!(taps.iter().any(|t| t.abs() > 1e-6));
-        let bank = FilterBank::from_taps(taps);
-        let d = bank.delta();
-        let direct = bank.analyze(&x);
-        let plus = bank.analyze_shifted(&x, d);
-        let minus = bank.analyze_delta(&x, d);
-        for i in 0..direct.len() {
-            prop_assert!((direct[i] - (plus[i] - minus[i])).abs() < 1e-7);
-        }
+        let haar = FilterBank::haar();
+        let out = b.analyze_online2(&haar);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        prop_assert_eq!(bits(out.lo()), bits(&haar.analyze(&lo)));
+        prop_assert_eq!(bits(out.hi()), bits(&haar.analyze(&hi)));
     }
 }

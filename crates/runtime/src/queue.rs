@@ -170,6 +170,20 @@ impl<T> BoundedQueue<T> {
         self.not_empty.notify_all();
     }
 
+    /// Closes the queue and drops what it still holds, for a consumer
+    /// that is gone for good: a caller parked on a dropped message's
+    /// reply channel then wakes with a disconnect instead of waiting
+    /// forever.
+    pub(crate) fn abandon(&self) {
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        inner.closed = true;
+        let dropped = std::mem::take(&mut inner.items);
+        drop(inner);
+        self.not_full.notify_all();
+        self.not_empty.notify_all();
+        drop(dropped);
+    }
+
     /// Current number of queued messages (production code tracks depth
     /// through `ShardCounters` instead).
     #[cfg(test)]
@@ -205,6 +219,17 @@ mod tests {
         assert_eq!(q.push(3), Err(3));
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn abandon_drops_what_it_holds() {
+        let q = BoundedQueue::new(4);
+        let (tx, rx) = std::sync::mpsc::channel::<()>();
+        q.try_push(tx).unwrap();
+        q.abandon();
+        assert!(rx.recv().is_err(), "the queued sender must be dropped");
+        assert!(matches!(q.try_push(std::sync::mpsc::channel().0), Err(PushError::Closed(_))));
+        assert!(q.pop().is_none());
     }
 
     #[test]

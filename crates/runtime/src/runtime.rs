@@ -3,6 +3,7 @@
 //! recovery, and drain-then-join shutdown.
 
 use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -295,12 +296,13 @@ impl Shared {
 
     /// Fail-stops a shard for good: the storm (if any) is recorded
     /// first, then the queue closes (producers unpark into
-    /// [`Self::route_failed_error`]) and the board is told.
+    /// [`Self::route_failed_error`]) and drops what it holds (queued
+    /// queries get a disconnect), and the board is told.
     fn fail_slot(&self, slot: usize, storm_restarts: Option<u32>) {
         if let Some(restarts) = storm_restarts {
             self.storms.lock().unwrap_or_else(PoisonError::into_inner).push((slot, restarts));
         }
-        self.queues[slot].close();
+        self.queues[slot].abandon();
         self.board.report_dead(slot, true);
     }
 
@@ -347,11 +349,12 @@ impl Shared {
             return;
         }
         let restore_span = self.core.telemetry.restore.span();
-        let rebuilt = self.rebuild(slot);
+        let rebuilt = panic::catch_unwind(AssertUnwindSafe(|| self.rebuild(slot)));
         drop(restore_span);
-        // A log this runtime wrote always rebuilds; should one not, the
-        // shard fails stop rather than the supervisor.
-        let Ok((core, _)) = rebuilt else {
+        // A log this runtime wrote always rebuilds; should one not — an
+        // error, or a panic that the replay repeats after the worker
+        // died of it — the shard fails stop rather than the supervisor.
+        let Ok(Ok((core, _))) = rebuilt else {
             self.fail_slot(slot, None);
             return;
         };

@@ -256,8 +256,9 @@ pub(crate) struct DeathNotice {
     pub board: Arc<Board>,
     pub clean: bool,
     /// With recovery disabled there is no supervisor to restore the
-    /// shard, so death must close the queue (unparking producers into
-    /// `Disconnected`) and is terminal.
+    /// shard, so death must close the queue and drop what it holds
+    /// (unparking producers and queued queries into `Disconnected`) and
+    /// is terminal.
     pub close_on_death: Option<Arc<BoundedQueue<ShardMsg>>>,
 }
 
@@ -268,7 +269,7 @@ impl Drop for DeathNotice {
         } else {
             let terminal = self.close_on_death.is_some();
             if let Some(queue) = &self.close_on_death {
-                queue.close();
+                queue.abandon();
             }
             self.board.report_dead(self.shard, terminal);
         }

@@ -413,6 +413,47 @@ fn respawn_storm_fail_stops_the_shard() {
     assert!(report.stats.total_appends() > 0);
 }
 
+/// A batch in which one stream runs ahead of its partner inside a
+/// round — the order of a client that batches per stream — neither
+/// panics the shard nor hangs a query: stream 1's feature query at 19
+/// reports stream 0's entry at 19 after stream 0 has pushed on to 21.
+/// Should the shard die of such a batch anyway, its replay dies the same
+/// way, and the supervisor fail-stops the shard, so the query below gets
+/// a typed error rather than waiting forever.
+#[test]
+fn skewed_batch_neither_panics_a_shard_nor_hangs() {
+    let streams = random_walk_streams(5, 2, 22);
+    let spec = MonitorSpec::new(4, 2, observed_r_max(&streams))
+        .with_correlations(CorrelationSpec { coeffs: 2, radius: 2.0 });
+    let config = RuntimeConfig { shards: 1, ..RuntimeConfig::default() };
+    let rt = ShardedRuntime::launch(&spec, 2, config).unwrap();
+    let batch: Batch = [(0, 0..17), (1, 0..16), (0, 17..22), (1, 16..20)]
+        .into_iter()
+        .flat_map(|(s, times)| times.map(move |t| (s as StreamId, t)))
+        .map(|(s, t)| (s, streams[s as usize][t]))
+        .collect();
+    rt.submit_blocking(&batch).unwrap();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let asker = std::thread::spawn(move || {
+        let _ = tx.send(rt.class_stats());
+        rt
+    });
+    let stats = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("class_stats must return, not hang")
+        .expect("the shard must survive the skewed batch");
+    assert!(stats.correlation.true_pairs > 0, "{stats:?}");
+    let report = asker.join().unwrap().shutdown();
+    assert_eq!(report.stats.total_appends(), 42);
+    assert!(
+        report.events.iter().any(|e| matches!(
+            e,
+            Event::Correlation(p) if p.time == 19 && p.correlation.is_some()
+        )),
+        "the pair at 19 must be reported and verified"
+    );
+}
+
 /// Stress variant: more shards, multiple seeds.
 #[test]
 fn stress_eight_shards_four_seeds() {

@@ -12,6 +12,7 @@
 //! that sweep exhaustive (every offset, both damage modes) and add a
 //! multi-seed crash-storm stress.
 
+use std::ffi::OsString;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -35,15 +36,6 @@ fn tempdir(tag: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
-}
-
-fn copy_dir(src: &Path, dst: &Path) {
-    let _ = std::fs::remove_dir_all(dst);
-    std::fs::create_dir_all(dst).unwrap();
-    for entry in std::fs::read_dir(src).unwrap() {
-        let entry = entry.unwrap();
-        std::fs::copy(entry.path(), dst.join(entry.file_name())).unwrap();
-    }
 }
 
 fn workload(seed: u64, n_streams: usize, n_values: usize) -> (Vec<Vec<f64>>, f64) {
@@ -524,9 +516,13 @@ fn wal_frames(bytes: &[u8]) -> Vec<Frame> {
 }
 
 /// A clean single-shard persisted run whose WAL carries every record
-/// (cadence 0 => no rotation), ready for the damage sweep.
+/// (cadence 0 => no rotation), ready for the damage sweep. The run's
+/// directory is held in memory; each check writes its damaged copy into
+/// a directory of its own and removes it.
 struct WalFixture {
-    dir: PathBuf,
+    tag: String,
+    /// The clean run's files, by name.
+    files: Vec<(OsString, Vec<u8>)>,
     spec: MonitorSpec,
     streams: Vec<Vec<f64>>,
     n_values: usize,
@@ -586,10 +582,16 @@ impl WalFixture {
             );
         }
         let clean_wal = std::fs::read(dir.join("shard-0.wal")).unwrap();
+        let files = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.map(|e| (e.file_name(), std::fs::read(e.path()).unwrap())).unwrap())
+            .collect();
+        std::fs::remove_dir_all(&dir).unwrap();
         let frames = wal_frames(&clean_wal);
         let total: u64 = frames.iter().map(|f| f.items).sum();
         assert_eq!(total, (streams.len() * n_values) as u64, "every append must be in the WAL");
-        WalFixture { dir, spec, streams, n_values, clean_wal, frames, ordered }
+        let tag = tag.to_string();
+        WalFixture { tag, files, spec, streams, n_values, clean_wal, frames, ordered }
     }
 
     /// The frames that survive damage at `offset`: every frame that
@@ -615,10 +617,10 @@ impl WalFixture {
     /// the error is typed by construction — reaching a `Result` at all
     /// is the no-panic guarantee.
     fn check(&self, case: &str, damage: Damage, check_equality: bool) {
-        let scratch = self
-            .dir
-            .with_file_name(format!("{}-case", self.dir.file_name().unwrap().to_string_lossy()));
-        copy_dir(&self.dir, &scratch);
+        let scratch = tempdir(&format!("{}-case", self.tag));
+        for (name, bytes) in &self.files {
+            std::fs::write(scratch.join(name), bytes).unwrap();
+        }
         let wal_path = scratch.join("shard-0.wal");
         let mut bytes = self.clean_wal.clone();
         let (expect_ok, survivors) = match damage {
@@ -739,7 +741,6 @@ fn crash_mid_group_prefix_sweep() {
         let check_equality = offset % 7 == 0;
         fx.check(&format!("group-truncate@{offset}"), Damage::Truncate(offset), check_equality);
     }
-    let _ = std::fs::remove_dir_all(&fx.dir);
 }
 
 /// Exhaustive sweep: every byte offset, both damage modes.
@@ -750,7 +751,6 @@ fn exhaustive_wal_damage_sweep() {
         fx.check(&format!("truncate@{offset}"), Damage::Truncate(offset), false);
         fx.check(&format!("flip@{offset}"), Damage::Flip(offset), false);
     }
-    let _ = std::fs::remove_dir_all(&fx.dir);
 }
 
 /// Multi-seed stress: random workloads under every disk-fault kind,

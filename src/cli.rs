@@ -820,7 +820,7 @@ mod tests {
     #[test]
     fn trend_subcommand_end_to_end() {
         // Pattern file on disk; stream contains the pattern at a known spot.
-        let dir = std::env::temp_dir().join("stardust_cli_trend");
+        let dir = std::env::temp_dir().join(format!("stardust_cli_trend-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let pfile = dir.join("patterns.csv");
         let ramp: Vec<String> = (0..32).map(|i| format!("{}", 10.0 + i as f64)).collect();
@@ -835,7 +835,7 @@ mod tests {
         let (cmd, args) = Args::parse(&argv(&argv_s)).unwrap();
         let out = run(&cmd, &args, &csv).expect("runs");
         assert!(out.contains("151,0,0,"), "match at row 151 expected:\n{out}");
-        let _ = std::fs::remove_file(&pfile);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! |---|---|---|
 //! | [`core`] | `stardust-core` | summarizer (Alg. 1), engine, query algorithms (Alg. 2–4, §5.3) |
 //! | [`index`] | `stardust-index` | R\*-tree with forced reinsertion, deletion, STR bulk load; banded `PointTable` |
-//! | [`dsp`] | `stardust-dsp` | Haar DWT + incremental merges (Lemmas A.1/A.2), sliding DFT |
-//! | [`baselines`] | `stardust-baselines` | SWT, StatStream, GeneralMatch, MR-Index, linear scan |
+//! | [`dsp`] | `stardust-dsp` | Haar DWT, incremental half-merge (Lemma A.1), MBR transform (App. A) |
+//! | [`baselines`] | `stardust-baselines` | SWT, StatStream and its sliding DFT, GeneralMatch, MR-Index, linear scan |
 //! | [`datagen`] | `stardust-datagen` | seeded workload generators for every §6 experiment |
 //! | [`runtime`] | `stardust-runtime` | sharded, multi-threaded ingestion & query runtime |
 //! | [`server`] | `stardust-server` | multi-client TCP ingest/query service + wire client |

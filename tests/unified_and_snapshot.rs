@@ -71,7 +71,7 @@ fn checkpoint_cycle_through_disk() {
     for &x in &data[0][..250] {
         live.push_quiet(x);
     }
-    let dir = std::env::temp_dir().join("stardust_ckpt_test");
+    let dir = std::env::temp_dir().join(format!("stardust_ckpt_test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("summary.snap");
     std::fs::write(&path, live.snapshot()).unwrap();
@@ -86,7 +86,7 @@ fn checkpoint_cycle_through_disk() {
     for j in 0..3 {
         assert_eq!(live.mbr_at(j, t), revived.mbr_at(j, t), "level {j}");
     }
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Engine checkpointing preserves pattern-query answers exactly.
