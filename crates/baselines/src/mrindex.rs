@@ -34,7 +34,7 @@ impl MrIndex {
     ///
     /// # Panics
     /// Panics on invalid parameters (see
-    /// [`stardust_core::config::Config::validate`]).
+    /// [`stardust_core::config::Config::check`]).
     pub fn new(
         base_window: usize,
         levels: usize,

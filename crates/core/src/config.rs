@@ -1,5 +1,6 @@
 //! Configuration of the multi-resolution summarizer.
 
+use crate::error::{ensure, SpecError};
 use crate::transform::TransformKind;
 
 /// Update-rate policy: how often a new feature is computed at level `j`
@@ -70,6 +71,13 @@ pub struct Config {
     pub compute: ComputeMode,
 }
 
+/// The shift `W << (levels − 1)` of the largest window, clamped so that
+/// an out-of-range level count reaches [`Config::check`] instead of
+/// overflowing the shift.
+fn max_shift(levels: usize) -> usize {
+    levels.saturating_sub(1).min(63)
+}
+
 impl Config {
     /// A configuration for the **online algorithm** (aggregate monitoring):
     /// `T_j = 1` with the given box capacity.
@@ -83,7 +91,7 @@ impl Config {
             base_window,
             levels,
             box_capacity,
-            history: base_window << (levels.saturating_sub(1)),
+            history: base_window << max_shift(levels),
             transform,
             dwt_coeffs: 2,
             r_max: 1.0,
@@ -99,7 +107,7 @@ impl Config {
             base_window,
             levels,
             box_capacity: 1,
-            history: base_window << (levels.saturating_sub(1)),
+            history: base_window << max_shift(levels),
             transform: TransformKind::Dwt,
             dwt_coeffs: f,
             r_max,
@@ -124,53 +132,33 @@ impl Config {
         self.window_at(self.levels - 1)
     }
 
-    /// Validates internal consistency; called by the summarizer
-    /// constructor.
-    ///
-    /// # Panics
-    /// Panics with a descriptive message on an invalid configuration.
-    pub fn validate(&self) {
-        if let Err(e) = self.check() {
-            panic!("{e}");
-        }
-    }
-
-    /// Non-panicking validation (used when restoring snapshots from
-    /// untrusted bytes).
+    /// Checks internal consistency. The summarizer constructor, every
+    /// monitor constructor and snapshot restore call it.
     ///
     /// # Errors
-    /// Returns a description of the first inconsistency.
-    pub fn check(&self) -> Result<(), String> {
-        if self.base_window < 1 {
-            return Err("base window W must be at least 1".into());
-        }
-        if self.levels < 1 {
-            return Err("need at least one resolution level".into());
-        }
-        if self.levels > 40 {
-            return Err("too many levels".into());
-        }
-        if self.box_capacity < 1 {
-            return Err("box capacity c must be at least 1".into());
-        }
-        if self.history < self.max_window() {
-            return Err("history N must cover the largest window".into());
-        }
-        if self.r_max.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-            return Err("R_max must be positive".into());
-        }
+    /// Names the first inconsistency.
+    pub fn check(&self) -> Result<(), SpecError> {
+        ensure(self.base_window >= 1, || "base window W must be at least 1".into())?;
+        ensure(self.levels >= 1, || "need at least one resolution level".into())?;
+        ensure(self.levels <= 40, || "too many levels".into())?;
+        ensure(self.base_window.checked_mul(1 << (self.levels - 1)).is_some(), || {
+            "largest window W·2^(levels−1) overflows".into()
+        })?;
+        ensure(self.box_capacity >= 1, || "box capacity c must be at least 1".into())?;
+        ensure(self.history >= self.max_window() && self.history < usize::MAX, || {
+            "history N must cover the largest window".into()
+        })?;
+        ensure(self.r_max > 0.0 && self.r_max.is_finite(), || {
+            "R_max must be positive and finite".into()
+        })?;
         if self.transform == TransformKind::Dwt {
-            if !self.base_window.is_power_of_two() {
-                return Err(format!(
-                    "DWT requires a power-of-two base window, got {}",
-                    self.base_window
-                ));
-            }
-            if !(self.dwt_coeffs.is_power_of_two() && self.dwt_coeffs <= self.base_window) {
-                return Err(
-                    "DWT coefficient count f must be a power of two no larger than W".into()
-                );
-            }
+            ensure(self.base_window.is_power_of_two(), || {
+                format!("DWT requires a power-of-two base window, got {}", self.base_window)
+            })?;
+            ensure(
+                self.dwt_coeffs.is_power_of_two() && self.dwt_coeffs <= self.base_window,
+                || "DWT coefficient count f must be a power of two no larger than W".into(),
+            )?;
         }
         // Feature alignment: computing level j from level j-1 requires the
         // half offset w_{j-1} and the period T_j to both be multiples of
@@ -178,12 +166,12 @@ impl Config {
         for j in 1..self.levels {
             let tj = self.update.period(j, self.base_window);
             let tprev = self.update.period(j - 1, self.base_window);
-            if !tj.is_multiple_of(tprev) {
-                return Err(format!("period at level {j} not a multiple of level {}", j - 1));
-            }
-            if !(self.window_at(j - 1) as u64).is_multiple_of(tprev) {
-                return Err(format!("half-window at level {} not aligned with its period", j - 1));
-            }
+            ensure(tj.is_multiple_of(tprev), || {
+                format!("period at level {j} not a multiple of level {}", j - 1)
+            })?;
+            ensure((self.window_at(j - 1) as u64).is_multiple_of(tprev), || {
+                format!("half-window at level {} not aligned with its period", j - 1)
+            })?;
         }
         Ok(())
     }
@@ -192,15 +180,16 @@ impl Config {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::summarizer::StreamSummary;
 
     #[test]
     fn online_config_is_valid() {
-        Config::online(TransformKind::Sum, 20, 6, 25).validate();
+        Config::online(TransformKind::Sum, 20, 6, 25).check().expect("valid");
     }
 
     #[test]
     fn batch_config_is_valid() {
-        Config::batch(64, 5, 2, 200.0).validate();
+        Config::batch(64, 5, 2, 200.0).check().expect("valid");
     }
 
     #[test]
@@ -224,19 +213,19 @@ mod tests {
         let mut cfg = Config::batch(64, 3, 2, 1.0);
         cfg.base_window = 20;
         cfg.history = 20 << 2;
-        cfg.validate();
+        let _ = StreamSummary::new(cfg);
     }
 
     #[test]
     #[should_panic(expected = "history N must cover")]
     fn short_history_rejected() {
-        Config::online(TransformKind::Sum, 16, 4, 1).with_history(10).validate();
+        let _ = StreamSummary::new(Config::online(TransformKind::Sum, 16, 4, 1).with_history(10));
     }
 
     #[test]
     fn swat_policy_is_aligned() {
         let mut cfg = Config::online(TransformKind::Sum, 16, 5, 1);
         cfg.update = UpdatePolicy::Swat;
-        cfg.validate();
+        cfg.check().expect("aligned");
     }
 }

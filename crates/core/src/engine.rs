@@ -67,7 +67,6 @@ impl Stardust {
             TransformKind::Dwt,
             "the indexed engine is DWT-based; aggregates use AggregateMonitor"
         );
-        config.validate();
         let dims = config.transform.dims(config.dwt_coeffs);
         let streams = (0..n_streams).map(|_| StreamSummary::new(config.clone())).collect();
         let trees =

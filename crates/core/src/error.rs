@@ -1,4 +1,4 @@
-//! Query-level errors.
+//! Query-level and monitor-description errors.
 
 /// Why a query could not be posed against the engine. (Data not yet
 /// available — warm-up — is reported as an empty/`None` answer, not an
@@ -47,6 +47,42 @@ impl std::fmt::Display for QueryError {
 }
 
 impl std::error::Error for QueryError {}
+
+/// Why a monitor could not be built from its parameters. Every monitor
+/// constructor returns it instead of panicking, and
+/// [`crate::spec::MonitorSpec::build`] checks a whole description with
+/// them before any monitor runs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SpecError {
+    /// No query class is enabled: there is nothing to monitor.
+    NoQueryClass,
+    /// A parameter is out of range or inconsistent with another; the
+    /// message names it.
+    Invalid(String),
+    /// A trend pattern was rejected.
+    Pattern(QueryError),
+}
+
+impl std::fmt::Display for SpecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SpecError::NoQueryClass => write!(f, "enable at least one query class"),
+            SpecError::Invalid(what) => f.write_str(what),
+            SpecError::Pattern(e) => write!(f, "trend pattern rejected: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for SpecError {}
+
+/// `Err(SpecError::Invalid(what))` unless `ok`.
+pub(crate) fn ensure(ok: bool, what: impl FnOnce() -> String) -> Result<(), SpecError> {
+    if ok {
+        Ok(())
+    } else {
+        Err(SpecError::Invalid(what()))
+    }
+}
 
 #[cfg(test)]
 mod tests {

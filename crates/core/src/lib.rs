@@ -20,6 +20,7 @@
 //! | k-most-similar search | [`query::pattern::nearest_online`] | §1 finance scenario |
 //! | Continuous trend monitoring (standing patterns) | [`query::trend::TrendMonitor`] | §2.3 |
 //! | Correlation monitoring (incl. lagged pairs) | [`query::correlation::CorrelationMonitor`] | §5.3 |
+//! | All classes as one monitor | [`spec::MonitorSpec`] builds a [`unified::UnifiedMonitor`] | §1 |
 //!
 //! All three share the same summarization substrate
 //! ([`summarizer::StreamSummary`], Algorithm 1) — that shared substrate is
@@ -58,6 +59,7 @@ pub mod normalize;
 pub mod query;
 pub mod sketch;
 pub mod snapshot;
+pub mod spec;
 pub mod stats;
 pub mod stream;
 pub mod summarizer;
@@ -67,9 +69,10 @@ pub mod unified;
 
 pub use config::{ComputeMode, Config, UpdatePolicy};
 pub use engine::{IndexEntry, Stardust};
-pub use error::QueryError;
+pub use error::{QueryError, SpecError};
 pub use mbr::FeatureMbr;
 pub use sketch::{BlockSketch, SketchDelta, SketchProjection, PRUNE_SLACK};
+pub use spec::{AggregateSpec, CorrelationSpec, MonitorSpec, TrendPattern, TrendSpec};
 pub use stream::{StreamHistory, StreamId, Time};
 pub use summarizer::{StreamSummary, SummaryEvent};
 pub use transform::TransformKind;

@@ -10,7 +10,7 @@
 //! verification, which is what the precision measurements of §6.1 count.
 
 use crate::config::Config;
-use crate::error::QueryError;
+use crate::error::{ensure, QueryError, SpecError};
 use crate::snapshot::{Reader, SnapshotError, Writer};
 use crate::stream::Time;
 use crate::summarizer::StreamSummary;
@@ -118,6 +118,40 @@ struct Monitored {
     levels: Vec<usize>,
 }
 
+/// Checks monitored windows against a summary configuration and
+/// decomposes them; [`AggregateMonitor::try_new`] and
+/// [`AggregateMonitor::restore`] both go through here.
+fn monitored(config: &Config, specs: &[WindowSpec]) -> Result<Vec<Monitored>, SpecError> {
+    ensure(config.transform != TransformKind::Dwt, || {
+        "aggregate monitoring needs a scalar transform".into()
+    })?;
+    specs
+        .iter()
+        .map(|&spec| {
+            ensure(spec.window >= 1, || "window must be positive".into())?;
+            // A saturated cover is larger than any history.
+            let effective =
+                spec.window.div_ceil(config.base_window).saturating_mul(config.base_window);
+            ensure(effective == spec.window || config.transform != TransformKind::Min, || {
+                format!(
+                    "MIN window {} must be a multiple of W = {} (covering windows only \
+                     upper-bound SUM/MAX/SPREAD)",
+                    spec.window, config.base_window
+                )
+            })?;
+            ensure(effective <= config.history, || {
+                format!(
+                    "window {} (covered by {}) exceeds history {}",
+                    spec.window, effective, config.history
+                )
+            })?;
+            let levels = decompose(effective, config.base_window, config.levels - 1)
+                .map_err(|e| SpecError::Invalid(format!("window {}: {e}", spec.window)))?;
+            Ok(Monitored { spec, effective, levels })
+        })
+        .collect()
+}
+
 /// Continuous aggregate monitoring of one stream over a set of windows
 /// (the Stardust side of the §6.1 experiments).
 pub struct AggregateMonitor {
@@ -152,44 +186,29 @@ impl AggregateMonitor {
     /// stream model (values in `[0, R_max]`, nonnegative).
     ///
     /// # Panics
-    /// Panics if the transform is DWT (no scalar aggregate), a window is
-    /// not decomposable over the configured levels, a MIN window is not a
-    /// multiple of `W`, or a covering window exceeds the history.
+    /// Panics with [`Self::try_new`]'s message on invalid parameters.
     pub fn new(config: Config, specs: &[WindowSpec]) -> Self {
-        assert_ne!(
-            config.transform,
-            TransformKind::Dwt,
-            "aggregate monitoring needs a scalar transform"
-        );
-        config.validate();
-        let windows = specs
-            .iter()
-            .map(|&spec| {
-                assert!(spec.window >= 1, "window must be positive");
-                let effective =
-                    spec.window.div_ceil(config.base_window) * config.base_window;
-                assert!(
-                    effective == spec.window || config.transform != TransformKind::Min,
-                    "MIN window {} must be a multiple of W = {} (covering windows only upper-bound SUM/MAX/SPREAD)",
-                    spec.window,
-                    config.base_window
-                );
-                assert!(
-                    effective <= config.history,
-                    "window {} (covered by {}) exceeds history {}",
-                    spec.window,
-                    effective,
-                    config.history
-                );
-                let levels = decompose(effective, config.base_window, config.levels - 1)
-                    .unwrap_or_else(|e| panic!("window {}: {e}", spec.window));
-                Monitored { spec, effective, levels }
-            })
-            .collect();
+        Self::try_new(config, specs).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Self::new`] without the panic.
+    ///
+    /// # Errors
+    /// An invalid configuration, a DWT transform (no scalar aggregate), a
+    /// window that is not decomposable over the configured levels, a MIN
+    /// window that is not a multiple of `W`, or a covering window that
+    /// exceeds the history.
+    pub fn try_new(config: Config, specs: &[WindowSpec]) -> Result<Self, SpecError> {
+        config.check()?;
+        let windows = monitored(&config, specs)?;
+        Ok(Self::assemble(StreamSummary::new(config), windows, AlarmStats::default()))
+    }
+
+    fn assemble(summary: StreamSummary, windows: Vec<Monitored>, stats: AlarmStats) -> Self {
         AggregateMonitor {
-            summary: StreamSummary::new(config),
+            summary,
             windows,
-            stats: AlarmStats::default(),
+            stats,
             scratch: Vec::new(),
             telemetry: crate::telemetry::ClassTelemetry::default(),
         }
@@ -287,35 +306,14 @@ impl AggregateMonitor {
         let summary = StreamSummary::restore(r.blob()?)?;
         let stats = AlarmStats { checks: r.u64()?, candidates: r.u64()?, true_alarms: r.u64()? };
         let n = r.count(16)?;
-        let mut windows = Vec::with_capacity(n);
-        let config = summary.config().clone();
-        if config.transform == TransformKind::Dwt {
-            return Err(SnapshotError::Corrupt("aggregate snapshot with DWT transform"));
-        }
+        let mut specs = Vec::with_capacity(n);
         for _ in 0..n {
-            let spec = WindowSpec { window: r.usize()?, threshold: r.f64()? };
-            if spec.window == 0 {
-                return Err(SnapshotError::Corrupt("zero aggregate window"));
-            }
-            let effective = spec.window.div_ceil(config.base_window) * config.base_window;
-            if effective != spec.window && config.transform == TransformKind::Min {
-                return Err(SnapshotError::Corrupt("unaligned MIN window"));
-            }
-            if effective > config.history {
-                return Err(SnapshotError::Corrupt("window exceeds history"));
-            }
-            let levels = decompose(effective, config.base_window, config.levels - 1)
-                .map_err(|_| SnapshotError::Corrupt("window not decomposable"))?;
-            windows.push(Monitored { spec, effective, levels });
+            specs.push(WindowSpec { window: r.usize()?, threshold: r.f64()? });
         }
         r.expect_end()?;
-        Ok(AggregateMonitor {
-            summary,
-            windows,
-            stats,
-            scratch: Vec::new(),
-            telemetry: crate::telemetry::ClassTelemetry::default(),
-        })
+        let windows = monitored(summary.config(), &specs)
+            .map_err(|_| SnapshotError::Corrupt("aggregate windows disagree with the summary"))?;
+        Ok(Self::assemble(summary, windows, stats))
     }
 
     /// The current composed interval for the monitored window of size `w`

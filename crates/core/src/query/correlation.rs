@@ -24,6 +24,7 @@ use stardust_dsp::haar;
 use stardust_index::PointTable;
 
 use crate::config::Config;
+use crate::error::{ensure, SpecError};
 use crate::normalize;
 use crate::sketch::BlockSketch;
 use crate::snapshot::{Reader, SnapshotError, Writer};
@@ -123,7 +124,6 @@ pub struct CorrelationMonitor {
     /// (see [`crate::sketch`]); single-process use pays only the two
     /// accumulator adds per value.
     sketches: Vec<BlockSketch>,
-    sketch_block: usize,
     radius: f64,
     level: usize,
     window: usize,
@@ -235,34 +235,80 @@ impl CorrelationMonitor {
     /// by default.
     ///
     /// # Panics
-    /// Panics on invalid parameters (see [`Config::validate`]) or a
-    /// non-finite/negative radius.
+    /// Panics with [`Self::try_new`]'s message on invalid parameters.
     pub fn new(base_window: usize, levels: usize, f: usize, radius: f64, n_streams: usize) -> Self {
-        assert!(radius.is_finite() && radius >= 0.0, "radius must be finite and nonnegative");
+        Self::try_new(base_window, levels, f, radius, n_streams).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Self::new`] without the panic.
+    ///
+    /// # Errors
+    /// A non-finite or negative radius, zero streams, `f = 0`, an `f`
+    /// whose approximation pyramid exceeds `W`, or an invalid
+    /// summarizer configuration (see [`Config::check`]).
+    pub fn try_new(
+        base_window: usize,
+        levels: usize,
+        f: usize,
+        radius: f64,
+        n_streams: usize,
+    ) -> Result<Self, SpecError> {
+        let config = Self::summary_config(base_window, levels, f, radius, n_streams, 1)?;
+        let summaries = (0..n_streams).map(|_| StreamSummary::new(config.clone())).collect();
+        Ok(Self::assemble(summaries, f, radius, 1))
+    }
+
+    /// Checks a monitor's parameters and returns the configuration of
+    /// its summaries. [`Self::try_new`], [`Self::with_lag_periods`] and
+    /// [`Self::restore`] all go through here.
+    fn summary_config(
+        base_window: usize,
+        levels: usize,
+        f: usize,
+        radius: f64,
+        n_streams: usize,
+        lag_periods: usize,
+    ) -> Result<Config, SpecError> {
+        ensure(radius.is_finite() && radius >= 0.0, || {
+            "radius must be finite and nonnegative".into()
+        })?;
         // A single-stream monitor reports no pairs locally but still
         // maintains its summary and sketch — a sharded deployment needs
         // exactly that from one-stream shards to serve cross-shard
         // verification.
-        assert!(n_streams >= 1, "correlation needs at least one stream");
+        ensure(n_streams >= 1, || "correlation needs at least one stream".into())?;
+        ensure(f >= 1, || "correlation needs at least one feature coefficient".into())?;
+        ensure(lag_periods >= 1, || "need at least one period".into())?;
         // The maintained approximation vector must be long enough to carry
         // the leading coefficient plus f details.
-        let pyramid = (f + 1).next_power_of_two();
-        assert!(
-            pyramid <= base_window,
-            "f = {f} needs an approximation pyramid of {pyramid} ≤ W = {base_window}"
-        );
+        let pyramid =
+            f.checked_add(1).and_then(usize::checked_next_power_of_two).unwrap_or(usize::MAX);
+        ensure(pyramid <= base_window, || {
+            format!("f = {f} needs an approximation pyramid of {pyramid} ≤ W = {base_window}")
+        })?;
         let config = Config::batch(base_window, levels, pyramid, 1.0);
-        config.validate();
-        let level = levels - 1;
-        let window = config.window_at(level);
-        let summaries = (0..n_streams).map(|_| StreamSummary::new(config.clone())).collect();
+        config.check()?;
+        // Verifying a lagged pair needs the partner's full window, which
+        // ends up to `lag_periods − 1` update periods in the past.
+        let history = (lag_periods - 1)
+            .checked_mul(base_window)
+            .and_then(|n| n.checked_add(config.max_window()))
+            .ok_or_else(|| SpecError::Invalid("lag horizon overflows".into()))?;
+        Ok(config.with_history(history))
+    }
+
+    /// Puts a monitor together over checked summaries.
+    fn assemble(summaries: Vec<StreamSummary>, f: usize, radius: f64, lag_periods: usize) -> Self {
+        let config = summaries[0].config();
+        let (base_window, level) = (config.base_window, config.levels - 1);
+        let window = config.max_window();
+        let n_streams = summaries.len();
         CorrelationMonitor {
             summaries,
             table: PointTable::new(f, radius.max(MIN_BAND_WIDTH)),
             round: None,
-            lag_periods: 1,
+            lag_periods,
             sketches: (0..n_streams).map(|_| BlockSketch::new(window, base_window)).collect(),
-            sketch_block: base_window,
             radius,
             level,
             window,
@@ -300,39 +346,24 @@ impl CorrelationMonitor {
     /// (default) reports synchronized pairs only.
     ///
     /// # Panics
-    /// Panics if `periods` is zero or the monitor has already consumed
-    /// values (the raw-history size depends on the lag horizon).
+    /// Panics if `periods` is zero or the lag horizon overflows, or if
+    /// the monitor has already consumed values (the raw-history size
+    /// depends on the lag horizon).
     pub fn with_lag_periods(mut self, periods: usize) -> Self {
-        assert!(periods >= 1, "need at least one period");
         assert!(self.summaries[0].now().is_none(), "configure the lag before feeding values");
-        // Verifying a lagged pair needs the partner's full window, which
-        // ends up to `periods − 1` update periods in the past.
-        let mut config = self.summaries[0].config().clone();
-        config.history = self.window + (periods - 1) * config.base_window;
+        let base = self.summaries[0].config();
+        let config = Self::summary_config(
+            base.base_window,
+            base.levels,
+            self.f,
+            self.radius,
+            self.summaries.len(),
+            periods,
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
         self.summaries =
             (0..self.summaries.len()).map(|_| StreamSummary::new(config.clone())).collect();
         self.lag_periods = periods;
-        self
-    }
-
-    /// Overrides the block granularity of the per-stream sliding-window
-    /// sketches (default: the base window `W`, giving `2^(levels−1)`
-    /// blocks per sketch). A finer block tightens the cross-shard prune
-    /// bound at the cost of proportionally more exchange traffic.
-    ///
-    /// # Panics
-    /// Panics unless `block` divides the correlation window `N`, or if
-    /// the monitor has already consumed values.
-    pub fn with_sketch_block(mut self, block: usize) -> Self {
-        assert!(self.summaries[0].now().is_none(), "configure the sketch before feeding values");
-        assert!(
-            block >= 1 && self.window.is_multiple_of(block),
-            "sketch block must divide the correlation window N = {}",
-            self.window
-        );
-        self.sketch_block = block;
-        self.sketches =
-            (0..self.summaries.len()).map(|_| BlockSketch::new(self.window, block)).collect();
         self
     }
 
@@ -344,11 +375,6 @@ impl CorrelationMonitor {
     /// The sliding-window sketch of one stream.
     pub fn sketch(&self, stream: StreamId) -> &BlockSketch {
         &self.sketches[stream as usize]
-    }
-
-    /// Block granularity of the per-stream sketches.
-    pub fn sketch_block(&self) -> usize {
-        self.sketch_block
     }
 
     /// The correlation window size `N`.
@@ -402,11 +428,38 @@ impl CorrelationMonitor {
             w.u64(stream as u64);
             w.u64(t);
         }
-        w.usize(self.sketch_block);
+        // The sketch block, always W.
+        w.usize(self.summaries[0].config().base_window);
         for sketch in &self.sketches {
             sketch.write_into(&mut w);
         }
+        // Windows kept for a partner that has yet to report them. Only a
+        // skewed feed leaves one, so a round-robin feed's snapshot ends
+        // above.
+        let kept: Vec<(usize, Time)> = (0..self.summaries.len())
+            .filter_map(|s| self.kept_window(s).map(|end| (s, end)))
+            .collect();
+        if !kept.is_empty() {
+            w.usize(kept.len());
+            for (s, end) in kept {
+                w.u64(s as u64);
+                w.u64(end);
+                w.f64_slice(&self.scratch.znormed[s].z);
+            }
+        }
         w.finish()
+    }
+
+    /// The end of stream `s`'s z-window when a snapshot must carry it:
+    /// `s` has pushed past it (so its history is losing the window),
+    /// some stream has not reached it yet, and the feature taken there
+    /// is still indexed for that stream to report.
+    fn kept_window(&self, s: usize) -> Option<Time> {
+        let end = self.scratch.znormed[s].end?;
+        (self.summaries[s].now().is_some_and(|now| now > end)
+            && self.summaries.iter().any(|other| other.now().is_none_or(|now| now < end))
+            && self.table.iter().any(|(_, &key)| key == (s as StreamId, end)))
+        .then_some(end)
     }
 
     /// Rebuilds a monitor from [`Self::snapshot`] bytes.
@@ -416,65 +469,40 @@ impl CorrelationMonitor {
     pub fn restore(bytes: &[u8]) -> Result<Self, SnapshotError> {
         let mut r = Reader::new(bytes)?;
         let n_streams = r.count(16)?;
-        if n_streams == 0 {
-            return Err(SnapshotError::Corrupt("correlation needs at least one stream"));
-        }
         let mut summaries = Vec::with_capacity(n_streams);
         for _ in 0..n_streams {
             summaries.push(StreamSummary::restore(r.blob()?)?);
         }
-        let config = summaries[0].config().clone();
+        let (f, radius, lag_periods) = (r.usize()?, r.f64()?, r.usize()?);
+        let params_err =
+            SnapshotError::Corrupt("correlation parameters disagree with the summaries");
+        let config = summaries.first().ok_or(params_err.clone())?.config();
+        let config = Self::summary_config(
+            config.base_window,
+            config.levels,
+            f,
+            radius,
+            n_streams,
+            lag_periods,
+        )
+        .map_err(|_| params_err.clone())?;
         if summaries.iter().any(|s| *s.config() != config) {
-            return Err(SnapshotError::Corrupt("correlation summaries disagree on config"));
+            return Err(params_err);
         }
-        let f = r.usize()?;
-        if (f + 1).next_power_of_two() != config.dwt_coeffs {
-            return Err(SnapshotError::Corrupt("feature count disagrees with config"));
-        }
-        let radius = r.f64()?;
-        if !(radius.is_finite() && radius >= 0.0) {
-            return Err(SnapshotError::Corrupt("invalid correlation radius"));
-        }
-        let lag_periods = r.usize()?;
-        if lag_periods == 0 {
-            return Err(SnapshotError::Corrupt("zero lag periods"));
-        }
-        let level = config.levels - 1;
-        let window = config.window_at(level);
-        // Verifying a lagged partner reads its full window, up to
-        // `lag_periods − 1` periods back, from the raw history, which
-        // `with_lag_periods` sizes to exactly that horizon.
-        let period = config.base_window as u64;
-        let horizon = (lag_periods - 1).checked_mul(config.base_window).map(|n| n + window);
-        if horizon.is_none_or(|n| config.history < n) {
-            return Err(SnapshotError::Corrupt("history shorter than the lag horizon"));
-        }
-        let verify = match r.u8()? {
+        let mut monitor = Self::assemble(summaries, f, radius, lag_periods);
+        monitor.verify = match r.u8()? {
             0 => false,
             1 => true,
             _ => return Err(SnapshotError::Corrupt("verify tag")),
         };
-        let round = match r.u8()? {
+        monitor.round = match r.u8()? {
             0 => None,
             1 => Some(r.u64()?),
             _ => return Err(SnapshotError::Corrupt("round tag")),
         };
-        let stats = CorrelationStats { reported: r.u64()?, true_pairs: r.u64()? };
-        // Whether another stream's next feature query could report an
-        // entry of `stream` taken at `t` (the query's lag horizon, and in
-        // synchronized mode the round it does not clear).
-        let reportable = |stream: usize, t: Time| {
-            summaries.iter().enumerate().any(|(s, other)| {
-                let next = other.now().map_or(0, |now| now + 1).max(window as u64 - 1);
-                let at = (next + 1).div_ceil(period) * period - 1;
-                s != stream
-                    && t > at.saturating_sub(lag_periods as u64 * period)
-                    && (lag_periods > 1 || round == Some(at))
-            })
-        };
+        monitor.stats = CorrelationStats { reported: r.u64()?, true_pairs: r.u64()? };
+        let (period, window) = (config.base_window as u64, monitor.window);
         let n_entries = r.count(24)?;
-        let mut table = PointTable::new(f, radius.max(MIN_BAND_WIDTH));
-        let mut raw = Vec::new();
         for _ in 0..n_entries {
             let coords = r.f64_vec()?;
             if coords.len() != f {
@@ -487,45 +515,55 @@ impl CorrelationMonitor {
             }
             let t = r.u64()?;
             // An indexed feature was taken at one of its stream's feature
-            // times, and while a partner can still report it, the window
-            // ending there must still be in the history: the report
-            // re-reads it.
-            let summary = &summaries[stream as usize];
-            if summary.now().is_none_or(|now| t > now)
+            // times.
+            if monitor.summaries[stream as usize].now().is_none_or(|now| t > now)
                 || !(t + 1).is_multiple_of(period)
                 || t + 1 < window as u64
-                || (!summary.history().copy_window(t, window, &mut raw)
-                    && reportable(stream as usize, t))
             {
                 return Err(SnapshotError::Corrupt("entry window outside its stream's history"));
             }
-            table.push(&coords, (stream, t));
+            monitor.table.push(&coords, (stream, t));
         }
-        let sketch_block = r.usize()?;
-        if sketch_block == 0 || sketch_block > window || !window.is_multiple_of(sketch_block) {
-            return Err(SnapshotError::Corrupt("sketch block disagrees with window"));
+        if r.usize()? != config.base_window {
+            return Err(SnapshotError::Corrupt("sketch block is not W"));
         }
-        let mut sketches = Vec::with_capacity(n_streams);
-        for _ in 0..n_streams {
-            sketches.push(BlockSketch::read_from(&mut r, window, sketch_block)?);
+        for sketch in &mut monitor.sketches {
+            *sketch = BlockSketch::read_from(&mut r, window, config.base_window)?;
+        }
+        if !r.at_end() {
+            let kept_err = SnapshotError::Corrupt("kept window no partner can report");
+            for _ in 0..r.count(24)? {
+                let s = usize::try_from(r.u64()?).map_err(|_| kept_err.clone())?;
+                let (end, z) = (r.u64()?, r.f64_vec()?);
+                let slot = monitor.scratch.znormed.get_mut(s).ok_or(kept_err.clone())?;
+                if slot.end.is_some() || !(z.is_empty() || z.len() == window) {
+                    return Err(kept_err);
+                }
+                *slot = ZWindow { end: Some(end), z };
+                if monitor.kept_window(s) != Some(end) {
+                    return Err(kept_err);
+                }
+            }
         }
         r.expect_end()?;
-        Ok(CorrelationMonitor {
-            summaries,
-            table,
-            round,
-            lag_periods,
-            sketches,
-            sketch_block,
-            radius,
-            level,
-            window,
-            f,
-            verify,
-            stats,
-            telemetry: crate::telemetry::ClassTelemetry::default(),
-            scratch: Scratch::for_streams(n_streams),
-        })
+        // A verifying synchronized monitor keeps a window before its
+        // stream pushes past it while a partner has yet to report it, so
+        // an entry that a partner can report is in its stream's history
+        // or kept.
+        if monitor.verify && lag_periods == 1 {
+            let mut raw = Vec::new();
+            let mut lost = |&(s, t): &(StreamId, Time)| {
+                let s = s as usize;
+                monitor.round == Some(t)
+                    && monitor.summaries.iter().any(|o| o.now().is_none_or(|now| now < t))
+                    && monitor.scratch.znormed[s].end != Some(t)
+                    && !monitor.summaries[s].history().copy_window(t, window, &mut raw)
+            };
+            if monitor.table.iter().any(|(_, key)| lost(key)) {
+                return Err(SnapshotError::Corrupt("entry window outside its stream's history"));
+            }
+        }
+        Ok(monitor)
     }
 
     /// Appends one value to one stream; returns the pairs reported by this
@@ -832,11 +870,11 @@ mod tests {
         assert!(mon.summary(0).history().window(15, mon.window()).is_some());
     }
 
-    /// The sketch clock tracks the stream clock exactly, and a finer
-    /// block still aligns with feature times.
+    /// The sketch clock tracks the stream clock exactly, and its block
+    /// (always W) aligns with feature times.
     #[test]
     fn sketches_stay_synchronized_with_summaries() {
-        let mut mon = CorrelationMonitor::new(8, 2, 2, 0.5, 2).with_sketch_block(4);
+        let mut mon = CorrelationMonitor::new(4, 2, 2, 0.5, 2);
         let mut seed = 5u64;
         for _ in 0..100 {
             for s in 0..2 {
@@ -955,6 +993,85 @@ mod tests {
         let at_19: Vec<_> = expected.into_iter().filter(|k| k[2] == 19).collect();
         assert!(at_19.len() == 1 && at_19[0][5] != u64::MAX, "{at_19:?}");
         assert_eq!(keys, at_19);
+    }
+
+    /// Appends each stream's next value (per `next`) in `order`; returns
+    /// every report as `(a, b, time, time_other, distance bits,
+    /// correlation bits)`, in emission order.
+    fn feed_from(
+        mon: &mut CorrelationMonitor,
+        next: &mut [usize],
+        order: &[StreamId],
+    ) -> Vec<[u64; 6]> {
+        let mut keys = Vec::new();
+        for &s in order {
+            next[s as usize] += 1;
+            for p in mon.append(s, value(s, next[s as usize] - 1)) {
+                let corr = p.correlation.map_or(u64::MAX, f64::to_bits);
+                let fd = p.feature_distance.to_bits();
+                keys.push([p.a.into(), p.b.into(), p.time, p.time_other, fd, corr]);
+            }
+        }
+        keys
+    }
+
+    fn runs(runs: &[(StreamId, usize)]) -> Vec<StreamId> {
+        runs.iter().flat_map(|&(s, n)| std::iter::repeat_n(s, n)).collect()
+    }
+
+    /// Stream 0 has pushed past its feature at 19 and its history has
+    /// dropped that window, but stream 1 has yet to report it: the
+    /// snapshot carries the window kept before the push, and the
+    /// restored monitor continues exactly like the live one.
+    #[test]
+    fn a_window_kept_for_a_partner_survives_restore() {
+        let mut live = CorrelationMonitor::new(4, 2, 2, 2.0, 2);
+        let mut next = [0; 2];
+        feed_from(&mut live, &mut next, &runs(&[(0, 17), (1, 16), (0, 5), (1, 2)]));
+        let mut revived =
+            CorrelationMonitor::restore(&live.snapshot()).expect("a live state restores");
+        assert_eq!(revived.snapshot(), live.snapshot());
+        let tail = runs(&[(1, 2), (0, 3), (1, 9), (0, 12), (1, 4)]);
+        let (mut next_live, mut next_revived) = (next, next);
+        let reported = feed_from(&mut live, &mut next_live, &tail);
+        assert_eq!(feed_from(&mut revived, &mut next_revived, &tail), reported);
+        assert_eq!(revived.snapshot(), live.snapshot());
+        // Stream 1's next two appends verify stream 0's window at 19.
+        let first = reported[0];
+        assert_eq!(first[..4], [1, 0, 19, 19]);
+        assert_ne!(first[5], u64::MAX, "the pair at 19 must be verified");
+    }
+
+    /// Skewed feeds (a stream up to two rounds ahead), synchronized and
+    /// lagged: a snapshot taken after any append restores, and the
+    /// restored monitor reports what the live one does, to the bit.
+    #[test]
+    fn skewed_feeds_restore_at_any_point() {
+        for (lag, mut seed) in [(1, 3u64), (1, 4), (2, 5), (3, 6)] {
+            let mut order = Vec::new();
+            let mut next = [0usize; 3];
+            while order.len() < 120 {
+                let s = (rng(&mut seed) * 3.0) as usize;
+                if next[s] - next.iter().min().expect("three streams") < 8 {
+                    next[s] += 1;
+                    order.push(s as StreamId);
+                }
+            }
+            for cut in 0..order.len() {
+                let mut live = CorrelationMonitor::new(4, 2, 2, 1.5, 3).with_lag_periods(lag);
+                let mut next = [0; 3];
+                feed_from(&mut live, &mut next, &order[..cut]);
+                let mut revived = CorrelationMonitor::restore(&live.snapshot())
+                    .unwrap_or_else(|e| panic!("lag {lag}, cut {cut}: {e}"));
+                let mut next_revived = next;
+                assert_eq!(
+                    feed_from(&mut revived, &mut next_revived, &order[cut..]),
+                    feed_from(&mut live, &mut next, &order[cut..]),
+                    "lag {lag}, cut {cut}"
+                );
+                assert_eq!(revived.snapshot(), live.snapshot(), "lag {lag}, cut {cut}");
+            }
+        }
     }
 
     /// A feed in which no two streams are more than W − 1 values apart

@@ -16,7 +16,7 @@ use stardust_dsp::haar;
 use stardust_index::PointTable;
 
 use crate::config::Config;
-use crate::error::QueryError;
+use crate::error::{ensure, QueryError, SpecError};
 use crate::normalize::unit_sphere_scale;
 use crate::query::aggregate::decompose;
 use crate::snapshot::{Reader, SnapshotError, Writer};
@@ -134,21 +134,39 @@ impl TrendMonitor {
     /// every arrival is checked).
     ///
     /// # Panics
-    /// Panics on an invalid or non-DWT configuration.
+    /// Panics with [`Self::try_new`]'s message on invalid parameters.
     pub fn new(config: Config, n_streams: usize) -> Self {
-        assert!(n_streams >= 1, "need at least one stream");
-        assert_eq!(config.transform, TransformKind::Dwt, "trend monitoring is DWT-based");
-        config.validate();
+        Self::try_new(config, n_streams).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Self::new`] without the panic.
+    ///
+    /// # Errors
+    /// Zero streams, or an invalid or non-DWT configuration.
+    pub fn try_new(config: Config, n_streams: usize) -> Result<Self, SpecError> {
+        config.check()?;
         let summaries = (0..n_streams).map(|_| StreamSummary::new(config.clone())).collect();
-        TrendMonitor {
+        Self::assemble(summaries, TrendStats::default())
+    }
+
+    /// The one place a monitor is put together, from fresh or restored
+    /// summaries; patterns are registered on the result.
+    fn assemble(summaries: Vec<StreamSummary>, stats: TrendStats) -> Result<Self, SpecError> {
+        ensure(!summaries.is_empty(), || "need at least one stream".into())?;
+        let config = summaries[0].config().clone();
+        ensure(config.transform == TransformKind::Dwt, || "trend monitoring is DWT-based".into())?;
+        ensure(summaries.iter().all(|s| *s.config() == config), || {
+            "trend summaries disagree on config".into()
+        })?;
+        Ok(TrendMonitor {
             config,
             summaries,
             patterns: Vec::new(),
             groups: BTreeMap::new(),
-            stats: TrendStats::default(),
+            stats,
             scratch: Vec::new(),
             telemetry: crate::telemetry::ClassTelemetry::default(),
-        }
+        })
     }
 
     /// Attaches per-class and summarizer telemetry from `registry`.
@@ -211,6 +229,11 @@ impl TrendMonitor {
         Ok(id)
     }
 
+    /// Number of monitored streams.
+    pub(crate) fn n_streams(&self) -> usize {
+        self.summaries.len()
+    }
+
     /// Number of registered patterns.
     pub fn n_patterns(&self) -> usize {
         self.patterns.len()
@@ -255,31 +278,14 @@ impl TrendMonitor {
     pub fn restore(bytes: &[u8]) -> Result<Self, SnapshotError> {
         let mut r = Reader::new(bytes)?;
         let n_streams = r.count(16)?;
-        if n_streams == 0 {
-            return Err(SnapshotError::Corrupt("trend snapshot with zero streams"));
-        }
         let mut summaries = Vec::with_capacity(n_streams);
         for _ in 0..n_streams {
             summaries.push(StreamSummary::restore(r.blob()?)?);
         }
-        let config = summaries[0].config().clone();
-        if config.transform != TransformKind::Dwt {
-            return Err(SnapshotError::Corrupt("trend snapshot without DWT transform"));
-        }
-        if summaries.iter().any(|s| *s.config() != config) {
-            return Err(SnapshotError::Corrupt("trend summaries disagree on config"));
-        }
         let stats = TrendStats { candidates: r.u64()?, matches: r.u64()? };
+        let mut monitor = Self::assemble(summaries, stats)
+            .map_err(|_| SnapshotError::Corrupt("trend summaries disagree with the monitor"))?;
         let n_patterns = r.count(16)?;
-        let mut monitor = TrendMonitor {
-            config,
-            summaries,
-            patterns: Vec::with_capacity(n_patterns),
-            groups: BTreeMap::new(),
-            stats,
-            scratch: Vec::new(),
-            telemetry: crate::telemetry::ClassTelemetry::default(),
-        };
         for _ in 0..n_patterns {
             let sequence = r.f64_vec()?;
             let r_abs = r.f64()?;

@@ -160,8 +160,12 @@ impl<'a> Reader<'a> {
         self.take(n)
     }
 
+    pub(crate) fn at_end(&self) -> bool {
+        self.pos == self.buf.len()
+    }
+
     pub(crate) fn expect_end(&self) -> Result<(), SnapshotError> {
-        if self.pos == self.buf.len() {
+        if self.at_end() {
             Ok(())
         } else {
             Err(SnapshotError::Corrupt("trailing bytes"))

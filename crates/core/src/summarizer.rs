@@ -124,9 +124,15 @@ pub struct StreamSummary {
 }
 
 impl StreamSummary {
-    /// A fresh summary for the given configuration (validated here).
+    /// A fresh summary for the given configuration.
+    ///
+    /// # Panics
+    /// Panics with [`Config::check`]'s message on an invalid
+    /// configuration.
     pub fn new(config: Config) -> Self {
-        config.validate();
+        if let Err(e) = config.check() {
+            panic!("{e}");
+        }
         let levels = (0..config.levels)
             .map(|j| LevelState {
                 window: config.window_at(j),
@@ -277,47 +283,50 @@ impl StreamSummary {
             return Err(SnapshotError::Corrupt("level count mismatch"));
         }
         let dims = config.transform.dims(config.dwt_coeffs);
+        let c = config.box_capacity as u64;
         let mut levels = Vec::with_capacity(n_levels);
         for j in 0..n_levels {
-            let period = config.update.period(j, config.base_window);
-            let read_checked = |r: &mut snapshot::Reader<'_>| -> Result<FeatureMbr, SnapshotError> {
+            let (window, period) =
+                (config.window_at(j), config.update.period(j, config.base_window));
+            // The stream clock fixes every box: features at `t0 + i·T`
+            // up to `next − 1`, boxed `c` at a time from the first, and
+            // sealed boxes that ended before the history horizon are
+            // retired.
+            let t0 = (window as u64).div_ceil(period) * period - 1;
+            let n_features = if next > t0 { (next - 1 - t0) / period + 1 } else { 0 };
+            let first_of = |boxed: u64| t0 + boxed * period;
+            let horizon = next.saturating_sub(1).saturating_sub(config.history as u64);
+            let n_boxes = n_features / c;
+            // Box k ends at `t0 + ((k + 1)·c − 1)·T`, before the horizon
+            // for the first ⌈(horizon − t0)/T⌉ / c boxes.
+            let retired = (horizon.saturating_sub(t0).div_ceil(period) / c).min(n_boxes);
+            let read_box = |r: &mut snapshot::Reader<'_>, first: Time, count: u64| {
                 let m = snapshot::decode_mbr(r)?;
-                if m.bounds.dims() != dims {
-                    return Err(SnapshotError::Corrupt("MBR dimensionality mismatch"));
-                }
-                if m.period != period {
-                    return Err(SnapshotError::Corrupt("MBR period mismatch"));
-                }
-                if m.last() >= next {
-                    return Err(SnapshotError::Corrupt("MBR from the future"));
+                if m.bounds.dims() != dims
+                    || (m.first, m.count as u64, m.period) != (first, count, period)
+                {
+                    return Err(SnapshotError::Corrupt("MBR disagrees with the stream clock"));
                 }
                 Ok(m)
             };
             let open = match r.u8()? {
-                0 => None,
-                1 => {
-                    let m = read_checked(&mut r)?;
-                    if m.count >= config.box_capacity {
-                        return Err(SnapshotError::Corrupt("open MBR at or over capacity"));
-                    }
-                    Some(m)
+                0 if n_features % c == 0 => None,
+                1 if n_features % c != 0 => {
+                    Some(read_box(&mut r, first_of(n_boxes * c), n_features % c)?)
                 }
                 _ => return Err(SnapshotError::Corrupt("open tag")),
             };
             let n_sealed = r.count(64)?;
-            let mut sealed = VecDeque::with_capacity(n_sealed);
-            let mut prev_last: Option<Time> = None;
-            for _ in 0..n_sealed {
-                let m = read_checked(&mut r)?;
-                if let Some(pl) = prev_last {
-                    if m.first <= pl {
-                        return Err(SnapshotError::Corrupt("sealed MBRs out of order"));
-                    }
-                }
-                prev_last = Some(m.last());
-                sealed.push_back(m);
+            if n_sealed as u64 != n_boxes - retired {
+                return Err(SnapshotError::Corrupt(
+                    "sealed MBR count disagrees with the stream clock",
+                ));
             }
-            levels.push(LevelState { window: config.window_at(j), period, open, sealed });
+            let mut sealed = VecDeque::with_capacity(n_sealed);
+            for k in retired..n_boxes {
+                sealed.push_back(read_box(&mut r, first_of(k * c), c)?);
+            }
+            levels.push(LevelState { window, period, open, sealed });
         }
         r.expect_end()?;
         Ok(StreamSummary {

@@ -6,10 +6,10 @@
 //! in a single body has not been addressed. We try to fill this gap by
 //! proposing a unified system solution called 'Stardust'."
 //!
-//! [`UnifiedMonitor`] composes the three monitors behind one builder and
-//! one [`UnifiedMonitor::append`], multiplexing their reports into a
-//! single [`Event`] stream — the exact shape of the paper's motivating
-//! story ("an unusual volatility of a time series may trigger an in-depth
+//! [`UnifiedMonitor`] composes the three monitors behind one description,
+//! [`crate::spec::MonitorSpec`], and one [`UnifiedMonitor::append`],
+//! multiplexing their reports into a single [`Event`] stream — the exact
+//! shape of the paper's motivating story ("an unusual volatility of a time series may trigger an in-depth
 //! trend analysis"): aggregate alarms, trend matches, and correlation
 //! reports arrive interleaved, in arrival order, tagged by class.
 //!
@@ -19,14 +19,12 @@
 //! as §4 prescribes), so enabling only some classes costs only their
 //! share.
 
-use crate::config::{Config, UpdatePolicy};
-use crate::error::QueryError;
+use crate::error::{ensure, QueryError, SpecError};
 use crate::query::aggregate::{AggregateMonitor, Alarm, WindowSpec};
 use crate::query::correlation::{CorrelatedPair, CorrelationMonitor};
 use crate::query::trend::{PatternId, TrendMatch, TrendMonitor};
 use crate::snapshot::{Reader, SnapshotError, Writer};
 use crate::stream::StreamId;
-use crate::transform::TransformKind;
 
 /// One report from the unified monitor.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,94 +42,9 @@ pub enum Event {
     Correlation(CorrelatedPair),
 }
 
-/// Builder for [`UnifiedMonitor`].
-#[derive(Debug)]
-pub struct Builder {
-    base_window: usize,
-    levels: usize,
-    n_streams: usize,
-    r_max: f64,
-    aggregate: Option<(TransformKind, Vec<WindowSpec>, usize)>,
-    trend: Option<(usize, usize)>,
-    correlation: Option<(usize, f64)>,
-    correlation_sketch_block: Option<usize>,
-}
-
-impl Builder {
-    /// Enables aggregate monitoring (SUM for bursts, SPREAD for
-    /// volatility) over the given windows with box capacity `c`.
-    pub fn aggregates(mut self, kind: TransformKind, specs: Vec<WindowSpec>, c: usize) -> Self {
-        self.aggregate = Some((kind, specs, c));
-        self
-    }
-
-    /// Enables continuous trend monitoring with `f` DWT coefficients and
-    /// box capacity `c`. Patterns are registered on the built monitor.
-    pub fn trends(mut self, f: usize, c: usize) -> Self {
-        self.trend = Some((f, c));
-        self
-    }
-
-    /// Enables correlation monitoring with `f` feature dimensions and
-    /// z-norm distance threshold `radius` over windows of
-    /// `W·2^(levels−1)`.
-    pub fn correlations(mut self, f: usize, radius: f64) -> Self {
-        self.correlation = Some((f, radius));
-        self
-    }
-
-    /// Overrides the correlation sketch's block granularity (see
-    /// [`CorrelationMonitor::with_sketch_block`]). Only meaningful with
-    /// [`Self::correlations`] enabled.
-    pub fn correlation_sketch_block(mut self, block: usize) -> Self {
-        self.correlation_sketch_block = Some(block);
-        self
-    }
-
-    /// Builds the monitor.
-    ///
-    /// # Panics
-    /// Panics if no query class was enabled or a sub-configuration is
-    /// invalid (see the respective monitors).
-    pub fn build(self) -> UnifiedMonitor {
-        assert!(
-            self.aggregate.is_some() || self.trend.is_some() || self.correlation.is_some(),
-            "enable at least one query class"
-        );
-        let aggregates = self.aggregate.map(|(kind, specs, c)| {
-            let max_w = specs.iter().map(|s| s.window).max().unwrap_or(self.base_window);
-            let history = max_w
-                .div_ceil(self.base_window)
-                .max(1)
-                .next_power_of_two()
-                .max(1 << (self.levels - 1))
-                * self.base_window;
-            let cfg = Config::online(kind, self.base_window, self.levels, c)
-                .with_history(history.max(self.base_window << (self.levels - 1)));
-            let monitors =
-                (0..self.n_streams).map(|_| AggregateMonitor::new(cfg.clone(), &specs)).collect();
-            (monitors, specs)
-        });
-        let trends = self.trend.map(|(f, c)| {
-            let mut cfg = Config::batch(self.base_window, self.levels, f, self.r_max)
-                .with_history(self.base_window << (self.levels - 1));
-            cfg.update = UpdatePolicy::Online;
-            cfg.box_capacity = c;
-            TrendMonitor::new(cfg, self.n_streams)
-        });
-        let correlations = self.correlation.map(|(f, radius)| {
-            let monitor =
-                CorrelationMonitor::new(self.base_window, self.levels, f, radius, self.n_streams);
-            match self.correlation_sketch_block {
-                Some(block) => monitor.with_sketch_block(block),
-                None => monitor,
-            }
-        });
-        UnifiedMonitor { aggregates, trends, correlations }
-    }
-}
-
 /// A single monitor over `M` streams serving every enabled query class.
+/// Built by [`crate::spec::MonitorSpec::build`] or rebuilt by
+/// [`Self::restore`].
 pub struct UnifiedMonitor {
     aggregates: Option<(Vec<AggregateMonitor>, Vec<WindowSpec>)>,
     trends: Option<TrendMonitor>,
@@ -149,24 +62,26 @@ impl std::fmt::Debug for UnifiedMonitor {
 }
 
 impl UnifiedMonitor {
-    /// Starts a builder over `n_streams` streams, base window `W`, and
-    /// the given number of resolution levels. `r_max` bounds the value
-    /// range (used by pattern normalization).
-    ///
-    /// # Panics
-    /// Panics on zero streams.
-    pub fn builder(base_window: usize, levels: usize, n_streams: usize, r_max: f64) -> Builder {
-        assert!(n_streams >= 1, "need at least one stream");
-        Builder {
-            base_window,
-            levels,
-            n_streams,
-            r_max,
-            aggregate: None,
-            trend: None,
-            correlation: None,
-            correlation_sketch_block: None,
-        }
+    /// Puts the enabled classes together: at least one, all over the
+    /// same streams. [`crate::spec::MonitorSpec::build`] and
+    /// [`Self::restore`] both go through here.
+    pub(crate) fn assemble(
+        aggregates: Option<(Vec<AggregateMonitor>, Vec<WindowSpec>)>,
+        trends: Option<TrendMonitor>,
+        correlations: Option<CorrelationMonitor>,
+    ) -> Result<Self, SpecError> {
+        let mut counts = [
+            aggregates.as_ref().map(|(m, _)| m.len()),
+            trends.as_ref().map(TrendMonitor::n_streams),
+            correlations.as_ref().map(CorrelationMonitor::n_streams),
+        ]
+        .into_iter()
+        .flatten();
+        let n = counts.next().ok_or(SpecError::NoQueryClass)?;
+        ensure(n >= 1 && counts.all(|m| m == n), || {
+            "query classes disagree on the stream count".into()
+        })?;
+        Ok(UnifiedMonitor { aggregates, trends, correlations })
     }
 
     /// Attaches metric handles from `registry` to every enabled query
@@ -322,9 +237,6 @@ impl UnifiedMonitor {
                 specs.push(WindowSpec { window: r.usize()?, threshold: r.f64()? });
             }
             let n_monitors = r.count(16)?;
-            if n_monitors == 0 {
-                return Err(SnapshotError::Corrupt("aggregate class with zero streams"));
-            }
             let mut monitors = Vec::with_capacity(n_monitors);
             for _ in 0..n_monitors {
                 monitors.push(AggregateMonitor::restore(r.blob()?)?);
@@ -338,10 +250,8 @@ impl UnifiedMonitor {
         let correlations =
             if class_tag(&mut r)? { Some(CorrelationMonitor::restore(r.blob()?)?) } else { None };
         r.expect_end()?;
-        if aggregates.is_none() && trends.is_none() && correlations.is_none() {
-            return Err(SnapshotError::Corrupt("no query class enabled"));
-        }
-        Ok(UnifiedMonitor { aggregates, trends, correlations })
+        Self::assemble(aggregates, trends, correlations)
+            .map_err(|_| SnapshotError::Corrupt("query classes disagree on the streams"))
     }
 
     /// The aggregate monitor of one stream, if enabled.
@@ -363,6 +273,8 @@ impl UnifiedMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::{AggregateSpec, CorrelationSpec, MonitorSpec, TrendSpec};
+    use crate::transform::TransformKind;
 
     /// Compile-time guarantee that monitors can be moved into worker
     /// threads (the sharded runtime relies on this). Breaking it — e.g.
@@ -371,8 +283,26 @@ mod tests {
     fn monitors_are_send() {
         fn _assert_send<T: Send>() {}
         _assert_send::<UnifiedMonitor>();
-        _assert_send::<Builder>();
+        _assert_send::<MonitorSpec>();
         _assert_send::<Event>();
+    }
+
+    /// All three classes over base window 8: SUM alarms on `window`
+    /// with c = 2, trends with f = c = 4, correlations with f = 4 at
+    /// `radius`.
+    fn three_classes(levels: usize, window: WindowSpec, radius: f64) -> MonitorSpec {
+        MonitorSpec::new(8, levels, 100.0)
+            .with_aggregates(AggregateSpec {
+                transform: TransformKind::Sum,
+                windows: vec![window],
+                box_capacity: 2,
+            })
+            .with_trends(TrendSpec { coeffs: 4, box_capacity: 4, patterns: Vec::new() })
+            .with_correlations(CorrelationSpec { coeffs: 4, radius })
+    }
+
+    fn build(spec: &MonitorSpec, n_streams: usize) -> UnifiedMonitor {
+        spec.build(n_streams).expect("valid spec").expect("streams")
     }
 
     fn splitmix(seed: &mut u64) -> f64 {
@@ -386,12 +316,8 @@ mod tests {
 
     #[test]
     fn all_three_classes_fire_from_one_feed() {
-        let specs = vec![WindowSpec { window: 16, threshold: 60.0 }];
-        let mut unified = UnifiedMonitor::builder(8, 3, 2, 100.0)
-            .aggregates(TransformKind::Sum, specs, 2)
-            .trends(4, 4)
-            .correlations(4, 0.3)
-            .build();
+        let spec = three_classes(3, WindowSpec { window: 16, threshold: 60.0 }, 0.3);
+        let mut unified = build(&spec, 2);
         // A trend: the surge ramp; register before feeding.
         let ramp: Vec<f64> = (0..16).map(|i| 2.0 + i as f64 * 0.5).collect();
         let trend_id = unified.register_trend(ramp.clone(), 0.05).expect("valid");
@@ -426,16 +352,9 @@ mod tests {
 
     #[test]
     fn non_finite_samples_are_rejected_as_no_ops() {
-        let specs = vec![WindowSpec { window: 4, threshold: 5.0 }];
-        let build = || {
-            UnifiedMonitor::builder(8, 2, 2, 100.0)
-                .aggregates(TransformKind::Sum, specs.clone(), 2)
-                .trends(4, 4)
-                .correlations(4, 0.3)
-                .build()
-        };
-        let mut poisoned = build();
-        let mut clean = build();
+        let spec = three_classes(2, WindowSpec { window: 4, threshold: 5.0 }, 0.3);
+        let mut poisoned = build(&spec, 2);
+        let mut clean = build(&spec, 2);
         for i in 0..64u32 {
             let v = (i as f64 * 0.4).sin() + 2.0;
             // The poisoned feed interleaves every non-finite flavour.
@@ -452,7 +371,9 @@ mod tests {
 
     #[test]
     fn partial_configuration_only_produces_enabled_classes() {
-        let mut unified = UnifiedMonitor::builder(8, 2, 2, 10.0).correlations(2, 0.5).build();
+        let spec = MonitorSpec::new(8, 2, 10.0)
+            .with_correlations(CorrelationSpec { coeffs: 2, radius: 0.5 });
+        let mut unified = build(&spec, 2);
         assert!(unified.aggregate_monitor(0).is_none());
         assert!(unified.trend_monitor().is_none());
         assert!(unified.correlation_monitor().is_some());
@@ -466,18 +387,10 @@ mod tests {
 
     #[test]
     fn snapshot_restore_continues_bit_identically() {
-        let specs = vec![WindowSpec { window: 16, threshold: 60.0 }];
-        let build = || {
-            let mut m = UnifiedMonitor::builder(8, 3, 2, 100.0)
-                .aggregates(TransformKind::Sum, specs.clone(), 2)
-                .trends(4, 4)
-                .correlations(4, 0.5)
-                .build();
-            let ramp: Vec<f64> = (0..16).map(|i| 2.0 + i as f64 * 0.5).collect();
-            m.register_trend(ramp, 0.05).expect("valid");
-            m
-        };
-        let mut live = build();
+        let spec = three_classes(3, WindowSpec { window: 16, threshold: 60.0 }, 0.5);
+        let mut live = build(&spec, 2);
+        let ramp: Vec<f64> = (0..16).map(|i| 2.0 + i as f64 * 0.5).collect();
+        live.register_trend(ramp, 0.05).expect("valid");
         let mut seed = 77u64;
         let value = |seed: &mut u64, s: StreamId| {
             let x = splitmix(seed) * 8.0;
@@ -504,7 +417,9 @@ mod tests {
     #[test]
     fn restore_rejects_garbage() {
         assert!(UnifiedMonitor::restore(b"not a snapshot").is_err());
-        let m = UnifiedMonitor::builder(8, 2, 2, 10.0).correlations(2, 0.5).build();
+        let spec = MonitorSpec::new(8, 2, 10.0)
+            .with_correlations(CorrelationSpec { coeffs: 2, radius: 0.5 });
+        let m = build(&spec, 2);
         let mut bytes = m.snapshot();
         let n = bytes.len();
         bytes.truncate(n - 3);
@@ -512,17 +427,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "enable at least one query class")]
     fn empty_configuration_rejected() {
-        let _ = UnifiedMonitor::builder(8, 2, 1, 1.0).build();
+        let err = MonitorSpec::new(8, 2, 1.0).build(1).unwrap_err();
+        assert_eq!(err, SpecError::NoQueryClass);
+        assert_eq!(err.to_string(), "enable at least one query class");
     }
 
     #[test]
     #[should_panic(expected = "trend monitoring not enabled")]
     fn registering_without_trends_panics() {
-        let specs = vec![WindowSpec { window: 8, threshold: 1.0 }];
-        let mut unified =
-            UnifiedMonitor::builder(8, 2, 1, 1.0).aggregates(TransformKind::Sum, specs, 1).build();
+        let spec = MonitorSpec::new(8, 2, 1.0).with_aggregates(AggregateSpec {
+            transform: TransformKind::Sum,
+            windows: vec![WindowSpec { window: 8, threshold: 1.0 }],
+            box_capacity: 1,
+        });
+        let mut unified = build(&spec, 1);
         let _ = unified.register_trend(vec![0.0; 8], 0.1);
     }
 }

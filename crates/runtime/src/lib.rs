@@ -78,7 +78,7 @@
 //! assert_eq!(report.stats.total_appends(), 128);
 //! ```
 
-use stardust_core::error::QueryError;
+use stardust_core::error::SpecError;
 use stardust_core::stream::StreamId;
 
 mod fault;
@@ -87,7 +87,6 @@ mod persist;
 mod queue;
 mod runtime;
 mod shard;
-mod spec;
 mod stats;
 mod step;
 mod telemetry;
@@ -100,18 +99,19 @@ pub use runtime::{
     ShutdownReport,
 };
 pub use shard::ClassStats;
-pub use spec::{AggregateSpec, CorrelationSpec, MonitorSpec, TrendPattern, TrendSpec};
+pub use stardust_core::spec::{
+    AggregateSpec, CorrelationSpec, MonitorSpec, TrendPattern, TrendSpec,
+};
 pub use stats::{CrossCorrStats, LatencyStats, RuntimeStats, ShardStats};
 
 /// Errors surfaced by the runtime.
 #[derive(Debug)]
 pub enum RuntimeError {
-    /// The spec enables no query class; there is nothing to monitor.
-    NoQueryClass,
+    /// The monitor spec is invalid; `launch` and `open` check it before
+    /// any shard is built or any file is touched.
+    Spec(SpecError),
     /// `launch` was asked to monitor zero streams.
     NoStreams,
-    /// A trend pattern in the spec was rejected by the monitor.
-    Pattern(QueryError),
     /// A stream id at or beyond the configured stream count.
     UnknownStream {
         /// The offending id.
@@ -142,9 +142,8 @@ pub enum RuntimeError {
 impl std::fmt::Display for RuntimeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RuntimeError::NoQueryClass => f.write_str("monitor spec enables no query class"),
+            RuntimeError::Spec(e) => write!(f, "invalid monitor spec: {e}"),
             RuntimeError::NoStreams => f.write_str("cannot launch a runtime over zero streams"),
-            RuntimeError::Pattern(e) => write!(f, "trend pattern rejected: {e}"),
             RuntimeError::UnknownStream { stream, n_streams } => {
                 write!(f, "stream {stream} out of range (runtime monitors {n_streams} streams)")
             }
@@ -163,7 +162,7 @@ impl std::fmt::Display for RuntimeError {
 impl std::error::Error for RuntimeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            RuntimeError::Pattern(e) => Some(e),
+            RuntimeError::Spec(e) => Some(e),
             RuntimeError::Backpressure(e) => Some(e),
             RuntimeError::Spawn(e) => Some(e),
             RuntimeError::Recovery(e) => Some(e),

@@ -23,11 +23,11 @@ use crate::persist::{
 };
 use crate::queue::{BoundedQueue, PushError};
 use crate::shard::{Board, DeathNotice, QueryReply, QueryRequest, ShardMsg, SketchBoard, Worker};
-use crate::spec::MonitorSpec;
 use crate::stats::{CrossCorrStats, RuntimeStats, ShardCounters};
 use crate::step::{CoreConfig, ShardCore};
 use crate::telemetry::RuntimeTelemetry;
 use crate::{ClassStats, RuntimeError};
+use stardust_core::spec::MonitorSpec;
 
 /// Shard count and per-shard stream counts for `n_streams` streams.
 /// Stream `s` lives on shard `s mod n_shards` as local stream
@@ -153,13 +153,6 @@ pub struct RuntimeConfig {
     /// default — leaves every handle detached: one branch per would-be
     /// sample.
     pub telemetry: Option<stardust_telemetry::Registry>,
-    /// Sketch-exchange cadence for the cross-shard correlation path, in
-    /// sealed sketch blocks: each shard re-publishes its streams'
-    /// sliding-window sketches to the collector board once its slowest
-    /// local stream has sealed this many new blocks. `0` disables the
-    /// exchange — [`ShardedRuntime::correlated_pairs`] stays exact but
-    /// verifies every cross-shard pair without sketch pruning.
-    pub sketch_cadence: u64,
 }
 
 impl Default for RuntimeConfig {
@@ -172,7 +165,6 @@ impl Default for RuntimeConfig {
             recovery: Some(RecoveryPolicy::default()),
             fault_plan: None,
             telemetry: None,
-            sketch_cadence: 1,
         }
     }
 }
@@ -445,13 +437,16 @@ impl ShardedRuntime {
     /// Launches workers for `n_streams` streams described by `spec`.
     ///
     /// # Errors
-    /// Fails on zero streams, a spec with no query class, or a rejected
-    /// trend pattern.
+    /// [`RuntimeError::Spec`] for a spec that [`MonitorSpec::check`]
+    /// rejects, checked before any shard is built;
+    /// [`RuntimeError::NoStreams`] for zero streams; or a worker thread
+    /// that cannot be spawned.
     pub fn launch(
         spec: &MonitorSpec,
         n_streams: usize,
         config: RuntimeConfig,
     ) -> Result<Self, RuntimeError> {
+        spec.check().map_err(RuntimeError::Spec)?;
         if n_streams == 0 {
             return Err(RuntimeError::NoStreams);
         }
@@ -482,10 +477,12 @@ impl ShardedRuntime {
     ///
     /// Crash recovery is forced on (a durable runtime without a
     /// supervisor would lose the WAL's exactly-once arithmetic). The
-    /// caller must open with the same spec and stream count the
-    /// directory was written under — the shard-file layout is checked,
-    /// the spec is not: a shard with a snapshot is restored from it, and
-    /// only a shard without one is built from the spec.
+    /// spec is checked on every open, before the directory is created
+    /// or scanned. The caller must open with the same spec and stream
+    /// count the directory was written under: the shard-file layout is
+    /// checked, but a snapshot's monitor is not compared with the spec —
+    /// a shard with a snapshot is restored from it, and only a shard
+    /// without one is built from the spec.
     ///
     /// # Errors
     /// [`RuntimeError::Recovery`] when the directory cannot be
@@ -497,6 +494,7 @@ impl ShardedRuntime {
         mut config: RuntimeConfig,
         persist: PersistConfig,
     ) -> Result<(Self, RecoveryReport), RuntimeError> {
+        spec.check().map_err(RuntimeError::Spec)?;
         if n_streams == 0 {
             return Err(RuntimeError::NoStreams);
         }
@@ -587,7 +585,6 @@ impl ShardedRuntime {
                 n_locals,
                 snapshot_every: config.recovery.map(|r| r.snapshot_every).unwrap_or(0),
                 sketches: Arc::new(SketchBoard::new(n_streams)),
-                sketch_cadence: config.sketch_cadence,
                 telemetry: config.telemetry.as_ref().map(RuntimeTelemetry::new).unwrap_or_default(),
                 registry: config.telemetry,
                 persist_dir,

@@ -35,9 +35,9 @@ use stardust_telemetry::Registry;
 use crate::log::{Journal, ShardLog};
 use crate::persist::{RecoveryError, ShardPaths, ShardRecoveryReport};
 use crate::shard::{ClassStats, QueryReply, QueryRequest, SketchBoard};
-use crate::spec::MonitorSpec;
 use crate::telemetry::RuntimeTelemetry;
 use crate::RuntimeError;
+use stardust_core::spec::MonitorSpec;
 
 /// What every shard core of one runtime is built from.
 pub(crate) struct CoreConfig {
@@ -48,9 +48,6 @@ pub(crate) struct CoreConfig {
     pub snapshot_every: u64,
     /// Collector-side sketch mirrors the cores publish to.
     pub sketches: Arc<SketchBoard>,
-    /// Publish sketches every this many sealed blocks of the slowest
-    /// local stream; `0` disables the exchange.
-    pub sketch_cadence: u64,
     /// Registry every rebuilt monitor attaches to; `None` when
     /// telemetry is off.
     pub registry: Option<Registry>,
@@ -173,7 +170,7 @@ impl ShardCore {
                              (spec or version mismatch?)",
                 })
             })?),
-            None => cfg.spec.build(cfg.n_locals[slot])?,
+            None => cfg.spec.build(cfg.n_locals[slot]).map_err(RuntimeError::Spec)?,
         };
         let already = emitted.saturating_sub(journal.emitted_at_snapshot);
         let mut core = ShardCore {
@@ -305,15 +302,11 @@ impl ShardCore {
     }
 
     /// Frontier-driven sketch publication: once the slowest local
-    /// stream has sealed `sketch_cadence` new blocks past
-    /// `last_shipped`, every local sketch ships to the collector board
-    /// (absorbed idempotently, so re-publication after a rebuild is a
-    /// no-op on the mirrors).
+    /// stream has sealed a new block past `last_shipped`, every local
+    /// sketch ships to the collector board (absorbed idempotently, so
+    /// re-publication after a rebuild is a no-op on the mirrors).
     fn publish_sketches_if_due(&mut self) {
         let cfg = &self.cfg;
-        if cfg.sketch_cadence == 0 {
-            return;
-        }
         let Some(corr) = self.monitor.as_ref().and_then(|m| m.correlation_monitor()) else {
             return;
         };
@@ -324,7 +317,7 @@ impl ShardCore {
             })
             .min()
             .unwrap_or(0);
-        if frontier < self.last_shipped.saturating_add(cfg.sketch_cadence) {
+        if frontier <= self.last_shipped {
             return;
         }
         let _span = cfg.telemetry.sketch_exchange.span();
@@ -454,7 +447,7 @@ mod tests {
 
     use super::*;
     use crate::persist::{recover_shard, ShardDisk, SyncPolicy};
-    use crate::spec::{AggregateSpec, CorrelationSpec, TrendPattern, TrendSpec};
+    use stardust_core::spec::{AggregateSpec, CorrelationSpec, TrendPattern, TrendSpec};
 
     const SHARDS: usize = 2;
     const STREAMS: usize = 3;
@@ -511,7 +504,6 @@ mod tests {
             n_locals: (0..SHARDS).map(|s| (STREAMS - s).div_ceil(SHARDS)).collect(),
             snapshot_every: 16,
             sketches: Arc::new(SketchBoard::new(STREAMS)),
-            sketch_cadence: 1,
             registry: None,
             telemetry: RuntimeTelemetry::default(),
             persist_dir: None,

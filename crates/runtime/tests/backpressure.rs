@@ -5,11 +5,13 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use stardust_core::error::SpecError;
 use stardust_core::query::aggregate::WindowSpec;
 use stardust_core::stream::StreamId;
 use stardust_core::transform::TransformKind;
 use stardust_runtime::{
-    AggregateSpec, Batch, FaultPlan, MonitorSpec, RuntimeConfig, RuntimeError, ShardedRuntime,
+    AggregateSpec, Batch, CorrelationSpec, FaultPlan, MonitorSpec, PersistConfig, RuntimeConfig,
+    RuntimeError, ShardedRuntime, TrendPattern, TrendSpec,
 };
 
 fn spec() -> MonitorSpec {
@@ -18,6 +20,66 @@ fn spec() -> MonitorSpec {
         windows: vec![WindowSpec { window: 32, threshold: 1e9 }],
         box_capacity: 4,
     })
+}
+
+/// Specs that once panicked inside `launch`, each with the message its
+/// class rejects it with.
+fn invalid_specs() -> Vec<(MonitorSpec, &'static str)> {
+    let sum = |windows: Vec<usize>, box_capacity| AggregateSpec {
+        transform: TransformKind::Sum,
+        windows: windows.into_iter().map(|window| WindowSpec { window, threshold: 1e9 }).collect(),
+        box_capacity,
+    };
+    let corr = CorrelationSpec { coeffs: 4, radius: 0.45 };
+    let pyramid = "f = 4 needs an approximation pyramid of 8 ≤ W = 4";
+    vec![
+        (MonitorSpec::new(4, 3, 100.0).with_correlations(corr.clone()), pyramid),
+        (MonitorSpec::new(4, 2, 100.0).with_correlations(corr), pyramid),
+        (
+            MonitorSpec::new(16, 1, 100.0).with_aggregates(sum(vec![32], 4)),
+            "window 32: length 32 cannot be decomposed",
+        ),
+        (
+            MonitorSpec::new(2, 3, 100.0).with_trends(TrendSpec {
+                coeffs: 4,
+                box_capacity: 4,
+                patterns: vec![TrendPattern { sequence: vec![1.0; 4], radius: 0.05 }],
+            }),
+            "DWT coefficient count f must be a power of two no larger than W",
+        ),
+        (
+            MonitorSpec::new(20, 4, 100.0)
+                .with_aggregates(sum((1..=8).map(|k| 20 * k).collect(), 0)),
+            "box capacity c must be at least 1",
+        ),
+    ]
+}
+
+/// `open` checks the spec before it touches the directory: a fresh path
+/// is not created, and a directory whose shards all hold snapshots (so
+/// no shard would be built from the spec) still refuses it.
+#[test]
+fn open_rejects_bad_specs_before_touching_the_directory() {
+    let dir = std::env::temp_dir().join(format!("sd-open-spec-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = || RuntimeConfig { shards: 2, ..RuntimeConfig::default() };
+    for (spec, _) in invalid_specs() {
+        let opened = ShardedRuntime::open(&spec, 4, config(), PersistConfig::new(&dir));
+        assert!(matches!(opened, Err(RuntimeError::Spec(_))), "{spec:?}");
+        assert!(!dir.exists(), "a rejected spec created {}", dir.display());
+    }
+    // Every shard of a closed runtime holds its open-time snapshot.
+    let (rt, _) = ShardedRuntime::open(&spec(), 4, config(), PersistConfig::new(&dir)).unwrap();
+    rt.submit_blocking(&(0..4u32).map(|s| (s, 1.0)).collect()).unwrap();
+    rt.shutdown();
+    for shard in 0..2 {
+        assert!(dir.join(format!("shard-{shard}.snap")).exists(), "shard {shard} has no snapshot");
+    }
+    for (spec, _) in invalid_specs() {
+        let opened = ShardedRuntime::open(&spec, 4, config(), PersistConfig::new(&dir));
+        assert!(matches!(opened, Err(RuntimeError::Spec(_))), "{spec:?}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A batch expensive enough that the worker lags a tight producer loop.
@@ -197,8 +259,14 @@ fn launch_rejects_bad_configs() {
     ));
     assert!(matches!(
         ShardedRuntime::launch(&MonitorSpec::new(16, 3, 100.0), 4, RuntimeConfig::default()),
-        Err(RuntimeError::NoQueryClass)
+        Err(RuntimeError::Spec(SpecError::NoQueryClass))
     ));
+    for (spec, message) in invalid_specs() {
+        match ShardedRuntime::launch(&spec, 4, RuntimeConfig::default()) {
+            Err(RuntimeError::Spec(e)) => assert!(e.to_string().contains(message), "{e}"),
+            other => panic!("{spec:?} launched: {other:?}"),
+        }
+    }
     // More shards than streams: clamped, not an error.
     let rt = ShardedRuntime::launch(
         &spec(),

@@ -8,12 +8,13 @@ use std::collections::BTreeMap;
 
 use stardust_core::config::Config;
 use stardust_core::engine::Stardust;
-use stardust_core::query::aggregate::{AggregateMonitor, WindowSpec};
+use stardust_core::query::aggregate::WindowSpec;
 use stardust_core::query::correlation::CorrelationMonitor;
 use stardust_core::query::pattern::{self, PatternQuery};
-use stardust_core::query::trend::TrendMonitor;
+use stardust_core::spec::{AggregateSpec, CorrelationSpec, MonitorSpec, TrendPattern, TrendSpec};
 use stardust_core::stats::train_threshold;
 use stardust_core::transform::TransformKind;
+use stardust_core::unified::{Event, UnifiedMonitor};
 
 /// Parsed command line: a subcommand, `--flag value` pairs, and positional
 /// arguments.
@@ -192,6 +193,12 @@ fn single_column(input: &str) -> Result<Vec<f64>, String> {
     Ok(cols.pop().expect("one column"))
 }
 
+/// Builds the one monitor a single-spec subcommand runs, reporting an
+/// invalid spec as a message.
+fn build(spec: &MonitorSpec, n_streams: usize) -> Result<UnifiedMonitor, String> {
+    Ok(spec.build(n_streams).map_err(|e| e.to_string())?.expect("at least one stream"))
+}
+
 fn run_aggregate(args: &Args, input: &str, kind: TransformKind) -> Result<String, String> {
     let data = single_column(input)?;
     let base: usize = args.get_or("base", 20)?;
@@ -202,12 +209,13 @@ fn run_aggregate(args: &Args, input: &str, kind: TransformKind) -> Result<String
     if base == 0 || k == 0 {
         return Err("--base and --windows must be positive".into());
     }
-    if data.len() <= train_len + base * k {
+    let largest = base.checked_mul(k).ok_or("--base × --windows overflows")?;
+    if data.len().saturating_sub(train_len) <= largest {
         return Err(format!(
             "input too short: {} values for training {} + largest window {}",
             data.len(),
             train_len,
-            base * k
+            largest
         ));
     }
     let (train, live) = data.split_at(train_len);
@@ -220,17 +228,19 @@ fn run_aggregate(args: &Args, input: &str, kind: TransformKind) -> Result<String
         .ok_or_else(|| format!("training prefix shorter than window {w}"))?;
         specs.push(WindowSpec { window: w, threshold });
     }
-    let mut levels = 1;
-    while base << (levels - 1) < base * k {
-        levels += 1;
-    }
-    let cfg = Config::online(kind, base, levels, capacity)
-        .with_history((base * k).max(base << (levels - 1)));
-    let mut monitor = AggregateMonitor::new(cfg, &specs);
+    // The fewest levels whose largest window W·2^(levels−1) covers k·W.
+    let levels = (usize::BITS - (k - 1).leading_zeros()) as usize + 1;
+    let spec = MonitorSpec::new(base, levels, 1.0).with_aggregates(AggregateSpec {
+        transform: kind,
+        windows: specs.clone(),
+        box_capacity: capacity,
+    });
+    let mut monitor = build(&spec, 1)?;
     let mut out = String::new();
     out.push_str("time,window,aggregate,threshold\n");
     for (i, &x) in live.iter().enumerate() {
-        for alarm in monitor.push(x) {
+        for event in monitor.append(0, x) {
+            let Event::Aggregate { alarm, .. } = event else { continue };
             if alarm.is_true_alarm {
                 let tau = specs
                     .iter()
@@ -247,7 +257,7 @@ fn run_aggregate(args: &Args, input: &str, kind: TransformKind) -> Result<String
             }
         }
     }
-    let st = monitor.stats();
+    let st = monitor.aggregate_monitor(0).expect("aggregates enabled").stats();
     out.push_str(&format!(
         "# {} checks, {} true alarms, precision {:.3}\n",
         st.candidates,
@@ -309,7 +319,8 @@ fn run_correlate(args: &Args, input: &str) -> Result<String, String> {
         return Err("--min-corr must be in [-1, 1]".into());
     }
     let radius = stardust_core::normalize::correlation_to_distance(min_corr);
-    let mut monitor = CorrelationMonitor::new(base, levels, f, radius, streams.len());
+    let mut monitor = CorrelationMonitor::try_new(base, levels, f, radius, streams.len())
+        .map_err(|e| e.to_string())?;
     if lag > 1 {
         monitor = monitor.with_lag_periods(lag);
     }
@@ -371,23 +382,15 @@ const AGG_WINDOW_FACTOR: usize = 2;
 /// Box capacity `c` of the runtime subcommands' aggregate class.
 const AGG_BOX_CAPACITY: usize = 4;
 
-/// Builds a runtime `MonitorSpec` from the shared
+/// Builds a `MonitorSpec` from the shared
 /// `--base/--levels/--min-corr/--lambda/--radius/--classes` flags over
 /// `streams` (used by `serve` and `metrics`).
-fn monitor_spec_from_args(
-    args: &Args,
-    streams: &[Vec<f64>],
-) -> Result<stardust_runtime::MonitorSpec, String> {
-    use stardust_runtime::{AggregateSpec, CorrelationSpec, MonitorSpec, TrendPattern, TrendSpec};
-
+fn monitor_spec_from_args(args: &Args, streams: &[Vec<f64>]) -> Result<MonitorSpec, String> {
     let base: usize = args.get_or("base", 16)?;
     let levels: usize = args.get_or("levels", 3)?;
     let min_corr: f64 = args.get_or("min-corr", 0.9)?;
     let lambda: f64 = args.get_or("lambda", 6.0)?;
     let radius: f64 = args.get_or("radius", 0.05)?;
-    if base == 0 || !base.is_power_of_two() || levels == 0 {
-        return Err("--base must be a positive power of two and --levels positive".into());
-    }
     if !(-1.0..=1.0).contains(&min_corr) {
         return Err("--min-corr must be in [-1, 1]".into());
     }
@@ -694,32 +697,29 @@ fn run_trend(args: &Args, input: &str) -> Result<String, String> {
     if patterns.is_empty() {
         return Err("no patterns in the patterns file".to_string());
     }
-    if !base.is_power_of_two() || levels == 0 {
-        return Err("--base must be a power of two and --levels positive".to_string());
-    }
     let r_max = streams
         .iter()
         .flatten()
         .chain(patterns.iter().flatten())
         .fold(1.0f64, |a, &b| a.max(b.abs()));
-    let mut cfg =
-        Config::online(TransformKind::Dwt, base, levels, 8).with_history(base << (levels - 1));
-    cfg.dwt_coeffs = 4.min(base);
-    cfg.r_max = r_max;
-    let mut monitor = TrendMonitor::new(cfg, streams.len());
-    for p in patterns {
-        monitor.register(p, radius).map_err(|e| e.to_string())?;
-    }
+    let patterns = patterns.into_iter().map(|sequence| TrendPattern { sequence, radius }).collect();
+    let spec = MonitorSpec::new(base, levels, r_max).with_trends(TrendSpec {
+        coeffs: 4.min(base),
+        box_capacity: 8,
+        patterns,
+    });
+    let mut monitor = build(&spec, streams.len())?;
     let n = streams[0].len();
     let mut out = String::from("row,stream,pattern,distance\n");
     for i in 0..n {
         for (s, col) in streams.iter().enumerate() {
-            for m in monitor.append(s as u32, col[i]) {
+            for event in monitor.append(s as u32, col[i]) {
+                let Event::Trend(m) = event else { continue };
                 out.push_str(&format!("{i},{},{},{:.5}\n", m.stream, m.pattern, m.distance));
             }
         }
     }
-    let st = monitor.stats();
+    let st = monitor.trend_monitor().expect("trends enabled").stats();
     out.push_str(&format!(
         "# {} candidates, {} matches, precision {:.3}\n",
         st.candidates,
@@ -886,5 +886,20 @@ mod tests {
         let (cmd, args) = Args::parse(&argv("pattern")).unwrap();
         let err = run(&cmd, &args, &bursty_csv()).unwrap_err();
         assert!(err.contains("--query"), "missing --query: {err}");
+        // Invalid monitor parameters, each rejected by its class's
+        // constructor with that class's message.
+        let (bursty, walks) = (bursty_csv(), "1,2\n".repeat(300));
+        let pyramid = "f = 4 needs an approximation pyramid of 8 ≤ W = 4";
+        for (line, input, message) in [
+            ("metrics --base 4 --classes corr", "", pyramid),
+            ("metrics --levels 1 --classes agg", "", "window 32: length 32 cannot be decomposed"),
+            ("metrics --base 2 --classes trend", "", "f must be a power of two no larger than W"),
+            ("burst --capacity 0", &bursty, "box capacity c must be at least 1"),
+            ("correlate --base 4 --levels 2", &walks, pyramid),
+        ] {
+            let (cmd, args) = Args::parse(&argv(line)).unwrap();
+            let err = run(&cmd, &args, input).unwrap_err();
+            assert!(err.contains(message), "{line}: {err}");
+        }
     }
 }

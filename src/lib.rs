@@ -11,7 +11,7 @@
 //!
 //! | Module | Crate | Contents |
 //! |---|---|---|
-//! | [`core`] | `stardust-core` | summarizer (Alg. 1), engine, query algorithms (Alg. 2–4, §5.3) |
+//! | [`core`] | `stardust-core` | summarizer (Alg. 1), engine, query algorithms (Alg. 2–4, §5.3), `MonitorSpec` |
 //! | [`index`] | `stardust-index` | R\*-tree with forced reinsertion, deletion, STR bulk load; banded `PointTable` |
 //! | [`dsp`] | `stardust-dsp` | Haar DWT, incremental half-merge (Lemma A.1), MBR transform (App. A) |
 //! | [`baselines`] | `stardust-baselines` | SWT, StatStream and its sliding DFT, GeneralMatch, MR-Index, linear scan |

@@ -6,6 +6,7 @@
 
 use proptest::prelude::*;
 use stardust::core::query::aggregate::WindowSpec;
+use stardust::core::spec::{AggregateSpec, CorrelationSpec, MonitorSpec, TrendSpec};
 use stardust::core::transform::TransformKind;
 use stardust::core::unified::UnifiedMonitor;
 
@@ -54,11 +55,17 @@ proptest! {
         let r_max = streams.iter().flatten().fold(1.0f64, |m, &x| m.max(x.abs()));
         let threshold = crossing_threshold(&streams, 2 * BASE);
 
-        let mut live = UnifiedMonitor::builder(BASE, 3, 2, r_max)
-            .aggregates(TransformKind::Sum, vec![WindowSpec { window: 2 * BASE, threshold }], 4)
-            .trends(4, 4)
-            .correlations(4, corr_radius)
-            .build();
+        let mut live = MonitorSpec::new(BASE, 3, r_max)
+            .with_aggregates(AggregateSpec {
+                transform: TransformKind::Sum,
+                windows: vec![WindowSpec { window: 2 * BASE, threshold }],
+                box_capacity: 4,
+            })
+            .with_trends(TrendSpec { coeffs: 4, box_capacity: 4, patterns: Vec::new() })
+            .with_correlations(CorrelationSpec { coeffs: 4, radius: corr_radius })
+            .build(2)
+            .expect("valid spec")
+            .expect("streams");
         // A pattern cut from the data itself, so trend hits occur.
         live.register_trend(
             streams[0][pattern_at..pattern_at + 2 * BASE].to_vec(),

@@ -7,6 +7,7 @@ use stardust::core::config::Config;
 use stardust::core::engine::Stardust;
 use stardust::core::query::aggregate::WindowSpec;
 use stardust::core::query::pattern::{query_batch, PatternQuery};
+use stardust::core::spec::{AggregateSpec, CorrelationSpec, MonitorSpec, TrendSpec};
 use stardust::core::transform::TransformKind;
 use stardust::core::unified::{Event, UnifiedMonitor};
 
@@ -23,15 +24,15 @@ fn value(t: usize, s: usize) -> f64 {
 }
 
 fn build_monitor() -> UnifiedMonitor {
-    let mut m = UnifiedMonitor::builder(BASE, 3, N_STREAMS, 100.0)
-        .aggregates(
-            TransformKind::Sum,
-            vec![WindowSpec { window: 2 * BASE, threshold: 2.0 * BASE as f64 * 55.0 }],
-            4,
-        )
-        .trends(4, 4)
-        .correlations(4, 1.5)
-        .build();
+    let spec = MonitorSpec::new(BASE, 3, 100.0)
+        .with_aggregates(AggregateSpec {
+            transform: TransformKind::Sum,
+            windows: vec![WindowSpec { window: 2 * BASE, threshold: 2.0 * BASE as f64 * 55.0 }],
+            box_capacity: 4,
+        })
+        .with_trends(TrendSpec { coeffs: 4, box_capacity: 4, patterns: Vec::new() })
+        .with_correlations(CorrelationSpec { coeffs: 4, radius: 1.5 });
+    let mut m = spec.build(N_STREAMS).expect("valid spec").expect("streams");
     // A pattern cut from the data itself, so trend matches occur.
     let pattern: Vec<f64> = (16..16 + 2 * BASE).map(|t| value(t, 0)).collect();
     m.register_trend(pattern, 0.4).expect("trends enabled");

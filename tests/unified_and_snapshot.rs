@@ -4,8 +4,9 @@
 use stardust::core::engine::Stardust;
 use stardust::core::query::aggregate::WindowSpec;
 use stardust::core::query::pattern::{self, PatternQuery};
+use stardust::core::spec::{AggregateSpec, CorrelationSpec, MonitorSpec};
 use stardust::core::transform::TransformKind;
-use stardust::core::unified::{Event, UnifiedMonitor};
+use stardust::core::unified::Event;
 use stardust::core::{Config, StreamSummary};
 use stardust::datagen::random_walk_streams;
 
@@ -18,10 +19,16 @@ fn unified_agrees_with_dedicated_monitors() {
         WindowSpec { window: 16, threshold: 900.0 },
         WindowSpec { window: 32, threshold: 1800.0 },
     ];
-    let mut unified = UnifiedMonitor::builder(8, 3, 2, 200.0)
-        .aggregates(TransformKind::Sum, specs.clone(), 4)
-        .correlations(4, 0.4)
-        .build();
+    let mut unified = MonitorSpec::new(8, 3, 200.0)
+        .with_aggregates(AggregateSpec {
+            transform: TransformKind::Sum,
+            windows: specs.clone(),
+            box_capacity: 4,
+        })
+        .with_correlations(CorrelationSpec { coeffs: 4, radius: 0.4 })
+        .build(2)
+        .expect("valid spec")
+        .expect("streams");
     let mut dedicated_corr =
         stardust::core::query::correlation::CorrelationMonitor::new(8, 3, 4, 0.4, 2);
 
