@@ -64,7 +64,9 @@ impl GeneralMatch {
             f,
             r_max,
             history,
-            histories: (0..n_streams).map(|_| StreamHistory::new(history + 1)).collect(),
+            histories: (0..n_streams)
+                .map(|_| StreamHistory::new(history + 1).expect("history fits in memory"))
+                .collect(),
             tree: RStarTree::with_params(f, Params::default()),
             inserted: (0..n_streams).map(|_| VecDeque::new()).collect(),
         }

@@ -156,7 +156,8 @@ impl ExhaustiveMonitor {
         let max_w = specs.iter().map(|s| s.window).max().expect("nonempty");
         ExhaustiveMonitor {
             kind,
-            history: stardust_core::stream::StreamHistory::new(max_w + 1),
+            history: stardust_core::stream::StreamHistory::new(max_w + 1)
+                .expect("history fits in memory"),
             specs: specs.to_vec(),
             stats: Default::default(),
             scratch: Vec::new(),

@@ -65,7 +65,9 @@ impl StatStream {
         let window = basic * n_basic;
         StatStream {
             dfts: (0..n_streams).map(|_| SlidingDft::new(basic, n_basic, f)).collect(),
-            histories: (0..n_streams).map(|_| StreamHistory::new(window + 1)).collect(),
+            histories: (0..n_streams)
+                .map(|_| StreamHistory::new(window + 1).expect("history fits in memory"))
+                .collect(),
             grid: HashMap::new(),
             current: (0..n_streams).map(|_| None).collect(),
             cell_size,

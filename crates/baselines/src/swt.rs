@@ -112,7 +112,7 @@ impl SwtMonitor {
         let capacity = levels.iter().map(|l| l.window).max().expect("nonempty levels") + 1;
         SwtMonitor {
             kind,
-            history: StreamHistory::new(capacity),
+            history: StreamHistory::new(capacity).expect("history fits in memory"),
             levels,
             stats: AlarmStats::default(),
             scratch: Vec::new(),

@@ -5,9 +5,8 @@
 //! * `maintenance` — summarization cost over 4,096 random-walk items at
 //!   W = 64, 5 levels, DWT f = 4: incremental online c = 25, batch,
 //!   direct (MR-Index style) c = 25, the SWAT schedule and online SUM;
-//!   then the crash-recovery index rebuild of one engine's MBR
-//!   population: STR `bulk_load` against incremental replay, plus the
-//!   whole `Stardust::restore`.
+//!   then the whole `Stardust::restore` of an 8-stream engine, per
+//!   sealed MBR it brings back.
 //! * `transforms` — direct Haar at w = 1,024 against the Θ(f)
 //!   `merge_halves_into`, and the SUM / DWT interval merges.
 //!
@@ -29,7 +28,6 @@ use stardust_core::StreamSummary;
 use stardust_datagen::random_walk;
 use stardust_dsp::haar;
 use stardust_dsp::mbr_transform::Bounds;
-use stardust_index::{bulk_load, Params, RStarTree, Rect};
 
 const MAINTENANCE_ITEMS: usize = 4096;
 const MIN_SAMPLE_MS: f64 = 1.0;
@@ -151,10 +149,9 @@ fn maintenance(r: &mut Report, seed: u64) {
     ));
 }
 
-/// Index rebuild on the crash-recovery path: one bottom-up STR build
-/// against replaying every sealed MBR through incremental insertion,
-/// plus the whole-engine restore for context.
-fn rebuild(r: &mut Report, seed: u64) {
+/// Restoring a pattern engine from its snapshot: every stream's summary,
+/// counted in the sealed MBRs it carries.
+fn restore(r: &mut Report, seed: u64) {
     const STREAMS: usize = 8;
     const VALUES: usize = 4096;
     const LEVELS: usize = 3;
@@ -165,41 +162,13 @@ fn rebuild(r: &mut Report, seed: u64) {
             engine.append(s as u32, v);
         }
     }
-    let dims = engine.tree(0).dims();
-    let items: Vec<(Rect, u64)> = (0..LEVELS)
-        .flat_map(|level| {
-            engine.tree(level).iter().enumerate().map(move |(i, (r, _))| {
-                (Rect::new(r.lo().to_vec(), r.hi().to_vec()), (level * VALUES + i) as u64)
-            })
-        })
-        .collect();
+    let sealed: usize = (0..STREAMS as u32)
+        .flat_map(|s| (0..LEVELS).map(move |level| (s, level)))
+        .map(|(s, level)| engine.summary(s).sealed_mbrs(level).count())
+        .sum();
     let snapshot = engine.snapshot();
-    let n = items.len();
-
-    let bulk = sampler(|| items.clone(), |items| bulk_load(dims, Params::default(), items));
-    let replay = sampler(
-        || items.clone(),
-        |items| {
-            let mut tree = RStarTree::with_params(dims, Params::default());
-            for (rect, v) in items {
-                tree.insert(rect, v);
-            }
-            tree
-        },
-    );
     let restore = repeat(|| Stardust::restore(&snapshot).expect("self-written snapshot"));
-    let ns = r.group(
-        "maintenance",
-        vec![
-            ("rebuild_bulk_str", n, bulk),
-            ("rebuild_incremental_replay", n, replay),
-            ("engine_restore", n, restore),
-        ],
-    );
-    r.notes.push(format!(
-        "# rebuild: {n} entries; incremental replay / STR bulk load = {:.1}x",
-        ns[1] / ns[0]
-    ));
+    r.group("maintenance", vec![("engine_restore", sealed, restore)]);
 }
 
 fn transforms(r: &mut Report) {
@@ -254,7 +223,7 @@ fn main() {
         samples,
     };
     maintenance(&mut r, seed);
-    rebuild(&mut r, seed);
+    restore(&mut r, seed);
     transforms(&mut r);
     r.table.print();
     for note in &r.notes {

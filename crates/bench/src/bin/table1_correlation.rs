@@ -11,7 +11,7 @@
 //!
 //! Shape to reproduce: StatStream's time explodes as r grows past the cell
 //! size (the `(2b+1)^f` neighbor-cell blowup plus dense candidate lists)
-//! while Stardust's R\*-tree range queries degrade gracefully — Stardust
+//! while Stardust's banded point-table range queries degrade gracefully — Stardust
 //! wins by growing factors at the larger thresholds.
 //!
 //! Run: `cargo run --release -p stardust-bench --bin table1_correlation [--full]`

@@ -1,62 +1,44 @@
-//! The multi-stream Stardust engine: per-stream summaries plus one shared
-//! R\*-tree per resolution level.
+//! The multi-stream Stardust engine: one summary per stream, queried
+//! together by the pattern algorithms.
 //!
 //! §4: "We maintain features at a given level in a high dimensional index
 //! structure. The index combines information from all the streams […]
 //! However, each MBR inserted into the index is specific to a single
-//! stream." Sealed MBRs flow into the level's tree; retired MBRs are
-//! deleted. The pattern-query algorithms (Algorithms 3 and 4) run against
-//! this engine; aggregate and correlation monitoring have dedicated
-//! façades ([`crate::query::aggregate::AggregateMonitor`],
+//! stream." Every stream's [`StreamSummary`] already keeps its MBRs per
+//! level in time order, sealing new ones and retiring old ones as the
+//! history slides, so the engine keeps no second copy: a level's index is
+//! the sequence [`Stardust::mbrs`] walks, every stream's sealed MBRs and
+//! then its open one. The pattern-query algorithms (Algorithms 3 and 4)
+//! scan it with the exact box tests a tree's leaves would apply; at the
+//! paper's sizes (a few thousand boxes per level, `f` = 2–8) the scan is
+//! linear in the retained boxes and costs no maintenance. Aggregate and
+//! correlation monitoring have dedicated façades
+//! ([`crate::query::aggregate::AggregateMonitor`],
 //! [`crate::query::correlation::CorrelationMonitor`]) built on the same
 //! summarizer.
 //!
 //! Feature coordinates are kept **unnormalized** throughout (the DWT is
 //! linear, so the Eq. 2 scale factor commutes with everything); queries
 //! convert their normalized-space radius `r` into the equivalent raw-space
-//! radius `r·√|Q|·R_max` once, which lets a single tree serve queries of
-//! any length.
-
-use stardust_index::{bulk_load, Params, RStarTree, Rect};
+//! radius `r·√|Q|·R_max` once, which lets one set of boxes serve queries
+//! of any length.
 
 use crate::config::Config;
 use crate::mbr::FeatureMbr;
-use crate::stream::{StreamId, Time};
-use crate::summarizer::{StreamSummary, SummaryEvent};
+use crate::stream::StreamId;
+use crate::summarizer::StreamSummary;
 use crate::transform::TransformKind;
-
-/// What a tree leaf points back to: a sealed MBR of one stream.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IndexEntry {
-    /// Owning stream.
-    pub stream: StreamId,
-    /// Feature time of the MBR's first feature.
-    pub first: Time,
-    /// Number of features in the MBR.
-    pub count: u32,
-    /// Spacing between consecutive feature times.
-    pub period: u64,
-}
-
-impl IndexEntry {
-    /// Iterates the feature times contained in the MBR.
-    pub fn feature_times(&self) -> impl Iterator<Item = Time> + '_ {
-        (0..self.count as u64).map(move |i| self.first + i * self.period)
-    }
-}
 
 /// The Stardust engine over `M` streams.
 pub struct Stardust {
     config: Config,
     streams: Vec<StreamSummary>,
-    trees: Vec<RStarTree<IndexEntry>>,
-    events: Vec<SummaryEvent>,
 }
 
 impl Stardust {
     /// An engine over `n_streams` streams with the given configuration.
     /// The configuration must use the DWT transform (aggregate monitoring
-    /// does not need the cross-stream index; use `AggregateMonitor`).
+    /// does not query across streams; use `AggregateMonitor`).
     ///
     /// # Panics
     /// Panics if the configuration is invalid or not DWT-based.
@@ -65,13 +47,10 @@ impl Stardust {
         assert_eq!(
             config.transform,
             TransformKind::Dwt,
-            "the indexed engine is DWT-based; aggregates use AggregateMonitor"
+            "the pattern engine is DWT-based; aggregates use AggregateMonitor"
         );
-        let dims = config.transform.dims(config.dwt_coeffs);
         let streams = (0..n_streams).map(|_| StreamSummary::new(config.clone())).collect();
-        let trees =
-            (0..config.levels).map(|_| RStarTree::with_params(dims, Params::default())).collect();
-        Stardust { config, streams, trees, events: Vec::new() }
+        Stardust { config, streams }
     }
 
     /// The shared configuration.
@@ -92,34 +71,28 @@ impl Stardust {
         &self.streams[stream as usize]
     }
 
-    /// The index at a resolution level.
+    /// Every retained MBR at a resolution level, each with its stream, in
+    /// canonical order: by stream, then by time (each stream's sealed
+    /// MBRs, oldest first, then its open one). This is the level's index
+    /// that the pattern queries scan.
     ///
     /// # Panics
     /// Panics if the level is out of range.
-    pub fn tree(&self, level: usize) -> &RStarTree<IndexEntry> {
-        &self.trees[level]
+    pub fn mbrs(&self, level: usize) -> impl Iterator<Item = (StreamId, &FeatureMbr)> {
+        self.streams.iter().enumerate().flat_map(move |(s, summary)| {
+            summary
+                .sealed_mbrs(level)
+                .chain(summary.open_mbr(level))
+                .map(move |mbr| (s as StreamId, mbr))
+        })
     }
 
-    /// Appends one value to one stream, maintaining summaries and indexes.
+    /// Appends one value to one stream, maintaining its summary.
     ///
     /// # Panics
     /// Panics if the stream id is out of range.
     pub fn append(&mut self, stream: StreamId, value: f64) {
-        self.events.clear();
-        self.streams[stream as usize].push(value, &mut self.events);
-        for event in self.events.drain(..) {
-            match event {
-                SummaryEvent::Sealed { level, mbr } => {
-                    let (rect, entry) = index_record(stream, &mbr);
-                    self.trees[level].insert(rect, entry);
-                }
-                SummaryEvent::Retired { level, mbr } => {
-                    let (rect, entry) = index_record(stream, &mbr);
-                    let removed = self.trees[level].remove(&rect, &entry);
-                    debug_assert!(removed, "retired MBR was never indexed");
-                }
-            }
-        }
+        self.streams[stream as usize].push_quiet(value);
     }
 
     /// Appends one synchronized value per stream (`values.len()` must equal
@@ -140,9 +113,8 @@ impl Stardust {
         r * (query_len as f64).sqrt() * self.config.r_max
     }
 
-    /// Serializes the whole engine (every stream's summary). The per-level
-    /// R\*-trees are *not* serialized — they are derived state, rebuilt on
-    /// restore by re-indexing every retained sealed MBR.
+    /// Serializes the whole engine: every stream's summary, which is all
+    /// the state it has.
     pub fn snapshot(&self) -> Vec<u8> {
         // Concatenate per-stream summary snapshots behind a count header;
         // each summary blob is length-prefixed.
@@ -201,24 +173,7 @@ impl Stardust {
         if streams.iter().any(|s| s.config() != &config) {
             return Err(SnapshotError::Corrupt("stream configurations disagree"));
         }
-        // Rebuild the per-level indexes from the retained sealed MBRs with
-        // one STR bulk build per level instead of N incremental inserts.
-        let dims = config.transform.dims(config.dwt_coeffs);
-        let trees: Vec<RStarTree<IndexEntry>> = (0..config.levels)
-            .map(|level| {
-                let items: Vec<(Rect, IndexEntry)> = streams
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(sid, summary)| {
-                        summary
-                            .sealed_mbrs(level)
-                            .map(move |mbr| index_record(sid as StreamId, mbr))
-                    })
-                    .collect();
-                bulk_load(dims, Params::default(), items)
-            })
-            .collect();
-        Ok(Stardust { config, streams, trees, events: Vec::new() })
+        Ok(Stardust { config, streams })
     }
 }
 
@@ -227,23 +182,14 @@ impl std::fmt::Debug for Stardust {
         f.debug_struct("Stardust")
             .field("streams", &self.streams.len())
             .field("levels", &self.config.levels)
-            .field("indexed", &self.trees.iter().map(|t| t.len()).collect::<Vec<_>>())
             .finish()
     }
-}
-
-/// The (rectangle, payload) pair under which an MBR is indexed; must be
-/// deterministic so retirement can delete the exact record.
-fn index_record(stream: StreamId, mbr: &FeatureMbr) -> (Rect, IndexEntry) {
-    let rect = Rect::new(mbr.bounds.lo().to_vec(), mbr.bounds.hi().to_vec());
-    let entry =
-        IndexEntry { stream, first: mbr.first, count: mbr.count as u32, period: mbr.period };
-    (rect, entry)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::pattern::{query_batch, PatternQuery};
 
     fn engine(streams: usize) -> Stardust {
         let cfg = Config::batch(8, 3, 4, 100.0).with_history(64);
@@ -254,6 +200,9 @@ mod tests {
         ((i as f64 * 0.21) + s as f64).sin() * 20.0 + 50.0
     }
 
+    /// A batch query whose box covers all of feature space retrieves the
+    /// features of every retained MBR at its level, sealed and open, once
+    /// each and in canonical (stream, time) order.
     #[test]
     fn indexes_follow_sealed_mbrs() {
         let mut e = engine(3);
@@ -262,15 +211,24 @@ mod tests {
                 e.append(s, wave(i, s as usize));
             }
         }
-        for level in 0..3 {
-            let tree_count = e.tree(level).len();
-            let sealed: usize = (0..3).map(|s| e.summary(s).sealed_mbrs(level).count()).sum();
-            assert_eq!(tree_count, sealed, "level {level}");
-            assert!(tree_count > 0, "level {level} should have entries");
-            e.tree(level).validate().expect("valid tree");
+        // Query lengths 15, 23 and 39 select levels 0, 1 and 2.
+        for (level, len) in [(0, 15), (1, 23), (2, 39)] {
+            let q = PatternQuery { sequence: vec![50.0; len], radius: 1e9 };
+            let answer = query_batch(&e, &q).expect("valid");
+            let mut want = Vec::new();
+            for s in 0..3 {
+                let summary = e.summary(s);
+                assert!(summary.sealed_mbrs(level).count() > 0, "level {level} stream {s}");
+                for mbr in summary.sealed_mbrs(level).chain(summary.open_mbr(level)) {
+                    want.extend(mbr.feature_times().map(|t| (s, t)));
+                }
+            }
+            assert!(want.windows(2).all(|pair| pair[0] < pair[1]), "level {level}");
+            assert_eq!(answer.candidates, want, "level {level}");
         }
     }
 
+    /// Retired MBRs leave the scan with the history that backed them.
     #[test]
     fn retired_mbrs_leave_index() {
         let mut e = engine(1);
@@ -278,14 +236,27 @@ mod tests {
             e.append(0, wave(i, 0));
         }
         // History is 64, features every 8 at level 0 -> at most ~9-10 live.
-        assert!(e.tree(0).len() <= 12, "level 0 holds {}", e.tree(0).len());
+        let live = e.mbrs(0).count();
+        assert!(live <= 12, "level 0 holds {live}");
+        let q = PatternQuery { sequence: vec![50.0; 15], radius: 1e9 };
+        let answer = query_batch(&e, &q).expect("valid");
+        let oldest = e.summary(0).history().oldest_time();
+        assert!(!answer.candidates.is_empty());
+        assert!(answer.candidates.iter().all(|&(_, t)| t >= oldest), "{:?}", answer.candidates);
     }
 
+    /// A hit on a box expands to the feature times it holds.
     #[test]
     fn entry_feature_times() {
-        let entry = IndexEntry { stream: 2, first: 63, count: 3, period: 64 };
-        let times: Vec<Time> = entry.feature_times().collect();
-        assert_eq!(times, vec![63, 127, 191]);
+        let mbr = FeatureMbr {
+            bounds: stardust_dsp::mbr_transform::Bounds::point(&[0.0]),
+            sum: (0.0, 0.0),
+            sumsq: (0.0, 0.0),
+            first: 63,
+            count: 3,
+            period: 64,
+        };
+        assert_eq!(mbr.feature_times().collect::<Vec<_>>(), vec![63, 127, 191]);
     }
 
     #[test]
@@ -295,8 +266,8 @@ mod tests {
         assert!((e.raw_radius(0.1, 64) - 80.0).abs() < 1e-9);
     }
 
-    /// Snapshot → restore → continue: index contents and query behaviour
-    /// are preserved.
+    /// Snapshot → restore → continue: every level's boxes and query
+    /// behaviour are preserved.
     #[test]
     fn engine_snapshot_roundtrip() {
         let mut e = engine(3);
@@ -308,9 +279,9 @@ mod tests {
         let bytes = e.snapshot();
         let mut r = Stardust::restore(&bytes).expect("restores");
         assert_eq!(r.n_streams(), 3);
+        let same_boxes = |a: &Stardust, b: &Stardust, level: usize| a.mbrs(level).eq(b.mbrs(level));
         for level in 0..3 {
-            assert_eq!(e.tree(level).len(), r.tree(level).len(), "level {level}");
-            r.tree(level).validate().expect("valid restored tree");
+            assert!(same_boxes(&e, &r, level), "level {level}");
         }
         // Future appends keep the two engines in lockstep.
         for i in 300..400 {
@@ -320,20 +291,13 @@ mod tests {
             }
         }
         for level in 0..3 {
-            assert_eq!(e.tree(level).len(), r.tree(level).len(), "level {level} after append");
+            assert!(same_boxes(&e, &r, level), "level {level} after append");
         }
         // And answer pattern queries identically.
-        let q = crate::query::pattern::PatternQuery {
-            sequence: (360..392).map(|i| wave(i, 1)).collect(),
-            radius: 0.05,
-        };
-        let a = crate::query::pattern::query_batch(&e, &q).expect("valid");
-        let b = crate::query::pattern::query_batch(&r, &q).expect("valid");
-        let mut ma: Vec<_> = a.matches.iter().map(|m| (m.stream, m.end_time)).collect();
-        let mut mb: Vec<_> = b.matches.iter().map(|m| (m.stream, m.end_time)).collect();
-        ma.sort_unstable();
-        mb.sort_unstable();
-        assert_eq!(ma, mb);
+        let q = PatternQuery { sequence: (360..392).map(|i| wave(i, 1)).collect(), radius: 0.05 };
+        let a = query_batch(&e, &q).expect("valid");
+        let b = query_batch(&r, &q).expect("valid");
+        assert_eq!(a, b);
     }
 
     #[test]

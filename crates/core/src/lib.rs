@@ -16,7 +16,7 @@
 //! | Query class | Entry point | Paper |
 //! |---|---|---|
 //! | Aggregate monitoring (bursts, volatility) | [`query::aggregate::AggregateMonitor`] | §5.1, Alg. 2 |
-//! | Pattern matching (variable-length similarity) | [`query::pattern::query_online`] / [`query::pattern::query_batch`] on a [`engine::Stardust`] | §5.2, Alg. 3–4 |
+//! | Pattern matching (variable-length similarity) | [`query::pattern::query_online`] / [`query::pattern::query_batch`], scanning the MBRs of a [`engine::Stardust`]'s summaries | §5.2, Alg. 3–4 |
 //! | k-most-similar search | [`query::pattern::nearest_online`] | §1 finance scenario |
 //! | Continuous trend monitoring (standing patterns) | [`query::trend::TrendMonitor`] | §2.3 |
 //! | Correlation monitoring (incl. lagged pairs) | [`query::correlation::CorrelationMonitor`] | §5.3 |
@@ -68,7 +68,7 @@ pub mod transform;
 pub mod unified;
 
 pub use config::{ComputeMode, Config, UpdatePolicy};
-pub use engine::{IndexEntry, Stardust};
+pub use engine::Stardust;
 pub use error::{QueryError, SpecError};
 pub use mbr::FeatureMbr;
 pub use sketch::{BlockSketch, SketchDelta, SketchProjection, PRUNE_SLACK};

@@ -49,6 +49,11 @@ impl FeatureMbr {
         self.first + (self.count as u64 - 1) * self.period
     }
 
+    /// The feature times contained in this MBR, oldest first.
+    pub fn feature_times(&self) -> impl Iterator<Item = Time> + '_ {
+        (0..self.count as u64).map(move |i| self.first + i * self.period)
+    }
+
     /// `true` if a feature with time `t` is contained in this MBR.
     pub fn covers(&self, t: Time) -> bool {
         t >= self.first && t <= self.last() && (t - self.first).is_multiple_of(self.period)

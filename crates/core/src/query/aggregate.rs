@@ -196,12 +196,12 @@ impl AggregateMonitor {
     /// # Errors
     /// An invalid configuration, a DWT transform (no scalar aggregate), a
     /// window that is not decomposable over the configured levels, a MIN
-    /// window that is not a multiple of `W`, or a covering window that
-    /// exceeds the history.
+    /// window that is not a multiple of `W`, a covering window that
+    /// exceeds the history, or a history that cannot be allocated.
     pub fn try_new(config: Config, specs: &[WindowSpec]) -> Result<Self, SpecError> {
         config.check()?;
         let windows = monitored(&config, specs)?;
-        Ok(Self::assemble(StreamSummary::new(config), windows, AlarmStats::default()))
+        Ok(Self::assemble(StreamSummary::try_new(config)?, windows, AlarmStats::default()))
     }
 
     fn assemble(summary: StreamSummary, windows: Vec<Monitored>, stats: AlarmStats) -> Self {

@@ -244,8 +244,9 @@ impl CorrelationMonitor {
     ///
     /// # Errors
     /// A non-finite or negative radius, zero streams, `f = 0`, an `f`
-    /// whose approximation pyramid exceeds `W`, or an invalid
-    /// summarizer configuration (see [`Config::check`]).
+    /// whose approximation pyramid exceeds `W`, an invalid summarizer
+    /// configuration (see [`Config::check`]), or histories that cannot
+    /// be allocated.
     pub fn try_new(
         base_window: usize,
         levels: usize,
@@ -254,12 +255,12 @@ impl CorrelationMonitor {
         n_streams: usize,
     ) -> Result<Self, SpecError> {
         let config = Self::summary_config(base_window, levels, f, radius, n_streams, 1)?;
-        let summaries = (0..n_streams).map(|_| StreamSummary::new(config.clone())).collect();
+        let summaries = Self::fresh_summaries(&config, n_streams)?;
         Ok(Self::assemble(summaries, f, radius, 1))
     }
 
     /// Checks a monitor's parameters and returns the configuration of
-    /// its summaries. [`Self::try_new`], [`Self::with_lag_periods`] and
+    /// its summaries. [`Self::try_new`], [`Self::try_with_lag_periods`] and
     /// [`Self::restore`] all go through here.
     fn summary_config(
         base_window: usize,
@@ -295,6 +296,11 @@ impl CorrelationMonitor {
             .and_then(|n| n.checked_add(config.max_window()))
             .ok_or_else(|| SpecError::Invalid("lag horizon overflows".into()))?;
         Ok(config.with_history(history))
+    }
+
+    /// One empty summary per stream, each with its history reserved.
+    fn fresh_summaries(config: &Config, n_streams: usize) -> Result<Vec<StreamSummary>, SpecError> {
+        (0..n_streams).map(|_| StreamSummary::try_new(config.clone())).collect()
     }
 
     /// Puts a monitor together over checked summaries.
@@ -346,10 +352,22 @@ impl CorrelationMonitor {
     /// (default) reports synchronized pairs only.
     ///
     /// # Panics
-    /// Panics if `periods` is zero or the lag horizon overflows, or if
-    /// the monitor has already consumed values (the raw-history size
-    /// depends on the lag horizon).
-    pub fn with_lag_periods(mut self, periods: usize) -> Self {
+    /// Panics with [`Self::try_with_lag_periods`]'s message, or if the
+    /// monitor has already consumed values (the raw-history size depends
+    /// on the lag horizon).
+    pub fn with_lag_periods(self, periods: usize) -> Self {
+        self.try_with_lag_periods(periods).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Self::with_lag_periods`] without the panic on invalid input.
+    ///
+    /// # Errors
+    /// `periods` is zero, the lag horizon `(periods − 1)·W + N` overflows,
+    /// or the histories it needs cannot be allocated.
+    ///
+    /// # Panics
+    /// Panics if the monitor has already consumed values.
+    pub fn try_with_lag_periods(mut self, periods: usize) -> Result<Self, SpecError> {
         assert!(self.summaries[0].now().is_none(), "configure the lag before feeding values");
         let base = self.summaries[0].config();
         let config = Self::summary_config(
@@ -359,12 +377,10 @@ impl CorrelationMonitor {
             self.radius,
             self.summaries.len(),
             periods,
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
-        self.summaries =
-            (0..self.summaries.len()).map(|_| StreamSummary::new(config.clone())).collect();
+        )?;
+        self.summaries = Self::fresh_summaries(&config, self.summaries.len())?;
         self.lag_periods = periods;
-        self
+        Ok(self)
     }
 
     /// Number of monitored streams.

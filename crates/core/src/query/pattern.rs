@@ -3,25 +3,30 @@
 //! Both algorithms answer: *which streams contain a subsequence within
 //! normalized Euclidean distance `r` of the query `Q`?* The normalized
 //! space of Eq. 2 scales every window by `1/(√w·R_max)`; since the DWT is
-//! linear, we keep all index coordinates **unnormalized** and convert the
+//! linear, we keep all feature coordinates **unnormalized** and convert the
 //! radius once to raw space, `R = r·√|Q|·R_max`, so one set of per-level
-//! trees serves queries of any length.
+//! boxes serves queries of any length.
 //!
-//! * **Online** (index built with `T_j = 1`): `Q` is partitioned along the
-//!   binary representation of `|Q|/W`; a range query at the first
+//! * **Online** (summaries built with `T_j = 1`): `Q` is partitioned along
+//!   the binary representation of `|Q|/W`; a range query at the first
 //!   sub-query's level seeds candidates, which are then narrowed by
 //!   *hierarchical radius refinement* — at each further sub-query the
 //!   remaining radius shrinks to `√(r² − d_min²)` — walking the per-stream
-//!   MBR threads rather than the index.
-//! * **Batch** (index built with `T_j = W`): all `W` prefixes' disjoint
-//!   pieces of `Q` are gathered into one query MBR, enlarged by `R/√p`
-//!   (multi-piece search), and a single rectangle query retrieves the
+//!   MBR threads.
+//! * **Batch** (summaries built with `T_j = W`): all `W` prefixes' disjoint
+//!   pieces of `Q` are gathered into one query box, enlarged by `R/√p`
+//!   (multi-piece search), and a single box query retrieves the
 //!   candidates.
+//!
+//! The range and box queries scan a level's retained MBRs
+//! ([`Stardust::mbrs`]) with the exact tests an index's leaves apply
+//! (`d_min ≤ R`, closed-interval intersection), so the candidates are the
+//! ones an R\*-tree over the same boxes returns, in canonical order.
 
 use std::collections::BTreeSet;
 
 use stardust_dsp::haar;
-use stardust_index::Rect;
+use stardust_dsp::mbr_transform::Bounds;
 
 use crate::engine::Stardust;
 use crate::error::QueryError;
@@ -49,11 +54,12 @@ pub struct PatternMatch {
     pub distance: f64,
 }
 
-/// The outcome of a pattern query: the candidates that survived index
+/// The outcome of a pattern query: the candidates that survived box
 /// filtering (each cost a raw-data verification) and the verified matches.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PatternAnswer {
-    /// Candidate (stream, feature-time) pairs retrieved.
+    /// Candidate (stream, feature-time) pairs retrieved, in canonical
+    /// order: by stream, then by feature time.
     pub candidates: Vec<(StreamId, Time)>,
     /// How many candidates verified to at least one true match.
     pub relevant: usize,
@@ -83,8 +89,8 @@ fn check_query(q: &PatternQuery) -> Result<(), QueryError> {
     Ok(())
 }
 
-/// **Algorithm 3** — answering a pattern query against an online-built
-/// index (`T_j = 1`).
+/// **Algorithm 3** — answering a pattern query against online-built
+/// summaries (`T_j = 1`).
 pub fn query_online(engine: &Stardust, q: &PatternQuery) -> Result<PatternAnswer, QueryError> {
     check_query(q)?;
     let cfg = engine.config();
@@ -109,23 +115,12 @@ pub fn query_online(engine: &Stardust, q: &PatternQuery) -> Result<PatternAnswer
     let first_level = levels[0];
     let first_window = (w0 << first_level) as u64;
 
-    // Seed candidates: range query on the first sub-query's level, plus a
-    // linear pass over the streams' still-open MBRs (not yet indexed).
+    // Seed candidates: range query on the first sub-query's level.
     let mut seeds: Vec<(StreamId, Time, f64)> = Vec::new();
-    engine.tree(first_level).search_within(&sub_feats[0], r_abs, |rect, entry| {
-        let d = rect.min_dist_point(&sub_feats[0]);
-        for tf in entry.feature_times() {
-            seeds.push((entry.stream, tf, d));
-        }
-    });
-    for s in 0..engine.n_streams() as StreamId {
-        if let Some(open) = engine.summary(s).open_mbr(first_level) {
-            let d = open.bounds.min_dist(&sub_feats[0]);
-            if d <= r_abs {
-                for i in 0..open.count as u64 {
-                    seeds.push((s, open.first + i * open.period, d));
-                }
-            }
+    for (stream, mbr) in engine.mbrs(first_level) {
+        let d = mbr.bounds.min_dist(&sub_feats[0]);
+        if d <= r_abs {
+            seeds.extend(mbr.feature_times().map(|tf| (stream, tf, d)));
         }
     }
 
@@ -175,8 +170,8 @@ pub fn query_online(engine: &Stardust, q: &PatternQuery) -> Result<PatternAnswer
     Ok(answer)
 }
 
-/// **Algorithm 4** — answering a pattern query against a batch-built index
-/// (`T_j = W`).
+/// **Algorithm 4** — answering a pattern query against batch-built
+/// summaries (`T_j = W`).
 pub fn query_batch(engine: &Stardust, q: &PatternQuery) -> Result<PatternAnswer, QueryError> {
     check_query(q)?;
     let cfg = engine.config();
@@ -196,24 +191,15 @@ pub fn query_batch(engine: &Stardust, q: &PatternQuery) -> Result<PatternAnswer,
     let w = w0 << level;
     let r_abs = engine.raw_radius(q.radius, len);
 
-    // Gather the disjoint pieces of every prefix into the query MBR.
-    let mut qlo: Vec<f64> = Vec::new();
-    let mut qhi: Vec<f64> = Vec::new();
+    // Gather the disjoint pieces of every prefix into the query box.
+    let mut query_box: Option<Bounds> = None;
     for i in 0..w0 {
         let mut k = 0usize;
         while i + (k + 1) * w <= len {
-            let piece = &q.sequence[i + k * w..i + (k + 1) * w];
-            let coeffs = haar::approx(piece, f);
-            if qlo.is_empty() {
-                qlo = coeffs.clone();
-                qhi = coeffs;
-            } else {
-                for (d, &c) in qlo.iter_mut().zip(&coeffs) {
-                    *d = d.min(c);
-                }
-                for (d, &c) in qhi.iter_mut().zip(&coeffs) {
-                    *d = d.max(c);
-                }
+            let coeffs = haar::approx(&q.sequence[i + k * w..i + (k + 1) * w], f);
+            match &mut query_box {
+                Some(b) => b.extend(&coeffs),
+                None => query_box = Some(Bounds::point(&coeffs)),
             }
             k += 1;
         }
@@ -222,26 +208,13 @@ pub fn query_batch(engine: &Stardust, q: &PatternQuery) -> Result<PatternAnswer,
     // alignment, so some piece is within R/√p.
     let p = (len - w0 + 1) / w;
     debug_assert!(p >= 1);
-    let enlarge = r_abs / (p as f64).sqrt();
-    let query_rect = Rect::new(
-        qlo.iter().map(|v| v - enlarge).collect(),
-        qhi.iter().map(|v| v + enlarge).collect(),
-    );
+    let query_box =
+        query_box.expect("|Q| ≥ 2^j·W + W − 1 holds a piece").enlarge(r_abs / (p as f64).sqrt());
 
     let mut answer = PatternAnswer::default();
-    engine.tree(level).search_intersecting(&query_rect, |_, entry| {
-        for tf in entry.feature_times() {
-            answer.candidates.push((entry.stream, tf));
-        }
-    });
-    for s in 0..engine.n_streams() as StreamId {
-        if let Some(open) = engine.summary(s).open_mbr(level) {
-            let open_rect = Rect::new(open.bounds.lo().to_vec(), open.bounds.hi().to_vec());
-            if open_rect.intersects(&query_rect) {
-                for i in 0..open.count as u64 {
-                    answer.candidates.push((s, open.first + i * open.period));
-                }
-            }
+    for (stream, mbr) in engine.mbrs(level) {
+        if mbr.bounds.intersects(&query_box) {
+            answer.candidates.extend(mbr.feature_times().map(|tf| (stream, tf)));
         }
     }
 

@@ -142,10 +142,13 @@ impl TrendMonitor {
     /// [`Self::new`] without the panic.
     ///
     /// # Errors
-    /// Zero streams, or an invalid or non-DWT configuration.
+    /// Zero streams, an invalid or non-DWT configuration, or a history
+    /// that cannot be allocated.
     pub fn try_new(config: Config, n_streams: usize) -> Result<Self, SpecError> {
         config.check()?;
-        let summaries = (0..n_streams).map(|_| StreamSummary::new(config.clone())).collect();
+        let summaries = (0..n_streams)
+            .map(|_| StreamSummary::try_new(config.clone()))
+            .collect::<Result<_, _>>()?;
         Self::assemble(summaries, TrendStats::default())
     }
 

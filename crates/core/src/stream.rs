@@ -6,6 +6,8 @@
 //! recent subsequence to verify candidate alarms, and the pattern /
 //! correlation monitors verify candidate matches the same way.
 
+use std::collections::TryReserveError;
+
 /// Identifier of one input stream.
 pub type StreamId = u32;
 
@@ -23,13 +25,19 @@ pub struct StreamHistory {
 }
 
 impl StreamHistory {
-    /// An empty history retaining the last `capacity` values.
+    /// An empty history retaining the last `capacity` values. The whole
+    /// ring is reserved up front, so pushes never reallocate.
+    ///
+    /// # Errors
+    /// The allocator's error if the ring cannot be reserved.
     ///
     /// # Panics
     /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
+    pub fn new(capacity: usize) -> Result<Self, TryReserveError> {
         assert!(capacity > 0, "history capacity must be positive");
-        StreamHistory { buf: Vec::with_capacity(capacity), capacity, next: 0 }
+        let mut buf = Vec::new();
+        buf.try_reserve_exact(capacity)?;
+        Ok(StreamHistory { buf, capacity, next: 0 })
     }
 
     /// Appends a value, evicting the oldest if full. Returns the time
@@ -126,7 +134,7 @@ mod tests {
 
     #[test]
     fn push_assigns_sequential_times() {
-        let mut h = StreamHistory::new(4);
+        let mut h = StreamHistory::new(4).expect("small ring");
         assert_eq!(h.push(1.0), 0);
         assert_eq!(h.push(2.0), 1);
         assert_eq!(h.len_seen(), 2);
@@ -135,7 +143,7 @@ mod tests {
 
     #[test]
     fn get_within_capacity() {
-        let mut h = StreamHistory::new(3);
+        let mut h = StreamHistory::new(3).expect("small ring");
         for i in 0..3 {
             h.push(i as f64);
         }
@@ -146,7 +154,7 @@ mod tests {
 
     #[test]
     fn eviction_after_wraparound() {
-        let mut h = StreamHistory::new(3);
+        let mut h = StreamHistory::new(3).expect("small ring");
         for i in 0..5 {
             h.push(i as f64);
         }
@@ -158,7 +166,7 @@ mod tests {
 
     #[test]
     fn window_extraction() {
-        let mut h = StreamHistory::new(8);
+        let mut h = StreamHistory::new(8).expect("small ring");
         for i in 0..8 {
             h.push(i as f64 * 10.0);
         }
@@ -168,7 +176,7 @@ mod tests {
 
     #[test]
     fn window_unavailable_cases() {
-        let mut h = StreamHistory::new(4);
+        let mut h = StreamHistory::new(4).expect("small ring");
         for i in 0..6 {
             h.push(i as f64);
         }
@@ -184,7 +192,7 @@ mod tests {
 
     #[test]
     fn empty_window_is_ok() {
-        let h = StreamHistory::new(2);
+        let h = StreamHistory::new(2).expect("small ring");
         let mut out = vec![1.0];
         assert!(h.copy_window(0, 0, &mut out));
         assert!(out.is_empty());
@@ -192,7 +200,7 @@ mod tests {
 
     #[test]
     fn wraparound_preserves_order() {
-        let mut h = StreamHistory::new(5);
+        let mut h = StreamHistory::new(5).expect("small ring");
         for i in 0..23 {
             h.push(i as f64);
         }

@@ -5,8 +5,8 @@
 //! aggregate transforms), level `j ≥ 1` from the MBRs at level `j−1` that
 //! contain the features of the window's two halves (Lemmas 4.1 / 4.2).
 //! Every `c` consecutive features are combined into an MBR; sealed MBRs are
-//! announced to the caller (the engine inserts them into the per-level
-//! R\*-tree) and retired once they fall out of the history of interest.
+//! kept per level in time order (the pattern engine scans them as its
+//! index) and retired once they fall out of the history of interest.
 //!
 //! Per-item cost: Θ(1) amortized for the aggregate transforms at level 0
 //! (running sum / monotonic deques), Θ(f) per due level above it
@@ -18,6 +18,7 @@ use stardust_dsp::haar;
 use stardust_dsp::mbr_transform::Bounds;
 
 use crate::config::Config;
+use crate::error::SpecError;
 use crate::mbr::FeatureMbr;
 use crate::snapshot::{self, SnapshotError};
 use crate::stream::{StreamHistory, Time};
@@ -127,12 +128,18 @@ impl StreamSummary {
     /// A fresh summary for the given configuration.
     ///
     /// # Panics
-    /// Panics with [`Config::check`]'s message on an invalid
-    /// configuration.
+    /// Panics with [`Self::try_new`]'s message.
     pub fn new(config: Config) -> Self {
-        if let Err(e) = config.check() {
-            panic!("{e}");
-        }
+        Self::try_new(config).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Self::new`] without the panic.
+    ///
+    /// # Errors
+    /// [`Config::check`]'s error on an invalid configuration, and
+    /// [`SpecError::Invalid`] if the raw history cannot be allocated.
+    pub fn try_new(config: Config) -> Result<Self, SpecError> {
+        config.check()?;
         let levels = (0..config.levels)
             .map(|j| LevelState {
                 window: config.window_at(j),
@@ -143,8 +150,13 @@ impl StreamSummary {
             .collect();
         // +1 so the value leaving the base window (t − W) is still readable
         // when time t is pushed.
-        let history = StreamHistory::new(config.history + 1);
-        StreamSummary {
+        let history = StreamHistory::new(config.history + 1).map_err(|_| {
+            SpecError::Invalid(format!(
+                "a raw history of {} values cannot be allocated",
+                config.history + 1
+            ))
+        })?;
+        Ok(StreamSummary {
             config,
             history,
             levels,
@@ -153,7 +165,7 @@ impl StreamSummary {
             run_sumsq: 0.0,
             scratch: Vec::new(),
             telemetry: SummarizerTelemetry::default(),
-        }
+        })
     }
 
     /// Attaches lifecycle counters; pass

@@ -66,6 +66,16 @@ impl Bounds {
                 .all(|(x, (l, h))| *x >= l - eps && *x <= h + eps)
     }
 
+    /// `true` if the closed rectangles share at least one point: no axis
+    /// separates them, so touching rectangles intersect.
+    ///
+    /// # Panics
+    /// Panics if the dimensionalities differ.
+    pub fn intersects(&self, other: &Bounds) -> bool {
+        assert_eq!(other.dims(), self.dims(), "bounds dimensionality mismatch");
+        !(0..self.dims()).any(|d| self.lo[d] > other.hi[d] || other.lo[d] > self.hi[d])
+    }
+
     /// Grows the rectangle to include `p`.
     ///
     /// # Panics
@@ -328,6 +338,16 @@ mod tests {
         let e = b.enlarge(1.0);
         assert_eq!(e.lo(), &[-3.0, 0.0]);
         assert_eq!(e.hi(), &[3.0, 4.0]);
+    }
+
+    #[test]
+    fn intersection_is_closed() {
+        let a = Bounds::new(vec![0.0, 0.0], vec![1.0, 1.0]);
+        let touching = Bounds::new(vec![1.0, 0.5], vec![2.0, 2.0]);
+        let apart = Bounds::new(vec![1.5, 0.0], vec![2.0, 1.0]);
+        assert!(a.intersects(&touching) && touching.intersects(&a));
+        assert!(!a.intersects(&apart) && !apart.intersects(&a));
+        assert!(a.intersects(&Bounds::point(&[0.5, 0.5])));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! The primitives exist in two forms sharing one implementation: methods on
 //! [`Rect`], and the `coords_*` functions over raw `(lo, hi)` coordinate
 //! slices. The slice form is what the arena tree's flat SoA scans call —
-//! `tree.rs` and `bulk.rs` never reimplement a metric, so every scan loop
+//! `tree.rs` never reimplements a metric, so every scan loop
 //! computes bit-identical values to the `Rect` API. [`RectRef`] is the
 //! borrowed form the tree hands out: a view of one entry's corners in its
 //! node's flat bounds block.
@@ -639,25 +639,6 @@ impl Rect {
         coords_overlap_area(&self.lo, &self.hi, &other.lo, &other.hi)
     }
 
-    /// `true` if the rectangles share at least a boundary point.
-    #[inline]
-    pub fn intersects(&self, other: &Rect) -> bool {
-        coords_intersect(&self.lo, &self.hi, &other.lo, &other.hi)
-    }
-
-    /// `true` if `other` lies fully inside `self`.
-    #[inline]
-    pub fn contains_rect(&self, other: &Rect) -> bool {
-        coords_contain(&self.lo, &self.hi, &other.lo, &other.hi)
-    }
-
-    /// `true` if point `p` lies inside `self`.
-    #[inline]
-    pub fn contains_point(&self, p: &[f64]) -> bool {
-        debug_assert_eq!(self.dims(), p.len());
-        self.lo.iter().zip(self.hi.iter()).zip(p).all(|((l, h), x)| l <= x && x <= h)
-    }
-
     /// Minimum Euclidean distance from `p` to the rectangle — `d_min(p, B)`
     /// of Roussopoulos et al. Zero if `p` is inside.
     #[inline]
@@ -681,13 +662,6 @@ impl Rect {
             acc += d * d;
         }
         acc.sqrt()
-    }
-
-    /// Squared distance between the centers of two rectangles; the R\*-tree
-    /// reinsertion heuristic sorts by this.
-    #[inline]
-    pub fn center_dist_sqr(&self, other: &Rect) -> f64 {
-        coords_center_dist_sqr(&self.lo, &self.hi, &other.lo, &other.hi)
     }
 }
 
@@ -750,8 +724,8 @@ mod tests {
         let a = r(&[0.0, 0.0], &[1.0, 1.0]);
         let b = r(&[2.0, -1.0], &[3.0, 0.5]);
         let u = a.union(&b);
-        assert!(u.contains_rect(&a));
-        assert!(u.contains_rect(&b));
+        assert!(coords_contain(u.lo(), u.hi(), a.lo(), a.hi()));
+        assert!(coords_contain(u.lo(), u.hi(), b.lo(), b.hi()));
         assert_eq!(u.lo(), &[0.0, -1.0]);
         assert_eq!(u.hi(), &[3.0, 1.0]);
     }
@@ -778,7 +752,7 @@ mod tests {
         let a = r(&[0.0, 0.0], &[1.0, 1.0]);
         let b = r(&[2.0, 2.0], &[3.0, 3.0]);
         assert_eq!(a.overlap_area(&b), 0.0);
-        assert!(!a.intersects(&b));
+        assert!(!coords_intersect(a.lo(), a.hi(), b.lo(), b.hi()));
     }
 
     #[test]
@@ -792,7 +766,7 @@ mod tests {
     fn touching_rectangles_intersect_with_zero_overlap() {
         let a = r(&[0.0, 0.0], &[1.0, 1.0]);
         let b = r(&[1.0, 0.0], &[2.0, 1.0]);
-        assert!(a.intersects(&b));
+        assert!(coords_intersect(a.lo(), a.hi(), b.lo(), b.hi()));
         assert_eq!(a.overlap_area(&b), 0.0);
     }
 
@@ -817,14 +791,15 @@ mod tests {
     fn center_dist() {
         let a = r(&[0.0, 0.0], &[2.0, 2.0]);
         let b = r(&[4.0, 0.0], &[6.0, 2.0]);
-        assert!((a.center_dist_sqr(&b) - 16.0).abs() < EPS);
+        assert!((coords_center_dist_sqr(a.lo(), a.hi(), b.lo(), b.hi()) - 16.0).abs() < EPS);
     }
 
     #[test]
     fn point_rect_is_degenerate() {
         let p = Rect::point(&[1.0, -2.0, 3.0]);
         assert_eq!(p.area(), 0.0);
-        assert!(p.contains_point(&[1.0, -2.0, 3.0]));
+        assert_eq!(p.lo(), &[1.0, -2.0, 3.0]);
+        assert_eq!(p.lo(), p.hi());
     }
 
     #[test]
@@ -843,8 +818,6 @@ mod tests {
         assert_eq!(coords_margin(a.lo(), a.hi()), a.margin());
         assert_eq!(coords_overlap_area(a.lo(), a.hi(), b.lo(), b.hi()), a.overlap_area(&b));
         assert_eq!(coords_union_area(a.lo(), a.hi(), b.lo(), b.hi()), a.union_area(&b));
-        assert_eq!(coords_intersect(a.lo(), a.hi(), b.lo(), b.hi()), a.intersects(&b));
-        assert_eq!(coords_contain(a.lo(), a.hi(), b.lo(), b.hi()), a.contains_rect(&b));
         let p = [6.0, 3.0];
         assert_eq!(coords_min_dist_point_sqr(a.lo(), a.hi(), &p).sqrt(), a.min_dist_point(&p));
     }

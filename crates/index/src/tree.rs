@@ -53,8 +53,7 @@ use crate::geometry::{
 /// [`RStarTree::counters`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct TreeCounters {
-    /// Data items inserted via [`RStarTree::insert`] (bulk-loaded items
-    /// count here too).
+    /// Data items inserted via [`RStarTree::insert`].
     pub inserts: u64,
     /// Data items removed via [`RStarTree::remove`] / [`RStarTree::take`].
     pub removes: u64,
@@ -389,26 +388,9 @@ impl<T> RStarTree<T> {
         self.len == 0
     }
 
-    /// Dimensionality of the indexed rectangles.
-    pub fn dims(&self) -> usize {
-        self.dims
-    }
-
     /// Tree height (1 for a single leaf root).
     pub fn height(&self) -> usize {
         self.node(self.root).level + 1
-    }
-
-    /// MBR of the whole tree, `None` when empty.
-    pub fn bounding_rect(&self) -> Option<Rect> {
-        let root = self.node(self.root);
-        if root.count() == 0 {
-            None
-        } else {
-            let mut lo = root.mbr(self.dims);
-            let hi = lo.split_off(self.dims);
-            Some(Rect::new(lo, hi))
-        }
     }
 
     /// Inserts a rectangle/value pair.
@@ -954,68 +936,6 @@ impl<T> RStarTree<T> {
     }
 }
 
-/// Crate-internal construction surface for the STR bulk loader
-/// ([`crate::bulk`]): packs nodes directly into the arena, bottom-up.
-impl<T> RStarTree<T> {
-    /// A full leaf node from pre-grouped items; returns its id.
-    pub(crate) fn bulk_new_leaf(&mut self, items: impl IntoIterator<Item = (Rect, T)>) -> u32 {
-        let id = self.alloc(0);
-        let node = self.node_mut(id);
-        for (rect, value) in items {
-            node.coords.extend_from_slice(rect.lo());
-            node.coords.extend_from_slice(rect.hi());
-            node.values.push(value);
-        }
-        id
-    }
-
-    /// An internal node at `level` over already-built children.
-    pub(crate) fn bulk_new_inner(&mut self, level: usize, children: &[u32]) -> u32 {
-        let id = self.alloc(level);
-        for &child in children {
-            debug_assert_eq!(self.node(child).level + 1, level);
-            let mbr = self.node(child).mbr(self.dims);
-            self.node_mut(id).push_entry(&mbr, Payload::Child(child));
-        }
-        id
-    }
-
-    /// MBR of an arena node as a flat `lo|hi` block (for STR ordering of
-    /// upper levels).
-    pub(crate) fn bulk_node_mbr(&self, id: u32) -> Vec<f64> {
-        self.node(id).mbr(self.dims)
-    }
-
-    /// Installs the packed root, recycling the placeholder root the tree
-    /// was constructed with, and accounts the loaded items.
-    pub(crate) fn bulk_finish(&mut self, root: u32, n_items: usize) {
-        if root != self.root {
-            let old = self.root;
-            self.root = root;
-            self.release(old);
-        }
-        self.len = n_items;
-        bump(&self.counters.inserts, n_items as u64);
-    }
-
-    /// Number of reachable leaf nodes (test support for the packing
-    /// density check).
-    #[cfg(test)]
-    pub(crate) fn leaf_count(&self) -> usize {
-        let mut stack = vec![self.root];
-        let mut leaves = 0;
-        while let Some(id) = stack.pop() {
-            let node = self.node(id);
-            if node.level == 0 {
-                leaves += 1;
-            } else {
-                stack.extend_from_slice(&node.children);
-            }
-        }
-        leaves
-    }
-}
-
 impl<T> std::fmt::Debug for RStarTree<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RStarTree")
@@ -1108,6 +1028,7 @@ impl<'a, T> Iterator for Iter<'a, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::geometry::coords_intersect;
 
     /// Deterministic pseudo-random f64 in [0, 1) via splitmix64.
     fn rng(seed: &mut u64) -> f64 {
@@ -1130,7 +1051,6 @@ mod tests {
         let tree: RStarTree<u32> = RStarTree::new(3);
         assert!(tree.is_empty());
         assert_eq!(tree.height(), 1);
-        assert!(tree.bounding_rect().is_none());
         assert!(tree.validate().is_ok());
         assert_eq!(tree.collect_intersecting(&Rect::point(&[0.0, 0.0, 0.0])).len(), 0);
     }
@@ -1172,8 +1092,11 @@ mod tests {
         }
         for _ in 0..20 {
             let q = random_rect(&mut seed, 3);
-            let mut expect: Vec<i32> =
-                items.iter().filter(|(r, _)| r.intersects(&q)).map(|&(_, v)| v).collect();
+            let mut expect: Vec<i32> = items
+                .iter()
+                .filter(|(r, _)| coords_intersect(r.lo(), r.hi(), q.lo(), q.hi()))
+                .map(|&(_, v)| v)
+                .collect();
             expect.sort_unstable();
             let mut got: Vec<i32> =
                 tree.collect_intersecting(&q).iter().map(|&(_, v)| *v).collect();

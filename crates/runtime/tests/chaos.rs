@@ -152,7 +152,7 @@ fn full_journal_replay_recovers_without_snapshots() {
     assert_eq!(recovered, reference);
 }
 
-/// Correlation state (R*-tree + insertion log) must also survive a
+/// Correlation state (feature table + summaries) must also survive a
 /// crash: a faulted run emits exactly what an unfaulted run with the
 /// same shard count does, and post-crash queries still answer.
 #[test]

@@ -4,7 +4,14 @@
 //! windows, NaN / negative / infinite radii and `R_max`, empty and
 //! undecomposable trend patterns — and `MonitorSpec::build` and
 //! `ShardedRuntime::launch` must agree on `Ok` against `Err` without
-//! panicking.
+//! panicking or aborting.
+//!
+//! Two corners pass every parameter check but ask for a raw history no
+//! machine holds: W = 2^61, whose history exceeds `isize::MAX` bytes,
+//! and 40 levels, whose history is at least 2^39 values (4 TiB). The
+//! first is refused before the allocator is asked; the second is refused
+//! by an allocator that does not overcommit that far (Linux's default
+//! heuristic), so neither corner touches real memory.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -18,8 +25,8 @@ use stardust_runtime::{
 
 // Valid values appear more than once, so that about one drawn spec in
 // ten builds.
-const WS: [usize; 7] = [0, 1, 3, 4, 8, 4, 8];
-const LEVELS: [usize; 6] = [0, 1, 2, 3, 5, 2];
+const WS: [usize; 8] = [0, 1, 3, 4, 8, 4, 8, 1 << 61];
+const LEVELS: [usize; 7] = [0, 1, 2, 3, 5, 2, 40];
 const REALS: [f64; 8] = [f64::NAN, -1.0, f64::INFINITY, 0.0, 0.5, 50.0, 0.5, 50.0];
 const COEFFS: [usize; 7] = [0, 1, 2, 3, 4, 2, 1];
 const CAPACITIES: [usize; 5] = [0, 1, 3, 4, 4];

@@ -322,7 +322,7 @@ fn run_correlate(args: &Args, input: &str) -> Result<String, String> {
     let mut monitor = CorrelationMonitor::try_new(base, levels, f, radius, streams.len())
         .map_err(|e| e.to_string())?;
     if lag > 1 {
-        monitor = monitor.with_lag_periods(lag);
+        monitor = monitor.try_with_lag_periods(lag).map_err(|e| e.to_string())?;
     }
     let n = streams[0].len();
     let mut out = String::from("row,stream_a,stream_b,lag,correlation\n");
@@ -896,6 +896,14 @@ mod tests {
             ("metrics --base 2 --classes trend", "", "f must be a power of two no larger than W"),
             ("burst --capacity 0", &bursty, "box capacity c must be at least 1"),
             ("correlate --base 4 --levels 2", &walks, pyramid),
+            // Valid shapes whose raw history the allocator refuses (tens of
+            // TiB) or whose lag horizon overflows `usize`.
+            (
+                "metrics --levels 40 --classes agg --values 64 --streams 2",
+                "",
+                "a raw history of 8796093022209 values cannot be allocated",
+            ),
+            ("correlate --lag 2305843009213693952", &walks, "lag horizon overflows"),
         ] {
             let (cmd, args) = Args::parse(&argv(line)).unwrap();
             let err = run(&cmd, &args, input).unwrap_err();

@@ -3,8 +3,8 @@
 //! A complete, from-scratch Rust implementation of **"A Unified Framework
 //! for Monitoring Data Streams in Real Time"** (Bulut & Singh, ICDE 2005):
 //! multi-resolution stream summarization with incremental feature
-//! computation, MBR-based space/accuracy trading, per-level R\*-tree
-//! indexing, and the three monitoring query classes — aggregates (bursts,
+//! computation, MBR-based space/accuracy trading, per-level MBR indexing,
+//! and the three monitoring query classes — aggregates (bursts,
 //! volatility), variable-length patterns, and correlations.
 //!
 //! This crate is a façade re-exporting the workspace members:
@@ -12,7 +12,7 @@
 //! | Module | Crate | Contents |
 //! |---|---|---|
 //! | [`core`] | `stardust-core` | summarizer (Alg. 1), engine, query algorithms (Alg. 2–4, §5.3), `MonitorSpec` |
-//! | [`index`] | `stardust-index` | R\*-tree with forced reinsertion, deletion, STR bulk load; banded `PointTable` |
+//! | [`index`] | `stardust-index` | banded `PointTable`; R\*-tree with forced reinsertion and deletion (GeneralMatch's index) |
 //! | [`dsp`] | `stardust-dsp` | Haar DWT, incremental half-merge (Lemma A.1), MBR transform (App. A) |
 //! | [`baselines`] | `stardust-baselines` | SWT, StatStream and its sliding DFT, GeneralMatch, MR-Index, linear scan |
 //! | [`datagen`] | `stardust-datagen` | seeded workload generators for every §6 experiment |

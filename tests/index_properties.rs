@@ -1,27 +1,16 @@
 //! Property tests of the R\*-tree against a naive shadow structure under
-//! interleaved inserts, deletes, bulk rebuilds, and queries.
+//! interleaved inserts, deletes and queries.
 
 use proptest::prelude::*;
-use stardust::index::{bulk_load, Params, RStarTree, Rect};
+use stardust::index::geometry::coords_intersect;
+use stardust::index::{Params, RStarTree, Rect};
 
 #[derive(Debug, Clone)]
 enum Op {
-    Insert {
-        lo: Vec<f64>,
-        extent: Vec<f64>,
-    },
+    Insert { lo: Vec<f64>, extent: Vec<f64> },
     RemoveOldest,
-    /// Replace the tree with an STR bulk build over the live items (the
-    /// crash-recovery path), then keep mutating it.
-    BulkRebuild,
-    Query {
-        lo: Vec<f64>,
-        extent: Vec<f64>,
-    },
-    Within {
-        point: Vec<f64>,
-        radius: f64,
-    },
+    Query { lo: Vec<f64>, extent: Vec<f64> },
+    Within { point: Vec<f64>, radius: f64 },
 }
 
 fn coord() -> impl Strategy<Value = f64> {
@@ -36,7 +25,6 @@ fn op_strategy(dims: usize) -> impl Strategy<Value = Op> {
         )
             .prop_map(|(lo, extent)| Op::Insert { lo, extent }),
         1 => Just(Op::RemoveOldest),
-        1 => Just(Op::BulkRebuild),
         2 => (
             proptest::collection::vec(coord(), dims),
             proptest::collection::vec(0.0f64..30.0, dims)
@@ -76,7 +64,6 @@ fn apply_ops(
     tree: &mut RStarTree<u32>,
     shadow: &mut Vec<(Rect, u32)>,
     next_id: &mut u32,
-    cap: usize,
     ops: &[Op],
 ) -> Result<(), TestCaseError> {
     for op in ops {
@@ -93,9 +80,6 @@ fn apply_ops(
                     shadow.remove(0);
                 }
             }
-            Op::BulkRebuild => {
-                *tree = bulk_load(tree.dims(), Params::new(cap), shadow.clone());
-            }
             Op::Query { lo, extent } => {
                 let q = rect(lo, extent);
                 let got = tree
@@ -105,7 +89,7 @@ fn apply_ops(
                     .collect();
                 let want = shadow
                     .iter()
-                    .filter(|(r, _)| r.intersects(&q))
+                    .filter(|(r, _)| coords_intersect(r.lo(), r.hi(), q.lo(), q.hi()))
                     .map(|(r, v)| keyed(r.lo(), r.hi(), *v))
                     .collect();
                 prop_assert_eq!(sorted(got), sorted(want));
@@ -144,54 +128,6 @@ proptest! {
         let mut tree = RStarTree::with_params(3, Params::new(cap));
         let mut shadow: Vec<(Rect, u32)> = Vec::new();
         let mut next_id = 0u32;
-        apply_ops(&mut tree, &mut shadow, &mut next_id, cap, &ops)?;
-    }
-
-    /// The recovery shape: start from an STR bulk build over a seed
-    /// population, then keep mutating and querying it.
-    #[test]
-    fn bulk_seeded_tree_agrees_with_shadow(
-        seeds in proptest::collection::vec(
-            (proptest::collection::vec(coord(), 3), proptest::collection::vec(0.0f64..8.0, 3)),
-            0..400
-        ),
-        ops in proptest::collection::vec(op_strategy(3), 1..120),
-        cap in 4usize..12,
-    ) {
-        let mut shadow: Vec<(Rect, u32)> = seeds
-            .iter()
-            .enumerate()
-            .map(|(i, (lo, extent))| (rect(lo, extent), i as u32))
-            .collect();
-        let mut next_id = shadow.len() as u32;
-        let mut tree = bulk_load(3, Params::new(cap), shadow.clone());
-        tree.validate().map_err(TestCaseError::fail)?;
-        prop_assert_eq!(tree.len(), shadow.len());
-        apply_ops(&mut tree, &mut shadow, &mut next_id, cap, &ops)?;
-    }
-
-    #[test]
-    fn bulk_load_equivalent_to_inserts(
-        items in proptest::collection::vec(
-            (proptest::collection::vec(coord(), 2), proptest::collection::vec(0.0f64..5.0, 2)),
-            0..300
-        ),
-    ) {
-        let rects: Vec<(Rect, usize)> = items
-            .iter()
-            .enumerate()
-            .map(|(i, (lo, extent))| (rect(lo, extent), i))
-            .collect();
-        let bulk = bulk_load(2, Params::default(), rects.clone());
-        bulk.validate().map_err(TestCaseError::fail)?;
-        prop_assert_eq!(bulk.len(), rects.len());
-        let q = Rect::new(vec![-20.0, -20.0], vec![20.0, 20.0]);
-        let got = bulk.collect_intersecting(&q).iter().map(|(r, &v)| keyed(r.lo(), r.hi(), v)).collect();
-        let want = rects
-            .iter()
-            .filter(|(r, _)| r.intersects(&q))
-            .map(|(r, v)| keyed(r.lo(), r.hi(), *v))
-            .collect();
-        prop_assert_eq!(sorted(got), sorted(want));
+        apply_ops(&mut tree, &mut shadow, &mut next_id, &ops)?;
     }
 }

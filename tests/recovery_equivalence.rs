@@ -1,7 +1,7 @@
-//! Recovery-path equivalence: a monitor restored from a snapshot (whose
-//! R\*-trees are rebuilt with one STR bulk load) must answer every query
-//! class bit-identically to one rebuilt the expensive way — a fresh
-//! monitor incrementally replaying the entire append history.
+//! Recovery-path equivalence: a monitor restored from a snapshot must
+//! answer every query class bit-identically to one rebuilt the expensive
+//! way — a fresh monitor incrementally replaying the entire append
+//! history.
 
 use stardust::core::config::Config;
 use stardust::core::engine::Stardust;
@@ -39,7 +39,7 @@ fn build_monitor() -> UnifiedMonitor {
     m
 }
 
-/// The restored monitor (STR bulk-loaded trees) and an incremental-replay
+/// The restored monitor and an incremental-replay
 /// rebuild emit bit-identical events for every subsequent append, across
 /// aggregates, trends, and correlations.
 #[test]
@@ -51,7 +51,7 @@ fn restored_monitor_matches_incremental_replay() {
         }
     }
 
-    // Path A: snapshot → restore (trees rebuilt via STR bulk load).
+    // Path A: snapshot → restore.
     let mut restored = UnifiedMonitor::restore(&live.snapshot()).expect("snapshot round-trips");
     // Path B: fresh monitor, incremental replay of the whole history.
     let mut replayed = build_monitor();
@@ -87,9 +87,9 @@ fn restored_monitor_matches_incremental_replay() {
     assert_eq!(live.snapshot(), replayed.snapshot());
 }
 
-/// Engine level: per-level trees rebuilt by `Stardust::restore`'s bulk
-/// load hold the same entries as an incremental replay and answer pattern
-/// queries identically.
+/// Engine level: `Stardust::restore` brings back the same sealed MBRs at
+/// every level as an incremental replay, and both answer pattern queries
+/// identically.
 #[test]
 fn restored_engine_matches_incremental_replay() {
     let cfg = Config::batch(8, 3, 4, 100.0).with_history(128);
@@ -108,19 +108,16 @@ fn restored_engine_matches_incremental_replay() {
         }
     }
 
-    // Every indexed entry as (exact corner bits, payload), sorted.
+    // Every sealed MBR as (stream, exact corner bits, feature times), in
+    // stream then time order.
     let entries = |engine: &Stardust, level: usize| {
         let bits = |c: &[f64]| c.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-        let mut out: Vec<_> = engine
-            .tree(level)
-            .iter()
-            .map(|(r, e)| (bits(r.lo()), bits(r.hi()), e.stream, e.first, e.count, e.period))
-            .collect();
-        out.sort_unstable();
-        out
+        (0..N_STREAMS as u32)
+            .flat_map(|s| engine.summary(s).sealed_mbrs(level).map(move |m| (s, m)))
+            .map(|(s, m)| (s, bits(m.bounds.lo()), bits(m.bounds.hi()), m.first, m.count, m.period))
+            .collect::<Vec<_>>()
     };
     for level in 0..3 {
-        restored.tree(level).validate().expect("bulk-loaded tree valid");
         let (a, b) = (entries(&restored, level), entries(&replayed, level));
         assert!(!a.is_empty(), "level {level} holds no entries");
         assert_eq!(a, b, "level {level} entries");
